@@ -4,25 +4,47 @@
 
 namespace timpp {
 
+namespace {
+
+// The one growth rule for the set arrays: an array that must grow gets
+// capacity max(want, 2 · capacity), so appending up to a final size S
+// copies fewer than 2·S elements however small the appends are. The
+// reallocation stays out of line so an append that fits (nearly every
+// per-set Add) costs one inlined capacity compare per array.
+template <typename T>
+[[gnu::noinline]] void Regrow(std::vector<T>* v, size_t want,
+                              uint64_t* bytes_copied) {
+  *bytes_copied += v->size() * sizeof(T);
+  v->reserve(std::max(want, 2 * v->capacity()));
+}
+
+template <typename T>
+void GrowFor(std::vector<T>* v, size_t want, uint64_t* bytes_copied) {
+  if (want > v->capacity()) [[unlikely]] {
+    Regrow(v, want, bytes_copied);
+  }
+}
+
+template <typename T>
+void TrimToSize(std::vector<T>* v, uint64_t* bytes_copied) {
+  if (v->capacity() == v->size()) return;
+  *bytes_copied += v->size() * sizeof(T);
+  v->shrink_to_fit();
+}
+
+}  // namespace
+
 RRSetId RRCollection::Add(std::span<const NodeId> nodes, uint64_t width) {
+  // Reserve(1, nodes.size()), spelled out so the compares inline here.
+  GrowFor(&offsets_, offsets_.size() + 1, &realloc_bytes_copied_);
+  GrowFor(&widths_, widths_.size() + 1, &realloc_bytes_copied_);
+  GrowFor(&nodes_, nodes_.size() + nodes.size(), &realloc_bytes_copied_);
   nodes_.insert(nodes_.end(), nodes.begin(), nodes.end());
   offsets_.push_back(nodes_.size());
   widths_.push_back(width);
   total_width_ += width;
   index_built_ = false;
   return static_cast<RRSetId>(num_sets() - 1);
-}
-
-void RRCollection::AppendShard(const RRCollection& shard) {
-  const size_t base = nodes_.size();
-  nodes_.insert(nodes_.end(), shard.nodes_.begin(), shard.nodes_.end());
-  offsets_.reserve(offsets_.size() + shard.num_sets());
-  for (size_t i = 1; i < shard.offsets_.size(); ++i) {
-    offsets_.push_back(base + shard.offsets_[i]);
-  }
-  widths_.insert(widths_.end(), shard.widths_.begin(), shard.widths_.end());
-  total_width_ += shard.total_width_;
-  index_built_ = false;
 }
 
 void RRCollection::AppendRange(const RRCollection& src, size_t first,
@@ -32,9 +54,9 @@ void RRCollection::AppendRange(const RRCollection& src, size_t first,
   if (count == 0) return;
   const size_t base = nodes_.size();
   const EdgeIndex src_base = src.offsets_[first];
-  nodes_.insert(nodes_.end(), src.nodes_.begin() + src.offsets_[first],
+  Reserve(count, src.offsets_[first + count] - src_base);
+  nodes_.insert(nodes_.end(), src.nodes_.begin() + src_base,
                 src.nodes_.begin() + src.offsets_[first + count]);
-  offsets_.reserve(offsets_.size() + count);
   for (size_t i = first + 1; i <= first + count; ++i) {
     offsets_.push_back(base + (src.offsets_[i] - src_base));
   }
@@ -46,10 +68,28 @@ void RRCollection::AppendRange(const RRCollection& src, size_t first,
   index_built_ = false;
 }
 
+void RRCollection::AppendPacked(std::span<const NodeId> members,
+                                std::span<const uint64_t> sizes,
+                                std::span<const uint64_t> widths) {
+  Reserve(sizes.size(), members.size());
+  nodes_.insert(nodes_.end(), members.begin(), members.end());
+  EdgeIndex end = offsets_.back();
+  for (uint64_t size : sizes) offsets_.push_back(end += size);
+  widths_.insert(widths_.end(), widths.begin(), widths.end());
+  for (uint64_t width : widths) total_width_ += width;
+  index_built_ = false;
+}
+
 void RRCollection::Reserve(size_t sets, size_t nodes) {
-  offsets_.reserve(offsets_.size() + sets);
-  widths_.reserve(widths_.size() + sets);
-  nodes_.reserve(nodes_.size() + nodes);
+  GrowFor(&offsets_, offsets_.size() + sets, &realloc_bytes_copied_);
+  GrowFor(&widths_, widths_.size() + sets, &realloc_bytes_copied_);
+  GrowFor(&nodes_, nodes_.size() + nodes, &realloc_bytes_copied_);
+}
+
+void RRCollection::ShrinkToFit() {
+  TrimToSize(&offsets_, &realloc_bytes_copied_);
+  TrimToSize(&widths_, &realloc_bytes_copied_);
+  TrimToSize(&nodes_, &realloc_bytes_copied_);
 }
 
 void RRCollection::BuildIndex() {

@@ -28,24 +28,41 @@ class RRCollection {
   /// Appends one RR set; returns its id. `width` is w(R) from Equation 1.
   RRSetId Add(std::span<const NodeId> nodes, uint64_t width);
 
-  /// Bulk-appends every set of `shard` in shard order — the merge half of
-  /// the sampling engine's shard-append protocol: worker threads fill
-  /// private shard collections concurrently, then the engine appends the
-  /// shards in worker order, which (with index-seeded sampling) yields a
-  /// collection identical to a sequential run. One memmove per array
-  /// instead of per-set Add calls. Invalidates the index.
-  void AppendShard(const RRCollection& shard);
-
   /// Bulk-appends sets [first, first + count) of `src` in order — the
   /// range-copy primitive behind the engine's chunk-ordered shard merge
   /// and the serving layer's shared-prefix reuse (a request's slice of a
-  /// shared collection is byte-identical to sampling it fresh). Ranges
-  /// past src.num_sets() are clamped. Invalidates the index.
+  /// shared collection is byte-identical to sampling it fresh). One
+  /// memmove per array instead of per-set Add calls. Ranges past
+  /// src.num_sets() are clamped. Invalidates the index.
   void AppendRange(const RRCollection& src, size_t first, size_t count);
 
-  /// Pre-sizes the backing arrays (offsets/widths for `sets` more sets,
-  /// nodes for `nodes` more members).
+  /// Bulk-appends sets stored back to back: set i has `sizes[i]` members,
+  /// taken in order from `members`, and width `widths[i]`. `sizes` and
+  /// `widths` have one entry per set and the sizes must sum to
+  /// members.size(). The decode half of rrset/rr_serialization: one copy
+  /// per array instead of per-set Add calls. Invalidates the index.
+  void AppendPacked(std::span<const NodeId> members,
+                    std::span<const uint64_t> sizes,
+                    std::span<const uint64_t> widths);
+
+  /// Makes room for `sets` more sets and `nodes` more members. Every
+  /// append path grows through this one rule: an array that must grow
+  /// gets capacity max(wanted size, 2 · current capacity). Appending up to
+  /// a final size S therefore copies fewer than 2·S elements per array,
+  /// however the appends are batched, and leaves capacity under 2·S. On a
+  /// fresh collection the first reservation is exact.
   void Reserve(size_t sets, size_t nodes);
+
+  /// Drops the set arrays' growth slack (capacity becomes size, so
+  /// MemoryBytes equals DataBytes without an index). One copy of each
+  /// array that has slack; meant for collections that never grow again.
+  void ShrinkToFit();
+
+  /// Bytes of existing set data copied by reallocations of the three set
+  /// arrays (offsets, members, widths) since construction: growth on any
+  /// append path, including inside Add, plus ShrinkToFit. A pure function
+  /// of the append sequence — the machine-independent cost of storing R.
+  uint64_t realloc_bytes_copied() const { return realloc_bytes_copied_; }
 
   /// Number of stored sets (the paper's θ once sampling finishes).
   size_t num_sets() const { return offsets_.size() - 1; }
@@ -100,14 +117,14 @@ class RRCollection {
 
   /// Heap bytes of set storage plus index (Figure 12's memory metric).
   /// Capacity-based: counts what the allocator holds, including growth
-  /// slack.
+  /// slack, so it can read up to 2× DataBytes (see Reserve).
   size_t MemoryBytes() const;
 
   /// Heap bytes actually filled with data (capacities excluded). This is
   /// the basis of OverMemoryBudget: unlike MemoryBytes it is a pure
   /// function of the stored sets, never of the allocation pattern, so
   /// budget stops land at the same set regardless of how the collection
-  /// was filled (per-set Add vs bulk AppendShard; sequential vs parallel
+  /// was filled (per-set Add vs bulk AppendRange; sequential vs parallel
   /// engine paths).
   size_t DataBytes() const;
 
@@ -141,6 +158,7 @@ class RRCollection {
   std::vector<NodeId> nodes_;        // concatenated set members
   std::vector<uint64_t> widths_;     // per-set w(R)
   uint64_t total_width_ = 0;
+  uint64_t realloc_bytes_copied_ = 0;
 
   bool index_built_ = false;
   std::vector<EdgeIndex> index_offsets_;  // per-node start into index_sets_

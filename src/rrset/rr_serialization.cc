@@ -131,6 +131,12 @@ Status DeserializeRRShard(std::string_view bytes, NodeId num_graph_nodes,
   uint64_t declared_nodes = 0;
   uint64_t declared_edges = 0;
   for (uint64_t i = 0; i < header.num_sets; ++i) {
+    // Bounding each count first keeps the sum below 2^60: no wrap-around
+    // can forge a total that matches.
+    if (node_counts[i] > header.total_nodes) {
+      return Status::Corruption("RR shard: per-set node count exceeds "
+                                "total_nodes");
+    }
     declared_nodes += node_counts[i];
     declared_edges += set_edges[i];
   }
@@ -151,14 +157,10 @@ Status DeserializeRRShard(std::string_view bytes, NodeId num_graph_nodes,
     }
   }
 
-  sets->Reserve(header.num_sets, header.total_nodes);
-  edges->reserve(edges->size() + header.num_sets);
-  uint64_t offset = 0;
-  for (uint64_t i = 0; i < header.num_sets; ++i) {
-    sets->Add({nodes + offset, nodes + offset + node_counts[i]}, widths[i]);
-    edges->push_back(set_edges[i]);
-    offset += node_counts[i];
-  }
+  sets->AppendPacked({nodes, header.total_nodes},
+                     {node_counts, header.num_sets},
+                     {widths, header.num_sets});
+  edges->insert(edges->end(), set_edges, set_edges + header.num_sets);
   if (info != nullptr) *info = header;
   return Status::OK();
 }

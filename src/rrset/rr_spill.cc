@@ -391,16 +391,15 @@ Status RRSpillStore::ReadRange(uint64_t first, uint64_t count,
     TIMPP_RETURN_NOT_OK(LoadChunkLocked(ci, &pinned));
     const Chunk& chunk = chunks_[ci];
     const uint64_t stop = std::min(end, chunk.first + chunk.count);
-    for (uint64_t index = pos; index < stop; ++index) {
-      const size_t local = static_cast<size_t>(index - chunk.first);
-      staged.Add(pinned->sets.Set(static_cast<RRSetId>(local)),
-                 pinned->sets.Width(static_cast<RRSetId>(local)));
-      staged_edges.push_back(pinned->edges[local]);
-    }
+    const size_t local = static_cast<size_t>(pos - chunk.first);
+    const size_t n = static_cast<size_t>(stop - pos);
+    staged.AppendRange(pinned->sets, local, n);
+    staged_edges.insert(staged_edges.end(), pinned->edges.begin() + local,
+                        pinned->edges.begin() + local + n);
     stats_.sets_read += stop - pos;
     pos = stop;
   }
-  out->AppendShard(staged);
+  out->AppendRange(staged, 0, staged.num_sets());
   if (edges != nullptr) {
     edges->insert(edges->end(), staged_edges.begin(), staged_edges.end());
   }

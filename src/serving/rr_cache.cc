@@ -62,6 +62,11 @@ void SharedRRCache::EnsurePrefix(uint64_t count) {
       added = batch.sets_added;
     }
     if (added == 0) return;  // nothing to publish
+    // A published chunk never grows again: drop its growth slack so the
+    // context's byte budget, which evicts by MemoryBytes, prices data and
+    // not allocator headroom.
+    chunk->sets.ShrinkToFit();
+    chunk->edges.shrink_to_fit();
 
     // Publish: slot write first, then the counters in release order. A
     // reader that acquires the new committed_ value is guaranteed to see

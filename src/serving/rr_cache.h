@@ -132,9 +132,10 @@ class SharedRRCache {
   }
 
   /// Heap bytes of the published chunks plus the per-set edge counts and
-  /// the chunk directory (allocator capacities included) — what a context
-  /// reports as the price of reuse. Concurrent-safe; a grow racing the
-  /// walk is counted from the next call on.
+  /// the chunk directory — what a context reports as the price of reuse.
+  /// Chunks are trimmed to size before publication, so this is exactly
+  /// the bytes they hold plus the directory's slots. Concurrent-safe; a
+  /// grow racing the walk is counted from the next call on.
   size_t MemoryBytes() const;
 
  private:

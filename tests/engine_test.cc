@@ -264,13 +264,23 @@ TEST(RRCollectionTest, AppendRangeMatchesPerSetAdd) {
   SamplingEngine engine(g, IcSampling(23, 1));
   engine.SampleInto(&source, 100);
 
+  const auto add_each = [&](RRCollection* rr, size_t first, size_t end) {
+    for (size_t id = first; id < end; ++id) {
+      rr->Add(source.Set(static_cast<RRSetId>(id)),
+              source.Width(static_cast<RRSetId>(id)));
+    }
+  };
+
   RRCollection ranged(g.num_nodes());
   ranged.AppendRange(source, 10, 40);
   RRCollection manual(g.num_nodes());
-  for (size_t id = 10; id < 50; ++id) {
-    manual.Add(source.Set(static_cast<RRSetId>(id)),
-               source.Width(static_cast<RRSetId>(id)));
-  }
+  add_each(&manual, 10, 50);
+  ExpectSameCollections(manual, ranged);
+
+  // The full range onto a non-empty target: every appended offset is
+  // rebased past the members already stored.
+  ranged.AppendRange(source, 0, source.num_sets());
+  add_each(&manual, 0, source.num_sets());
   ExpectSameCollections(manual, ranged);
 
   // Clamped past the end and empty ranges are no-ops past the data.
@@ -281,20 +291,42 @@ TEST(RRCollectionTest, AppendRangeMatchesPerSetAdd) {
   EXPECT_EQ(clamped.num_sets(), 5u);
 }
 
-TEST(RRCollectionTest, AppendShardMatchesPerSetAdd) {
-  Graph g = MakeTwoCommunities(0.35f);
-  RRCollection shard(g.num_nodes());
-  SamplingEngine engine(g, IcSampling(17, 1));
-  engine.SampleInto(&shard, 50);
+// Storing R must cost time linear in its size: every reallocation at
+// least doubles an array, so the bytes growth has copied stay under twice
+// the final set arrays, however finely the appends are batched.
 
-  RRCollection bulk(g.num_nodes());
-  bulk.AppendShard(shard);
-  RRCollection manual(g.num_nodes());
-  for (size_t id = 0; id < shard.num_sets(); ++id) {
-    manual.Add(shard.Set(static_cast<RRSetId>(id)),
-               shard.Width(static_cast<RRSetId>(id)));
+TEST(RRCollectionTest, SampleIntoGrowthCopiesStayLinear) {
+  // Tiny sets (p = 0.05) keep 65 engine batches of 8192 sets cheap; the
+  // 1-thread run appends per set (AppendDirect), the 4-thread run per
+  // 64-set chunk of the shard merge.
+  Graph g = MakeTwoCommunities(0.05f);
+  const uint64_t count = 64 * 8192 + 100;
+  for (unsigned threads : {1u, 4u}) {
+    RRCollection rr(g.num_nodes());
+    SamplingEngine engine(g, IcSampling(31, threads));
+    engine.SampleInto(&rr, count);
+    ASSERT_EQ(rr.num_sets(), count);
+    EXPECT_GT(rr.realloc_bytes_copied(), 0u) << "threads=" << threads;
+    EXPECT_LE(rr.realloc_bytes_copied(), 2 * rr.DataBytes())
+        << "threads=" << threads;
   }
-  ExpectSameCollections(manual, bulk);
+}
+
+TEST(RRCollectionTest, SmallAppendRangeGrowthCopiesStayLinear) {
+  // The serving read pattern: a request's collection assembled from many
+  // short ranges (256 appends of 16 sets).
+  Graph g = MakeTwoCommunities(0.35f);
+  RRCollection source(g.num_nodes());
+  SamplingEngine engine(g, IcSampling(37, 1));
+  engine.SampleInto(&source, 4096);
+
+  RRCollection rr(g.num_nodes());
+  for (size_t first = 0; first < source.num_sets(); first += 16) {
+    rr.AppendRange(source, first, 16);
+  }
+  ExpectSameCollections(source, rr);
+  EXPECT_GT(rr.realloc_bytes_copied(), 0u);
+  EXPECT_LE(rr.realloc_bytes_copied(), 2 * rr.DataBytes());
 }
 
 // --------------------------------------- solver thread-count determinism --

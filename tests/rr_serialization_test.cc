@@ -127,6 +127,15 @@ TEST(RRSerializationTest, SubrangeSerializationMatchesAppendRange) {
   ExpectEqualCollections(expected, decoded);
   EXPECT_EQ(edges, std::vector<uint64_t>(shard.edges.begin() + 5,
                                          shard.edges.begin() + 14));
+
+  // Decoding appends: a second slice lands after the first, its offsets
+  // rebased past the members already stored.
+  bytes.clear();
+  SerializeRRShard(shard.sets, shard.edges, 0, 5, &bytes);
+  ASSERT_TRUE(DeserializeRRShard(bytes, 50, &decoded, &edges).ok());
+  expected.AppendRange(shard.sets, 0, 5);
+  ExpectEqualCollections(expected, decoded);
+  EXPECT_EQ(edges.size(), 14u);
 }
 
 TEST(RRSerializationTest, FuzzRoundTrips) {
@@ -193,6 +202,14 @@ TEST(RRSerializationTest, RejectsCorruption) {
     uint64_t big = 1000;
     std::memcpy(bad.data() + 32, &big, sizeof(big));  // node_count[0]
     expect_reject(bad, "inconsistent totals");
+  }
+  {
+    // Per-set node counts whose 64-bit sum wraps around to total_nodes.
+    std::string bad = good;
+    const uint64_t counts[2] = {(uint64_t{1} << 63) + 2,
+                                (uint64_t{1} << 63) + 1};
+    std::memcpy(bad.data() + 32, counts, sizeof(counts));  // node_count[0..1]
+    expect_reject(bad, "wrapping node counts");
   }
   {
     // Out-of-range node id.

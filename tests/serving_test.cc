@@ -394,6 +394,35 @@ TEST(SharedRRCacheTest, ReadsAreByteIdenticalToAFreshEngine) {
   }
 }
 
+TEST(SharedRRCacheTest, PublishedChunksCarryNoGrowthSlack) {
+  // The context evicts by MemoryBytes, so a chunk's bytes must be its
+  // data alone. Three grows of different shapes; the last spans several
+  // engine batches of the 2-thread merge.
+  Graph g = MakeTwoCommunities(0.35f);
+  SharedRRCache cache(g, IcSampling(42, 2));
+  RRCollection sink(g.num_nodes());
+  cache.Read(0, 300, &sink);
+  cache.Read(100, 4900, &sink);
+  cache.EnsurePrefix(30000);
+
+  RRCollection reference(g.num_nodes());
+  SamplingEngine engine(g, IcSampling(42, 1));
+  engine.SampleInto(&reference, 30000);
+  size_t held = 0;
+  const uint64_t bounds[] = {0, 300, 5000, 30000};
+  for (size_t c = 0; c + 1 < std::size(bounds); ++c) {
+    const uint64_t sets = bounds[c + 1] - bounds[c];
+    const uint64_t members =
+        reference.Offset(bounds[c + 1]) - reference.Offset(bounds[c]);
+    // Offsets (one per set plus the end), members, widths, edge counts.
+    held += (sets + 1) * sizeof(EdgeIndex) + members * sizeof(NodeId) +
+            sets * sizeof(uint64_t) + sets * sizeof(uint64_t);
+  }
+  // The chunk directory starts with 16 slots, enough for three chunks.
+  const size_t directory = 16 * sizeof(void*);
+  EXPECT_EQ(cache.MemoryBytes(), held + directory);
+}
+
 // ------------------------------------------- cache eviction -------------
 
 TEST(ServingEngineTest, ByteCappedContextReturnsBitIdenticalResults) {
