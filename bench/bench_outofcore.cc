@@ -1,6 +1,6 @@
 // Out-of-core storage layer: mmap graph images and the RR spill tier.
 //
-// Two questions, one WC power-law graph:
+// Four questions, one WC power-law graph:
 //
 //  1. Graph images — what does opening a prebuilt CSR image cost vs
 //     rebuilding the graph from scratch, and does sampling through the
@@ -15,12 +15,17 @@
 //     regeneration_passes == 0.
 //
 //  3. Cold chunk replay — with the page cache dropped from the chunk
-//     files (posix_fadvise DONTNEED), how does prefetched replay
-//     (readahead on, SLRU cache) compare to fully synchronous reads?
-//     Replay checksums are asserted identical to the in-memory truth
-//     (fatal) before any timing is reported; the solver-level
-//     prefetch-vs-sync ratio is also recorded (informational on 1-core
-//     CI runners, where the overlap has no spare core to land on).
+//     files (posix_fadvise DONTNEED), how does prefetched sequential
+//     replay (readahead on, SLRU cache; the serving preload's path)
+//     compare to fully synchronous reads? Replay checksums are asserted
+//     identical to the in-memory truth (fatal) before any timing is
+//     reported.
+//
+//  4. Parallel greedy replay — the streaming greedy over a fully spilled
+//     θ range on 1 vs 4 threads. Both runs are asserted seed-identical
+//     to GreedyMaxCover on the in-memory sets, with equal spill read
+//     counts, before any timing is reported (the speedup is
+//     informational: it needs spare cores).
 //
 // Emits BENCH_bench_outofcore.json (bench_util.h).
 //
@@ -36,6 +41,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "coverage/greedy_cover.h"
+#include "coverage/streaming_cover.h"
 #include "engine/sampling_engine.h"
 #include "engine/solver_registry.h"
 #include "graph/graph_io.h"
@@ -63,8 +70,7 @@ bool Identical(const RRCollection& a, const RRCollection& b) {
 }
 
 SolverResult RunTimPlus(const Graph& graph, int k, double eps, uint64_t seed,
-                        size_t budget, const std::string& spill_dir,
-                        const RRSpillTuning& tuning = {}) {
+                        size_t budget, const std::string& spill_dir) {
   std::unique_ptr<InfluenceSolver> solver;
   Status status = SolverRegistry::Global().Create("tim+", graph, &solver);
   if (!status.ok()) {
@@ -77,7 +83,6 @@ SolverResult RunTimPlus(const Graph& graph, int k, double eps, uint64_t seed,
   options.seed = seed;
   options.memory_budget_bytes = budget;
   options.spill_dir = spill_dir;
-  options.spill_tuning = tuning;
   SolverResult result;
   status = solver->Run(options, &result);
   if (!status.ok()) {
@@ -305,14 +310,9 @@ void Run(int argc, char** argv) {
   const auto budget =
       static_cast<size_t>(unbudgeted.Metric("rr_data_bytes") / 8.0);
   const SolverResult regen = RunTimPlus(resident, k, eps, seed, budget, "");
-  RRSpillTuning no_readahead;
-  no_readahead.readahead_chunks = 0;
-  const SolverResult spilled_sync =
-      RunTimPlus(resident, k, eps, seed, budget, tmp, no_readahead);
   const SolverResult spilled =
       RunTimPlus(resident, k, eps, seed, budget, tmp);
-  if (regen.seeds != unbudgeted.seeds || spilled.seeds != unbudgeted.seeds ||
-      spilled_sync.seeds != unbudgeted.seeds) {
+  if (regen.seeds != unbudgeted.seeds || spilled.seeds != unbudgeted.seeds) {
     std::fprintf(stderr, "FATAL: budgeted seeds diverged\n");
     std::exit(1);
   }
@@ -341,31 +341,63 @@ void Run(int argc, char** argv) {
                       spilled.Metric("spill_bytes_written"));
   bench::RecordMetric("spill_speedup_vs_regen",
                       regen.seconds_total / spilled.seconds_total);
-  // Prefetch vs sync at the solver level: same seeds (asserted above),
-  // timing informational — on 1-core runners the async overlap has no
-  // spare core, so the honest expectation there is ~1.0x.
+
+  // ---- parallel greedy replay: 1 vs 4 threads ------------------------
+  // Every set of the cold-replay store (1024-set chunks), none resident:
+  // each round replays the whole θ range from disk. The first sweep
+  // checks both thread counts against GreedyMaxCover (and warms the page
+  // cache); only the second is timed.
+  resident_rr.BuildIndex();
+  const CoverResult truth_cover = GreedyMaxCover(resident_rr, k);
+  const RRCollection none(resident.num_nodes());
+  double replay_seconds[2] = {0.0, 0.0};
+  uint64_t replay_sets_read[2] = {0, 0};
+  for (const bool timed : {false, true}) {
+    for (int i = 0; i < 2; ++i) {
+      SamplingConfig replay_config = config;
+      replay_config.num_threads = i == 0 ? 1 : 4;
+      SamplingEngine engine(resident, replay_config);
+      Timer timer;
+      const StreamingCoverResult replayed =
+          StreamingGreedyMaxCover(engine, none, 0, sets, k, &sync_store);
+      if (timed) {
+        replay_seconds[i] = timer.ElapsedSeconds();
+        continue;
+      }
+      replay_sets_read[i] = replayed.sets_spill_read;
+      if (replayed.cover.seeds != truth_cover.seeds ||
+          replayed.regeneration_passes != 0) {
+        std::fprintf(stderr,
+                     "FATAL: %u-thread spill replay diverged from "
+                     "GreedyMaxCover\n",
+                     replay_config.num_threads);
+        std::exit(1);
+      }
+    }
+  }
+  if (replay_sets_read[0] != replay_sets_read[1]) {
+    std::fprintf(stderr, "FATAL: spill replay read counts differ\n");
+    std::exit(1);
+  }
   std::printf(
-      "tim+ spill replay: sync %.3fs   prefetch %.3fs   speedup %.2fx "
-      "(%.6g prefetches issued, %.6g consumed, %.6g sync fallbacks)\n",
-      spilled_sync.seconds_total, spilled.seconds_total,
-      spilled_sync.seconds_total / spilled.seconds_total,
-      spilled.Metric("spill_prefetch_issued"),
-      spilled.Metric("spill_prefetch_hits"),
-      spilled.Metric("spill_sync_fallback_reads"));
-  bench::RecordMetric("timplus_spill_sync_seconds",
-                      spilled_sync.seconds_total);
-  bench::RecordMetric("spill_prefetch_speedup_vs_sync",
-                      spilled_sync.seconds_total / spilled.seconds_total);
-  bench::RecordMetric("timplus_spill_prefetch_issued",
-                      spilled.Metric("spill_prefetch_issued"));
-  bench::RecordMetric("timplus_spill_prefetch_hits",
-                      spilled.Metric("spill_prefetch_hits"));
+      "greedy replay k=%d over %llu spilled sets: 1 thread %.3fs   "
+      "4 threads %.3fs   speedup %.2fx (%llu set reads each)\n",
+      k, static_cast<unsigned long long>(sets), replay_seconds[0],
+      replay_seconds[1], replay_seconds[0] / replay_seconds[1],
+      static_cast<unsigned long long>(replay_sets_read[0]));
+  bench::RecordMetric("replay_1t_seconds", replay_seconds[0]);
+  bench::RecordMetric("replay_4t_seconds", replay_seconds[1]);
+  bench::RecordMetric("replay_speedup_4t_vs_1t",
+                      replay_seconds[0] / replay_seconds[1]);
+  bench::RecordMetric("replay_sets_read",
+                      static_cast<double>(replay_sets_read[0]));
 
   std::filesystem::remove_all(tmp);
   std::printf(
       "\nidentity checks: mmap fill byte-equal to resident; cold replay "
       "(sync and prefetch) checksums equal to in-memory sets; budgeted "
-      "(regen, sync spill, prefetch spill) seeds equal to unbudgeted\n");
+      "(regen, spill) seeds equal to unbudgeted; 1- and 4-thread greedy "
+      "replay seeds equal to GreedyMaxCover\n");
 }
 
 }  // namespace

@@ -98,15 +98,19 @@
 //                     there and preloads them on re-acquisition
 //   --spill           shorthand for --spill-dir=<system temp>/im_spill
 //   --spill-readahead=N
-//                     chunks read ahead of the spill replay cursor
-//                     (default 2; 0 = synchronous reads). Timing only —
-//                     seeds never depend on it
+//                     batch mode: chunks the serving preload of an
+//                     evicted stream reads ahead (default 2; 0 =
+//                     synchronous reads). Timing only — seeds never
+//                     depend on it. Budgeted solves replay their spill
+//                     on --threads workers and take no tuning
 //   --spill-hot-fraction=F
-//                     share of the pinned-chunk capacity reserved for the
-//                     SLRU hot section (default 0.5)
+//                     batch mode: share of the serving preload's
+//                     pinned-chunk capacity reserved for the SLRU hot
+//                     section (default 0.5)
 //   --spill-io=auto|uring|threads
-//                     async backend for spill readahead: auto probes
-//                     io_uring and falls back to the pread thread pool
+//                     batch mode: async backend of the serving preload's
+//                     readahead: auto probes io_uring and falls back to
+//                     the pread thread pool
 //   --ris_tau_scale / --ris_max_sets / --ris_memory_budget
 //                     RIS cost-threshold and out-of-memory knobs
 //                     (--ris_memory_budget overrides --memory-budget for
@@ -689,7 +693,6 @@ int main(int argc, char** argv) {
       flags.Has("memory-budget") ? flags.GetInt("memory-budget", 0)
                                  : flags.GetInt("memory_budget", 0));
   options.spill_dir = spill_dir;
-  options.spill_tuning = spill_tuning;
 
   timpp::SolverResult result;
   status = solver->Run(options, &result);
@@ -738,14 +741,6 @@ int main(int argc, char** argv) {
           result.Metric("rr_sets_spilled"),
           result.Metric("spill_bytes_written"),
           result.Metric("sets_spill_read"));
-      if (result.Metric("spill_prefetch_issued") != 0.0) {
-        std::printf(
-            "note: spill readahead — %.6g prefetch reads issued, %.6g "
-            "consumed, %.6g sync fallbacks\n",
-            result.Metric("spill_prefetch_issued"),
-            result.Metric("spill_prefetch_hits"),
-            result.Metric("spill_sync_fallback_reads"));
-      }
     }
   }
   if (result.estimated_spread > 0.0) {

@@ -1,10 +1,12 @@
 #include "baselines/ris.h"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/parameters.h"
 #include "core/tim.h"
 #include "coverage/greedy_cover.h"
 #include "coverage/streaming_cover.h"
@@ -61,6 +63,16 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
                      options.ell * (m + n) * SafeLogN(graph.num_nodes()) /
                      std::pow(options.epsilon, 3.0);
 
+  // Every RR set costs at least 1 (its root), so the cost rule admits at
+  // most ⌈τ⌉ sets; fail before sampling when that, or the caller's cap,
+  // could pass the RRSetId space.
+  const double max_sets =
+      options.max_rr_sets != 0
+          ? std::min(std::ceil(tau), static_cast<double>(options.max_rr_sets))
+          : std::ceil(tau);
+  TIMPP_RETURN_NOT_OK(CheckSampleSize(
+      max_sets, "RIS's set count (at most ceil(tau), or max_rr_sets)"));
+
   RisStats local_stats;
   local_stats.tau = tau;
 
@@ -115,7 +127,6 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
     if (!options.spill_dir.empty()) {
       RRSpillOptions spill_options;
       spill_options.dir = options.spill_dir;
-      spill_options.tuning = options.spill_tuning;
       spill_store.emplace(graph.num_nodes(), spill_options);
     }
     RRSpillStore* spill = spill_store ? &*spill_store : nullptr;

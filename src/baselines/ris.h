@@ -56,9 +56,6 @@ struct RisOptions {
   /// regeneration_passes == 0 while the store stays healthy. See
   /// TimOptions::spill_dir.
   std::string spill_dir;
-  /// Spill replay tuning (readahead, SLRU split, IO backend); never
-  /// affects results. See TimOptions::spill_tuning.
-  RRSpillTuning spill_tuning;
   /// Sampling worker threads (SamplingEngine). The cost-threshold stopping
   /// rule is evaluated on the deterministic index-ordered sample stream,
   /// so results are identical for any thread count.

@@ -138,6 +138,21 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
   stats.lambda_prime = (2.0 + 2.0 * eps_prime / 3.0) *
                        (log_cnk + ell * ln_n + std::log(log2_n)) * n /
                        (eps_prime * eps_prime);
+  // λ* = 2n·((1-1/e)·α + β)² / ε², α = √(ℓ·ln n + ln 2),
+  // β = √((1-1/e)·(log C(n,k) + ℓ·ln n + ln 2)).
+  const double one_minus_inv_e = 1.0 - 1.0 / std::exp(1.0);
+  const double alpha = std::sqrt(ell * ln_n + std::log(2.0));
+  const double beta =
+      std::sqrt(one_minus_inv_e * (log_cnk + ell * ln_n + std::log(2.0)));
+  stats.lambda_star = 2.0 * n *
+                      (one_minus_inv_e * alpha + beta) *
+                      (one_minus_inv_e * alpha + beta) / (eps * eps);
+  // Fail before sampling anything when θ must pass the RRSetId space: LB
+  // is at most max(n, 1) (its floor is 1), so θ = λ*/LB >= λ*/max(n, 1).
+  // Each θ_i is checked before its iteration samples.
+  TIMPP_RETURN_NOT_OK(
+      CheckSampleSize(std::ceil(stats.lambda_star / std::max(n, 1.0)),
+                      "IMM's theta >= lambda*/n"));
 
   std::optional<SamplingEngine> local_engine;
   std::optional<EngineSampleSource> local_source;
@@ -172,7 +187,6 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
   if (budget != 0 && !options.spill_dir.empty()) {
     RRSpillOptions spill_options;
     spill_options.dir = options.spill_dir;
-    spill_options.tuning = options.spill_tuning;
     spill_store.emplace(graph.num_nodes(), std::move(spill_options));
   }
   RRSpillStore* spill = spill_store ? &*spill_store : nullptr;
@@ -222,6 +236,8 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
     const int max_iterations = std::max(1, static_cast<int>(log2_n) - 1);
     for (int i = 1; i <= max_iterations; ++i) {
       const double x_i = n / std::pow(2.0, i);
+      TIMPP_RETURN_NOT_OK(CheckSampleSize(std::ceil(stats.lambda_prime / x_i),
+                                          "IMM's theta_i = lambda'/x_i"));
       const uint64_t theta_i = static_cast<uint64_t>(
           std::max(1.0, std::ceil(stats.lambda_prime / x_i)));
       GrowTo(*source, stream_start, theta_i, &sampling_rr,
@@ -271,15 +287,8 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
   stats.seconds_sampling = phase_timer.ElapsedSeconds();
 
   // ---- Selection phase: θ = λ* / LB -----------------------------------
-  // λ* = 2n·((1-1/e)·α + β)² / ε², α = √(ℓ·ln n + ln 2),
-  // β = √((1-1/e)·(log C(n,k) + ℓ·ln n + ln 2)).
-  const double one_minus_inv_e = 1.0 - 1.0 / std::exp(1.0);
-  const double alpha = std::sqrt(ell * ln_n + std::log(2.0));
-  const double beta =
-      std::sqrt(one_minus_inv_e * (log_cnk + ell * ln_n + std::log(2.0)));
-  stats.lambda_star = 2.0 * n *
-                      (one_minus_inv_e * alpha + beta) *
-                      (one_minus_inv_e * alpha + beta) / (eps * eps);
+  TIMPP_RETURN_NOT_OK(CheckSampleSize(std::ceil(stats.lambda_star / lb),
+                                      "IMM's theta = lambda*/LB"));
   stats.theta = static_cast<uint64_t>(
       std::max(1.0, std::ceil(stats.lambda_star / lb)));
 

@@ -89,9 +89,6 @@ struct ImmOptions {
   /// regeneration_passes == 0 while the store stays healthy. See
   /// TimOptions::spill_dir.
   std::string spill_dir;
-  /// Spill replay tuning (readahead, SLRU split, IO backend); never
-  /// affects results. See TimOptions::spill_tuning.
-  RRSpillTuning spill_tuning;
   uint64_t seed = 0x1e1eULL;
   /// Where sample production runs (in-process threads vs coordinated
   /// worker subprocesses, engine/sample_backend.h). Never changes the

@@ -2,10 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "util/math.h"
+#include "util/types.h"
 
 namespace timpp {
+
+Status CheckSampleSize(double sets, const char* what) {
+  if (sets <= static_cast<double>(kMaxRRSets)) return Status::OK();
+  char buffer[256];
+  std::snprintf(buffer, sizeof(buffer),
+                "%s needs %.4g RR sets, past the %llu that 32-bit set ids "
+                "can index; raise epsilon",
+                what, sets, static_cast<unsigned long long>(kMaxRRSets));
+  return Status::OutOfRange(buffer);
+}
 
 double ComputeLambda(uint64_t n, int k, double epsilon, double ell) {
   const double ln_n = SafeLogN(n);

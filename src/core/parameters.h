@@ -6,7 +6,18 @@
 
 #include <cstdint>
 
+#include "util/status.h"
+
 namespace timpp {
+
+/// OutOfRange when one collection or coverage pass would need `sets` RR
+/// sets, more than kMaxRRSets (util/types.h): past it a 32-bit RRSetId
+/// wraps silently. `sets` is a sample size still in floating point (θ =
+/// ⌈λ/KPT⁺⌉ and its kin), checked before the integer cast, which can
+/// itself overflow. `what` names the size in the message. Solvers call it
+/// before they sample, including on lower bounds (θ ≥ λ/n, as KPT⁺ ≤ n),
+/// so an impossible run fails at once.
+Status CheckSampleSize(double sets, const char* what);
 
 /// Equation 4:
 ///   λ = (8 + 2ε)·n·(ℓ·ln n + ln C(n,k) + ln 2) / ε².

@@ -97,6 +97,15 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
                  : RecommendedEpsPrime(options.epsilon, options.k, ell))
           : 0.0;
   stats.eps_prime = eps_prime;
+  // Fail before sampling anything when a sample size must pass the RRSetId
+  // space: KPT⁺ and KPT* are at most n, so θ >= λ/n and θ′ >= λ′/n.
+  TIMPP_RETURN_NOT_OK(
+      CheckSampleSize(std::ceil(stats.lambda / n), "TIM's theta >= lambda/n"));
+  if (options.use_refinement) {
+    TIMPP_RETURN_NOT_OK(CheckSampleSize(
+        std::ceil(ComputeLambdaPrime(n, eps_prime, ell) / n),
+        "TIM+'s theta' >= lambda'/n"));
+  }
 
   // PhaseCache entries record positions of a stream consumed from index 0
   // (how every run starts); only engage the memo in that situation.
@@ -153,6 +162,9 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
     uint64_t edges_refine = 0;
     if (options.use_refinement) {
       phase_timer.Reset();
+      TIMPP_RETURN_NOT_OK(CheckSampleSize(
+          std::ceil(ComputeLambdaPrime(n, eps_prime, ell) / kpt.kpt_star),
+          "TIM+'s theta' = lambda'/KPT*"));
       KptRefinement refinement =
           RefineKpt(*source, *kpt.last_iteration_rr, options.k, kpt.kpt_star,
                     eps_prime, ell);
@@ -181,6 +193,8 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
   }
 
   // Phase 2: node selection (Algorithm 1) with θ = λ / KPT bound.
+  TIMPP_RETURN_NOT_OK(CheckSampleSize(std::ceil(stats.lambda / kpt_bound),
+                                      "TIM's theta = lambda/KPT"));
   stats.theta =
       static_cast<uint64_t>(std::max(1.0, std::ceil(stats.lambda / kpt_bound)));
 
@@ -190,7 +204,6 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
   if (options.memory_budget_bytes != 0 && !options.spill_dir.empty()) {
     RRSpillOptions spill_options;
     spill_options.dir = options.spill_dir;
-    spill_options.tuning = options.spill_tuning;
     spill.emplace(graph_.num_nodes(), std::move(spill_options));
   }
 

@@ -79,10 +79,6 @@ struct TimOptions {
   /// regeneration_passes == 0 while the store stays healthy. Chunk files
   /// live in a unique per-run subdirectory, deleted when the run ends.
   std::string spill_dir;
-  /// Spill replay tuning (readahead depth, SLRU hot fraction, async IO
-  /// backend). Placement/timing only — replayed bytes are identical at
-  /// any setting, so seeds/θ/LB never depend on it.
-  RRSpillTuning spill_tuning;
   /// Master RNG seed; every run with equal options is bit-reproducible.
   uint64_t seed = 0x7145ULL;
   /// Where sample production runs: in-process threads (default) or

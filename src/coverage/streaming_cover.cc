@@ -1,9 +1,12 @@
 #include "coverage/streaming_cover.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cassert>
 #include <vector>
 
 #include "util/bit_vector.h"
+#include "util/thread_pool.h"
 #include "util/types.h"
 
 namespace timpp {
@@ -30,6 +33,34 @@ bool IndexedDataBytesFitBudget(const RRCollection& rr, size_t budget_bytes) {
   return rr.DataBytes() + index_bytes <= budget_bytes;
 }
 
+namespace {
+
+// Resident sets per pass work unit: a claim's cost stays negligible next
+// to the unit, while a few thousand units still balance the workers. The
+// same size as the spill tier's default chunk.
+constexpr uint64_t kSetsPerSlice = 4096;
+
+// One work unit of a coverage pass: global indices [first, first + count)
+// of the resident prefix, or of a single spill chunk.
+struct PassUnit {
+  uint64_t first;
+  uint64_t count;
+  bool spilled;
+};
+
+// Everything one pass worker writes; merged by the caller after the pass.
+struct PassWorker {
+  std::vector<uint32_t> counts;
+  /// Local ids of live sets this pass found covered by a selected seed.
+  std::vector<RRSetId> killed;
+  /// Spill units whose read or decode failed this pass.
+  std::vector<size_t> failed;
+  uint64_t sets_spill_read = 0;
+  RRSpillStore::ChunkScratch scratch;
+};
+
+}  // namespace
+
 StreamingCoverResult StreamingGreedyMaxCover(SamplingEngine& engine,
                                              const RRCollection& cache,
                                              uint64_t first_index,
@@ -38,71 +69,148 @@ StreamingCoverResult StreamingGreedyMaxCover(SamplingEngine& engine,
   const NodeId n = engine.graph().num_nodes();
   StreamingCoverResult result;
   if (k <= 0 || n == 0 || total_sets == 0) return result;
+  assert(total_sets <= kMaxRRSets);
 
   const uint64_t cached = std::min<uint64_t>(cache.num_sets(), total_sets);
-  std::vector<uint64_t> counts(n);
-  // One flag serves both roles: a node is a chosen seed iff it is out of
-  // the running for future picks.
-  std::vector<char> selected(n, 0);
-  // Liveness of each of the θ sets (local index = global - first_index).
-  // A set dies the first time a pass sees it covered by the selected
-  // seeds; dead sets are skipped in the cache and never regenerated again
-  // (seeds only grow, so death is permanent).
-  BitVector dead(total_sets);
+  const uint64_t end = first_index + total_sets;
 
-  // Counts one live set's members; kills the set instead when a selected
-  // seed already covers it.
-  const auto absorb = [&](uint64_t local, std::span<const NodeId> set) {
-    for (NodeId v : set) {
-      if (selected[v]) {
-        dead.Set(local);
-        return;
-      }
+  // Plan the passes once: resident slices, then the spill chunks' parts of
+  // the uncached suffix, and the uncovered ranges between them, which
+  // every round regenerates.
+  std::vector<PassUnit> units;
+  for (uint64_t s = 0; s < cached; s += kSetsPerSlice) {
+    units.push_back(
+        {first_index + s, std::min(kSetsPerSlice, cached - s), false});
+  }
+  std::vector<PassUnit> gaps;
+  uint64_t pos = first_index + cached;
+  if (spill != nullptr && pos < end) {
+    for (const RRSpillStore::ChunkRange& chunk :
+         spill->ChunksOverlapping(pos, end - pos)) {
+      const uint64_t lo = std::max(chunk.first, pos);
+      const uint64_t hi = std::min(chunk.first + chunk.count, end);
+      if (lo > pos) gaps.push_back({pos, lo - pos, false});
+      units.push_back({lo, hi - lo, true});
+      pos = hi;
     }
-    for (NodeId v : set) ++counts[v];
+  }
+  if (pos < end) gaps.push_back({pos, end - pos, false});
+
+  const unsigned num_workers = static_cast<unsigned>(std::clamp<size_t>(
+      units.size(), 1, std::max(1u, engine.num_threads())));
+  ThreadPool pool(num_workers - 1, engine.config().pin_threads);
+  std::vector<PassWorker> workers(num_workers);
+  for (PassWorker& worker : workers) worker.counts.resize(n);
+  // Worker 0's counts are the live-coverage counts the rounds pick from;
+  // the other workers' hold one pass's contributions, folded in after it.
+  std::vector<uint32_t>& counts = workers[0].counts;
+
+  // Chosen seeds, out of the running for future picks, and the one picked
+  // last. Written only between passes.
+  std::vector<char> selected(n, 0);
+  NodeId newest = kInvalidNode;
+  // Liveness of each of the θ sets (local id = global index -
+  // first_index). A set dies the first time a pass sees it covered by the
+  // selected seeds; dead sets are skipped and never read or regenerated
+  // again (seeds only grow, so death is permanent). Read-only during a
+  // pass; the pass's deaths are applied after it.
+  BitVector dead(total_sets);
+  const auto live = [&](uint64_t index) {
+    return !dead.Get(index - first_index);
   };
 
+  // The first pass adds every set into `into`. A later pass only finds
+  // the live sets the newest seed covers (older seeds' sets are dead
+  // already) and takes them back out, reporting them covered: the counts
+  // stay those of the live sets, as GreedyMaxCover's decrements keep
+  // them. uint32_t arithmetic wraps, so a worker's net-negative
+  // contribution still sums exactly.
+  const auto absorb = [&](std::vector<uint32_t>& into,
+                          std::span<const NodeId> set) {
+    if (newest == kInvalidNode) {
+      for (NodeId v : set) ++into[v];
+      return true;
+    }
+    if (std::find(set.begin(), set.end(), newest) == set.end()) return true;
+    for (NodeId v : set) --into[v];
+    return false;
+  };
+
+  std::atomic<size_t> next_unit{0};
+  const auto run_pass = [&](unsigned w) {
+    PassWorker& me = workers[w];
+    if (w != 0) std::fill(me.counts.begin(), me.counts.end(), 0);
+    const auto take = [&](uint64_t index, std::span<const NodeId> set) {
+      if (!absorb(me.counts, set)) {
+        me.killed.push_back(static_cast<RRSetId>(index - first_index));
+      }
+    };
+    const RRSpillStore::Visitor take_spilled = take;
+    for (size_t u; (u = next_unit.fetch_add(1, std::memory_order_relaxed)) <
+                   units.size();) {
+      const PassUnit& unit = units[u];
+      if (!unit.spilled) {
+        for (uint64_t index = unit.first; index < unit.first + unit.count;
+             ++index) {
+          const auto local = static_cast<RRSetId>(index - first_index);
+          if (!dead.Get(local)) take(index, cache.Set(local));
+        }
+        continue;
+      }
+      uint64_t visited = 0;
+      if (spill->VisitChunk(unit.first, unit.count, live, take_spilled,
+                            &me.scratch, &visited)
+              .ok()) {
+        me.sets_spill_read += visited;
+      } else {
+        me.failed.push_back(u);
+      }
+    }
+  };
+  // Sums every worker's counts into worker 0's, one node slice per task.
+  const auto merge_counts = [&](unsigned slice) {
+    const NodeId lo = static_cast<NodeId>(uint64_t{n} * slice / num_workers);
+    const NodeId hi =
+        static_cast<NodeId>(uint64_t{n} * (slice + 1) / num_workers);
+    for (unsigned w = 1; w < num_workers; ++w) {
+      const std::vector<uint32_t>& other = workers[w].counts;
+      for (NodeId v = lo; v < hi; ++v) counts[v] += other[v];
+    }
+  };
+
+  std::vector<PassUnit> regenerate;
   for (int round = 0; round < k; ++round) {
-    // Recompute live-coverage counts from scratch: one pass over the
-    // cached prefix, one regeneration pass over the uncached suffix.
-    // Recomputation equals GreedyMaxCover's incremental decrements, so
-    // every round picks the identical node.
-    std::fill(counts.begin(), counts.end(), 0);
-    for (uint64_t i = 0; i < cached; ++i) {
-      if (dead.Get(i)) continue;
-      absorb(i, cache.Set(static_cast<RRSetId>(i)));
+    next_unit.store(0, std::memory_order_relaxed);
+    pool.ParallelRun(num_workers, run_pass);
+    if (num_workers > 1) pool.ParallelRun(num_workers, merge_counts);
+
+    regenerate = gaps;
+    uint64_t spill_read = 0;
+    for (PassWorker& worker : workers) {
+      for (RRSetId local : worker.killed) dead.Set(local);
+      worker.killed.clear();
+      for (size_t u : worker.failed) regenerate.push_back(units[u]);
+      worker.failed.clear();
+      spill_read += worker.sets_spill_read;
+      worker.sets_spill_read = 0;
     }
-    if (cached < total_sets) {
-      const auto live = [&](uint64_t index) {
-        return !dead.Get(index - first_index);
-      };
-      const auto absorb_at = [&](uint64_t index,
-                                 std::span<const NodeId> set) {
-        absorb(index - first_index, set);
-      };
-      uint64_t pos = first_index + cached;
-      const uint64_t end = first_index + total_sets;
-      // Replay from the spill tier first: byte-identical to regeneration,
-      // but a sequential disk read instead of a graph traversal. Read
-      // errors (and coverage gaps) leave `pos` at the first unreplayed
-      // index for the regeneration fallback below.
-      if (spill != nullptr) {
-        uint64_t stopped = pos;
-        uint64_t visited = 0;
-        (void)spill->VisitRange(pos, end - pos, live, absorb_at, &stopped,
-                                &visited);
-        if (visited > 0) ++result.spill_read_passes;
-        result.sets_spill_read += visited;
-        pos = stopped;
-      }
-      if (pos < end) {
-        const SampleBatch pass =
-            engine.VisitSamples(pos, end - pos, live, absorb_at);
-        if (pass.sets_added > 0) ++result.regeneration_passes;
-        result.sets_regenerated += pass.sets_added;
-        result.edges_examined += pass.edges_examined;
-      }
+    if (spill_read > 0) ++result.spill_read_passes;
+    result.sets_spill_read += spill_read;
+
+    // Regenerate what no chunk replayed. Sequential visits, so the
+    // visitor may update counts and dead bits directly.
+    uint64_t regenerated = 0;
+    for (const PassUnit& range : regenerate) {
+      const SampleBatch pass = engine.VisitSamples(
+          range.first, range.count, live,
+          [&](uint64_t index, std::span<const NodeId> set) {
+            if (!absorb(counts, set)) dead.Set(index - first_index);
+          });
+      regenerated += pass.sets_added;
+      result.edges_examined += pass.edges_examined;
     }
+    if (regenerated > 0) ++result.regeneration_passes;
+    result.sets_regenerated += regenerated;
 
     // Exact greedy pick: max count, ties to the smaller node id (ascending
     // scan with a strict comparison).
@@ -113,6 +221,7 @@ StreamingCoverResult StreamingGreedyMaxCover(SamplingEngine& engine,
     }
     if (best == kInvalidNode) break;  // every node selected
     selected[best] = 1;
+    newest = best;
     result.cover.seeds.push_back(best);
     result.cover.marginal_coverage.push_back(counts[best]);
     result.cover.covered_sets += counts[best];

@@ -1,20 +1,37 @@
 // Greedy maximum coverage in O(n) working memory — the §7.2 memory story
 // for the non-RIS algorithms. Where GreedyMaxCover needs every RR set plus
 // an inverted index resident, the streaming variant holds only per-node
-// coverage counts and a per-set liveness bit, and re-derives the counts
-// each greedy round by streaming the sets past them: retained sets are
-// read from a budget-bounded prefix cache, and sets that never fit in
-// memory are regenerated on the fly through SamplingEngine::VisitSamples
-// (exact, by the per-index RNG contract). This is the sample-and-discard
-// trick of Borgs et al.'s RR framework and SKIM-style sketching: trade k
-// extra sampling passes for an O(n + θ/8)-byte footprint.
+// coverage counts and a per-set liveness bit, and streams every live set
+// past them each greedy round: retained sets are read from a
+// budget-bounded prefix cache, spilled sets are replayed from the disk
+// tier (rrset/rr_spill.h), and sets that are in neither are regenerated
+// on the fly through SamplingEngine::VisitSamples (exact, by the
+// per-index RNG contract). This is the sample-and-discard trick of
+// Borgs et al.'s RR framework and SKIM-style sketching: trade k extra
+// passes for an O(n + θ/8)-byte footprint.
+//
+// Each round's pass runs on the engine's num_threads workers (one pool
+// for all k rounds; at 1 thread it runs inline on the caller). The work
+// units, fixed for the whole run, are 4096-set slices of the resident
+// prefix and whole spill chunks, claimed dynamically. A worker reads,
+// validates and decodes its own chunks (RRSpillStore::VisitChunk, outside
+// the store mutex) into its own uint32_t counts: the first pass adds every
+// set, and each later pass subtracts the live sets the newest seed covers
+// and puts them on the worker's own list. After the pass the counts are
+// summed and the new dead bits applied, so workers never write shared
+// state. Only the ranges no chunk covers, plus the chunks whose read or
+// decode failed this round, are then regenerated through VisitSamples.
+// Transient footprint on top of the resident prefix and the θ/8-byte dead
+// bits: T decoded chunks plus T·4·n bytes of counts, for T workers and n
+// nodes.
 //
 // The selection rule — argmax live-coverage count, ties to the smaller
-// node id — is identical to GreedyMaxCover's, and recomputing counts from
-// scratch each round equals decrementing them incrementally, so the
-// returned CoverResult is bit-identical to the indexed path on the same
-// θ sets. Budgeted TIM/IMM therefore return the same seeds as budget-off
-// runs, only slower.
+// node id — and the decrements are GreedyMaxCover's, so the returned
+// CoverResult is bit-identical to the indexed path on the same θ sets, at
+// every thread count. Budgeted TIM/IMM/RIS therefore return the same
+// seeds as budget-off runs. The caller bounds θ by the RRSetId space
+// (kMaxRRSets, util/types.h), which is what lets per-worker counts and
+// the local set ids be 32-bit.
 #ifndef TIMPP_COVERAGE_STREAMING_COVER_H_
 #define TIMPP_COVERAGE_STREAMING_COVER_H_
 
@@ -48,15 +65,18 @@ struct StreamingCoverResult {
 };
 
 /// Greedy max coverage over the θ = `total_sets` RR sets of global engine
-/// indices [first_index, first_index + total_sets). `cache` must hold the
-/// sets of indices [first_index, first_index + cache.num_sets()) — any
-/// prefix, including none — and needs no inverted index; the remaining
-/// sets are replayed from `spill` where its chunks cover them (when a
-/// store is given) and regenerated from `engine` otherwise. Replayed sets
-/// are byte-identical to regenerated ones, so the result is bit-identical
-/// to GreedyMaxCover(full collection, k) either way — the store only
-/// converts traversal passes into sequential disk reads. A spill read
-/// error falls back to regeneration for the remainder of that round.
+/// indices [first_index, first_index + total_sets); θ must not exceed
+/// kMaxRRSets. `cache` must hold the sets of indices [first_index,
+/// first_index + cache.num_sets()) — any prefix, including none — and
+/// needs no inverted index; the remaining sets are replayed from `spill`
+/// where its chunks cover them (when a store is given) and regenerated
+/// from `engine` otherwise. Replayed sets are byte-identical to
+/// regenerated ones, so the result is bit-identical to
+/// GreedyMaxCover(full collection, k) either way — the store only
+/// converts traversal passes into disk reads. A chunk whose read fails is
+/// regenerated for that round; the other chunks still replay. Passes run
+/// on engine.num_threads() workers; every result field is independent of
+/// that count.
 StreamingCoverResult StreamingGreedyMaxCover(SamplingEngine& engine,
                                              const RRCollection& cache,
                                              uint64_t first_index,

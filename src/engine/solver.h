@@ -20,7 +20,6 @@
 #include "engine/sample_backend.h"
 #include "engine/solve_context.h"
 #include "graph/graph.h"
-#include "rrset/rr_spill.h"
 #include "util/status.h"
 #include "util/types.h"
 
@@ -68,12 +67,6 @@ struct SolverOptions {
   /// healthy. Chunk files live in unique per-run subdirectories, deleted
   /// when the run ends.
   std::string spill_dir;
-  /// Spill replay tuning (`im_cli --spill-readahead / --spill-hot-fraction
-  /// / --spill-io`): chunks read ahead of the replay cursor, SLRU hot
-  /// section share, and the async IO backend (auto probes io_uring, falls
-  /// back to a pread thread pool). Timing only — replayed bytes, and thus
-  /// seeds/θ/LB, are identical at any setting.
-  RRSpillTuning spill_tuning;
   /// Where RR-set production runs: in-process threads (default) or
   /// process shards — worker subprocesses coordinated over pipes
   /// (engine/sample_backend.h; `im_cli --backend=procs:N`). Seeds, θ, LB

@@ -260,6 +260,18 @@ Status RRSpillStore::ReadChunkBytesSync(const Chunk& chunk,
   return Status::OK();
 }
 
+Status RRSpillStore::DecodeChunk(const Chunk& chunk, std::string_view bytes,
+                                 RRCollection* sets,
+                                 std::vector<uint64_t>* edges) const {
+  TIMPP_RETURN_NOT_OK(
+      DeserializeRRShard(bytes, num_graph_nodes_, sets, edges));
+  if (sets->num_sets() != chunk.count) {
+    return Status::Corruption("rr spill: chunk " + chunk.path +
+                              " holds a different set count than written");
+  }
+  return Status::OK();
+}
+
 void RRSpillStore::PrefetchAheadLocked(size_t ci, uint64_t end) {
   const size_t depth =
       std::min(options_.tuning.readahead_chunks, kMaxReadahead);
@@ -315,12 +327,7 @@ Status RRSpillStore::LoadChunkLocked(size_t chunk_index, const Pinned** out) {
   }
 
   Pinned loaded{chunk_index, RRCollection(num_graph_nodes_), {}};
-  TIMPP_RETURN_NOT_OK(DeserializeRRShard(bytes, num_graph_nodes_,
-                                         &loaded.sets, &loaded.edges));
-  if (loaded.sets.num_sets() != chunk.count) {
-    return Status::Corruption("rr spill: chunk " + chunk.path +
-                              " holds a different set count than written");
-  }
+  TIMPP_RETURN_NOT_OK(DecodeChunk(chunk, bytes, &loaded.sets, &loaded.edges));
   stats_.chunk_loads += 1;
   *out = InsertPinnedLocked(std::move(loaded));
   return Status::OK();
@@ -357,6 +364,60 @@ Status RRSpillStore::VisitRange(uint64_t first, uint64_t count,
   *stopped_at = pos;
   if (sets_visited != nullptr) *sets_visited = visited;
   return status;
+}
+
+std::vector<RRSpillStore::ChunkRange> RRSpillStore::ChunksOverlapping(
+    uint64_t first, uint64_t count) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<ChunkRange> out;
+  // First chunk ending past `first`; chunks are sorted and disjoint.
+  const auto it = std::partition_point(
+      chunks_.begin(), chunks_.end(),
+      [first](const Chunk& c) { return c.first + c.count <= first; });
+  for (auto c = it; c != chunks_.end() && c->first < first + count; ++c) {
+    out.push_back({c->first, c->count});
+  }
+  return out;
+}
+
+Status RRSpillStore::VisitChunk(uint64_t first, uint64_t count,
+                                const Filter& filter, const Visitor& visit,
+                                ChunkScratch* scratch,
+                                uint64_t* sets_visited) {
+  if (sets_visited != nullptr) *sets_visited = 0;
+  Chunk chunk;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const size_t ci = FindChunkLocked(first);
+    if (ci >= chunks_.size() ||
+        first + count > chunks_[ci].first + chunks_[ci].count) {
+      return Status::NotFound("rr spill: range [" + std::to_string(first) +
+                              ", " + std::to_string(first + count) +
+                              ") is not inside one chunk");
+    }
+    chunk = chunks_[ci];
+  }
+  // Read and decode outside the mutex: this is what lets workers replay
+  // different chunks at once.
+  scratch->sets_.Clear();
+  scratch->edges_.clear();
+  TIMPP_RETURN_NOT_OK(ReadChunkBytesSync(chunk, &scratch->bytes_));
+  TIMPP_RETURN_NOT_OK(DecodeChunk(chunk, scratch->bytes_, &scratch->sets_,
+                                  &scratch->edges_));
+  uint64_t visited = 0;
+  for (uint64_t index = first; index < first + count; ++index) {
+    if (filter && !filter(index)) continue;
+    visit(index,
+          scratch->sets_.Set(static_cast<RRSetId>(index - chunk.first)));
+    ++visited;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.chunk_loads += 1;
+    stats_.sets_read += visited;
+  }
+  if (sets_visited != nullptr) *sets_visited = visited;
+  return Status::OK();
 }
 
 Status RRSpillStore::ReadRange(uint64_t first, uint64_t count,

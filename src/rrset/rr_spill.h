@@ -4,27 +4,34 @@
 // resident; the suffix used to be *regenerated* from the per-index RNG on
 // every greedy round (O(passes × sampling cost)). RRSpillStore instead
 // writes evicted index ranges as sequential rr_serialization shard files
-// ("chunks") and streams them back through a small pinned-chunk cache —
-// sequential disk reads replace repeated graph traversals, and the
-// replayed sets are byte-identical to the sampled originals (the shard
-// format round-trips members, widths and per-set edge counts exactly, so
-// seeds/θ/LB match the regeneration path bit for bit).
+// ("chunks") and streams them back — disk reads replace repeated graph
+// traversals, and the replayed sets are byte-identical to the sampled
+// originals (the shard format round-trips members, widths and per-set
+// edge counts exactly, so seeds/θ/LB match the regeneration path bit for
+// bit).
 //
 // One store holds one engine's global index space: chunks are appended in
 // increasing index order (gaps allowed — IMM spills its sampling phase and
 // its selection phase into the same store even when the phases are
 // separated by discarded ranges) and never overlap. Readers address sets
 // by global index; ranges the store does not cover simply fall back to
-// engine regeneration at the caller (VisitRange reports how far it got).
+// engine regeneration at the caller (VisitRange reports how far it got,
+// ChunksOverlapping lists what is covered).
 //
-// Replay is compute/IO overlapped: while a visitor drains one chunk, the
-// store issues asynchronous reads (util/async_io.h — io_uring when the
-// kernel allows, a pread thread pool otherwise) for the next
-// `tuning.readahead_chunks` chunks in traversal order. Prefetch only moves
-// *when* bytes are read, never *what* is decoded: a prefetched buffer that
-// fails its read is discarded and the chunk is re-read synchronously, so
-// every failure class degrades to the pre-async behavior with identical
-// results.
+// Two read paths share the chunk files. The parallel greedy replay
+// (coverage/streaming_cover.h) lists the chunks of its range once with
+// ChunksOverlapping and hands whole chunks to its workers, each of which
+// reads, validates and decodes its own chunk through VisitChunk outside
+// the store mutex — no pinned cache, no readahead, every decode check
+// kept. The sequential paths (VisitRange, and ReadRange — the serving
+// preload) go through a small pinned-chunk cache and read ahead: while a
+// visitor drains one chunk, the store issues asynchronous reads
+// (util/async_io.h — io_uring when the kernel allows, a pread thread pool
+// otherwise) for the next `tuning.readahead_chunks` chunks in traversal
+// order. Prefetch only moves *when* bytes are read, never *what* is
+// decoded: a prefetched buffer that fails its read is discarded and the
+// chunk is re-read synchronously, so every failure class degrades to the
+// synchronous behavior with identical results.
 //
 // The pinned cache is a sectioned LRU (SLRU): a first touch lands a chunk
 // in the *probation* section, a re-touch promotes it to the *hot* section,
@@ -33,11 +40,12 @@
 // re-touched hot chunk. `hot_fraction` splits the `max_pinned_chunks`
 // capacity between the sections.
 //
-// Thread-safe: a single mutex serializes spills, loads and visits. The
-// store is the budget path's slow tier — correctness and bounded memory
-// (at most `max_pinned_chunks` chunks resident) matter more than reader
-// concurrency here; the async reader only ever holds raw undecoded
-// buffers, never pinned chunks.
+// Thread-safe: a single mutex guards the chunk manifest, the pinned cache
+// and the counters, and serializes spills, sequential visits and reads.
+// VisitChunk holds it only to copy one manifest entry and to add its
+// counters, so concurrent VisitChunk callers read and decode in parallel.
+// The async reader only ever holds raw undecoded buffers, never pinned
+// chunks.
 //
 // Files live in a per-store unique subdirectory of `options.dir` and are
 // deleted by the destructor.
@@ -52,6 +60,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rrset/rr_collection.h"
@@ -61,9 +70,9 @@
 
 namespace timpp {
 
-/// Replay-path tuning: prefetch depth, section split, IO backend. Plumbed
-/// from SolverOptions/ServingOptions so the CLI can steer it; the defaults
-/// are right for sequential greedy replay.
+/// Sequential-read tuning (VisitRange/ReadRange): prefetch depth, section
+/// split, IO backend. Plumbed from ServingOptions so the CLI can steer the
+/// serving preload; the defaults are right for sequential replay.
 struct RRSpillTuning {
   /// Chunks to read ahead of the replay cursor (0 disables prefetch and
   /// restores fully synchronous reads). Clamped to <= 16.
@@ -100,7 +109,8 @@ struct RRSpillStats {
   /// Chunk-file loads (cache misses) and cache hits; hits split below.
   uint64_t chunk_loads = 0;
   uint64_t chunk_hits = 0;
-  /// Sets streamed back to visitors/readers.
+  /// Sets streamed back to visitors/readers (a filter-rejected set is not
+  /// read).
   uint64_t sets_read = 0;
   /// Prefetch accounting. issued = async reads submitted; hits = demand
   /// loads served from a completed prefetch; wasted = prefetched buffers
@@ -166,6 +176,39 @@ class RRSpillStore {
                     const Visitor& visit, uint64_t* stopped_at,
                     uint64_t* sets_visited = nullptr);
 
+  /// Global index range [first, first + count) of one chunk.
+  struct ChunkRange {
+    uint64_t first = 0;
+    uint64_t count = 0;
+  };
+
+  /// Every chunk holding an index of [first, first + count), in index
+  /// order, unclipped (the first and last may extend past the range).
+  /// Indices between consecutive entries are uncovered.
+  std::vector<ChunkRange> ChunksOverlapping(uint64_t first,
+                                            uint64_t count) const;
+
+  /// Decode buffers of one VisitChunk caller, reused across its calls.
+  class ChunkScratch {
+   private:
+    friend class RRSpillStore;
+    std::string bytes_;
+    RRCollection sets_{0};
+    std::vector<uint64_t> edges_;
+  };
+
+  /// Streams the stored sets of [first, first + count), which must lie in
+  /// one chunk, through `visit` in index order, skipping indices `filter`
+  /// rejects (filter may be null). Safe to call from many threads at once:
+  /// the chunk is read, validated and decoded into `scratch` outside the
+  /// store mutex, bypassing the pinned cache and readahead. On a read or
+  /// decode error nothing is visited and the error is returned; NotFound
+  /// when no single chunk holds the range. `sets_visited` (optional)
+  /// counts sets delivered to `visit`.
+  Status VisitChunk(uint64_t first, uint64_t count, const Filter& filter,
+                    const Visitor& visit, ChunkScratch* scratch,
+                    uint64_t* sets_visited = nullptr);
+
   /// Appends the stored sets of [first, first + count) to `*out` (and
   /// their edge counts to `*edges`, if non-null) in index order. Fails
   /// with NotFound if the range is not fully covered; on any failure
@@ -226,9 +269,14 @@ class RRSpillStore {
   /// space, not pinned, not already in flight), up to the readahead depth.
   void PrefetchAheadLocked(size_t ci, uint64_t end);
 
-  /// Reads chunk bytes synchronously (the pre-async path, and the
-  /// degradation for every prefetch failure).
+  /// Reads chunk bytes synchronously (VisitChunk's path, and the
+  /// degradation for every prefetch failure). Touches no shared state.
   Status ReadChunkBytesSync(const Chunk& chunk, std::string* bytes) const;
+
+  /// Validates and decodes `bytes` as `chunk` into the empty `*sets` and
+  /// `*edges`. Touches no shared state.
+  Status DecodeChunk(const Chunk& chunk, std::string_view bytes,
+                     RRCollection* sets, std::vector<uint64_t>* edges) const;
 
   /// Total pinned capacity and the hot section's share of it.
   size_t PinnedCapacity() const;

@@ -26,7 +26,6 @@ SolverOptions ToSolverOptions(const ImRequest& request,
   options.seed = request.seed;
   options.memory_budget_bytes = request.memory_budget_bytes;
   options.spill_dir = serving.spill_dir;
-  options.spill_tuning = serving.spill_tuning;
   options.mc_samples = request.mc_samples;
   options.mc_batch = request.mc_batch;
   options.ris_tau_scale = request.ris_tau_scale;

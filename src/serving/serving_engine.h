@@ -66,8 +66,10 @@ struct ServingOptions {
   /// regenerating per greedy round (SolverOptions::spill_dir). Responses
   /// stay bit-identical either way.
   std::string spill_dir;
-  /// Spill replay tuning shared by both spill consumers (stream preload
-  /// and standalone budgeted requests); see SolverOptions::spill_tuning.
+  /// Sequential-read tuning of the stream preload (readahead depth, SLRU
+  /// hot fraction, async IO backend; see RRSpillTuning). Timing only —
+  /// preloaded bytes are identical at any setting. Budgeted standalone
+  /// requests replay their spill in parallel and take no tuning.
   RRSpillTuning spill_tuning;
   /// Concurrent request workers behind Submit() (0 = hardware
   /// concurrency). Created lazily on the first Submit; the synchronous

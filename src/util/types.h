@@ -17,6 +17,12 @@ using EdgeIndex = uint64_t;
 /// Identifier of one RR set inside an RRCollection.
 using RRSetId = uint32_t;
 
+/// Most RR sets one run may sample into one collection or coverage pass:
+/// ids 0 .. kMaxRRSets - 1 stay below the kInvalidRRSet sentinel. Solvers
+/// check every sample size against it before sampling
+/// (CheckSampleSize, core/parameters.h).
+inline constexpr uint64_t kMaxRRSets = std::numeric_limits<RRSetId>::max();
+
 /// How randomized traversals (RR-set sampling, forward IC simulation)
 /// decide which arcs of a constant-probability run are live.
 enum class SamplerMode {

@@ -6,10 +6,12 @@
 #include <set>
 
 #include "baselines/heuristics.h"
+#include "baselines/ris.h"
 #include "core/imm.h"
 #include "core/kpt_estimator.h"
 #include "core/tim.h"
 #include "diffusion/spread_estimator.h"
+#include "engine/sample_source.h"
 #include "gen/dataset_proxies.h"
 #include "gen/generators.h"
 #include "graph/graph_io.h"
@@ -141,6 +143,54 @@ TEST(EdgeCaseTest, FractionalEllWorks) {
   TimResult result;
   ASSERT_TRUE(solver.Run(options, &result).ok());
   EXPECT_EQ(result.seeds.size(), 2u);
+}
+
+// A sample size past 2^32 - 1 would wrap the 32-bit RRSetId. Every RR-set
+// solver must refuse it with OutOfRange before sampling a single set.
+TEST(EdgeCaseTest, SampleSizesPastTheRRSetIdSpaceFailBeforeSampling) {
+  Graph g = testing::MakeTwoCommunities(0.35f);
+  const double tiny_epsilon = 1e-5;  // θ ~ 1e11 on 10 nodes
+  const auto expect_refused = [&](const char* algo, const auto& run) {
+    SamplingEngine engine(g, testing::IcSampling(5));
+    EngineSampleSource source(engine);
+    SolveContext context;
+    context.source = &source;
+    const Status status = run(context);
+    EXPECT_TRUE(status.IsOutOfRange()) << algo << ": " << status.ToString();
+    EXPECT_EQ(engine.sets_sampled(), 0u) << algo;
+  };
+
+  for (const bool refine : {false, true}) {
+    TimOptions options;
+    options.k = 2;
+    options.epsilon = tiny_epsilon;
+    options.use_refinement = refine;
+    TimSolver solver(g);
+    TimResult result;
+    expect_refused(refine ? "tim+" : "tim", [&](const SolveContext& c) {
+      return solver.Run(options, c, &result);
+    });
+  }
+  ImmOptions imm;
+  imm.k = 2;
+  imm.epsilon = tiny_epsilon;
+  ImmResult imm_result;
+  expect_refused("imm", [&](const SolveContext& c) {
+    return RunImm(g, imm, c, &imm_result);
+  });
+  RisOptions ris;
+  ris.epsilon = tiny_epsilon;
+  std::vector<NodeId> seeds;
+  RisStats ris_stats;
+  expect_refused("ris", [&](const SolveContext& c) {
+    return RunRis(g, ris, 2, c, &seeds, &ris_stats);
+  });
+
+  // A set cap inside the id space keeps RIS runnable at any ε.
+  ris.max_rr_sets = 1000;
+  ASSERT_TRUE(RunRis(g, ris, 2, &seeds, &ris_stats).ok());
+  EXPECT_EQ(ris_stats.rr_sets_generated, 1000u);
+  EXPECT_TRUE(ris_stats.hit_set_cap);
 }
 
 TEST(EdgeCaseTest, ZeroProbabilityEdgesNeverTraversed) {

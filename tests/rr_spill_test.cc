@@ -39,25 +39,7 @@ namespace timpp {
 namespace {
 
 using testing::MakeWcPowerLaw;
-
-/// Self-cleaning spill parent directory.
-class TempSpillDir {
- public:
-  TempSpillDir() {
-    dir_ = ::testing::TempDir() + "/timpp_spill_test_" +
-           std::to_string(counter_++);
-  }
-  ~TempSpillDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  const std::string& path() const { return dir_; }
-
- private:
-  static int counter_;
-  std::string dir_;
-};
-int TempSpillDir::counter_ = 0;
+using testing::TempSpillDir;
 
 RRSpillOptions SpillOpts(const TempSpillDir& dir,
                          uint64_t sets_per_chunk = 4096) {
@@ -248,6 +230,63 @@ TEST(RRSpillStoreTest, VisitRangeStopsAtGapAndHonorsFilter) {
   EXPECT_EQ(stopped, 40u) << "stops at the first uncovered index";
   EXPECT_EQ(delivered, 20u);
   EXPECT_EQ(visited, 20u);
+}
+
+TEST(RRSpillStoreTest, ChunksOverlappingAndVisitChunk) {
+  const Graph g = MakeWcPowerLaw(60, 3, 29);
+  RRCollection rr(g.num_nodes());
+  std::vector<uint64_t> edges;
+  Sample(g, 5, 80, &rr, &edges);
+
+  TempSpillDir dir;
+  RRSpillStore store(g.num_nodes(), SpillOpts(dir, 16));
+  ASSERT_TRUE(store.SpillRange(rr, edges, 0, 40, 0).ok());     // [0, 40)
+  ASSERT_TRUE(store.SpillRange(rr, edges, 40, 20, 60).ok());  // [60, 80)
+
+  // Unclipped chunks in index order; the gap [40, 60) lists nothing.
+  const auto chunks = store.ChunksOverlapping(20, 45);
+  ASSERT_EQ(chunks.size(), 3u);
+  EXPECT_EQ(chunks[0].first, 16u);
+  EXPECT_EQ(chunks[0].count, 16u);
+  EXPECT_EQ(chunks[1].first, 32u);
+  EXPECT_EQ(chunks[1].count, 8u);
+  EXPECT_EQ(chunks[2].first, 60u);
+  EXPECT_TRUE(store.ChunksOverlapping(40, 20).empty());
+
+  // A sub-range of one chunk, filtered: odd indices only.
+  RRSpillStore::ChunkScratch scratch;
+  uint64_t visited = 0;
+  std::vector<uint64_t> seen;
+  const Status status = store.VisitChunk(
+      19, 10, [](uint64_t index) { return index % 2 == 1; },
+      [&](uint64_t index, std::span<const NodeId> set) {
+        const auto expect = rr.Set(static_cast<RRSetId>(index));
+        ASSERT_EQ(expect.size(), set.size());
+        EXPECT_TRUE(std::equal(expect.begin(), expect.end(), set.begin()));
+        seen.push_back(index);
+      },
+      &scratch, &visited);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(seen, (std::vector<uint64_t>{19, 21, 23, 25, 27}));
+  EXPECT_EQ(visited, 5u);
+  RRSpillStats stats = store.stats();
+  EXPECT_EQ(stats.chunk_loads, 1u);
+  EXPECT_EQ(stats.sets_read, 5u);
+  EXPECT_EQ(stats.chunk_hits, 0u) << "VisitChunk bypasses the pinned cache";
+  EXPECT_EQ(stats.prefetch_issued, 0u);
+
+  // Ranges that straddle chunks or fall in a gap are refused untouched.
+  const auto never = [](uint64_t, std::span<const NodeId>) {
+    ADD_FAILURE() << "nothing may be visited";
+  };
+  EXPECT_TRUE(store.VisitChunk(10, 10, nullptr, never, &scratch, &visited)
+                  .IsNotFound());
+  EXPECT_TRUE(store.VisitChunk(45, 2, nullptr, never, &scratch, &visited)
+                  .IsNotFound());
+  EXPECT_EQ(visited, 0u);
+  stats = store.stats();
+  EXPECT_EQ(stats.chunk_loads, 1u);
+  EXPECT_EQ(stats.sets_read, 5u);
 }
 
 TEST(RRSpillStoreTest, PinnedChunkLruCountsHitsAndLoads) {

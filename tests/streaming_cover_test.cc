@@ -1,11 +1,14 @@
 // Tests of the memory-budgeted selection pipeline: the engine's
 // sample-and-discard streaming (VisitSamples/SkipTo), RRCollection
 // truncation, StreamingGreedyMaxCover's bit-equivalence to the indexed
-// greedy, and the end-to-end guarantee that budgeted TIM/IMM return the
-// exact seeds of a budget-off run while keeping resident DataBytes under
-// the cap.
+// greedy (at any worker count, replaying spill chunks, regenerating only
+// a chunk that fails to read), and the end-to-end guarantee that budgeted
+// TIM/IMM return the exact seeds of a budget-off run while keeping
+// resident DataBytes under the cap.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "baselines/ris.h"
@@ -16,6 +19,7 @@
 #include "coverage/streaming_cover.h"
 #include "engine/sampling_engine.h"
 #include "rrset/rr_collection.h"
+#include "rrset/rr_spill.h"
 #include "tests/test_util.h"
 
 namespace timpp {
@@ -24,6 +28,7 @@ namespace {
 using testing::IcSampling;
 using testing::MakeTwoCommunities;
 using testing::MakeWcPowerLaw;
+using testing::TempSpillDir;
 
 void ExpectSameCollections(const RRCollection& a, const RRCollection& b) {
   ASSERT_EQ(a.num_sets(), b.num_sets());
@@ -288,6 +293,116 @@ TEST(StreamingCoverTest, MatchesIndexedGreedyForAnyCachePrefix) {
       EXPECT_EQ(streamed.regeneration_passes, 0u);
       EXPECT_EQ(streamed.sets_regenerated, 0u);
     }
+  }
+}
+
+// The parallel pass over a prefix cache plus spill chunks, at several
+// worker counts. Chunk boundaries (every 500 sets) and resident prefixes
+// that are not multiples of 64 put two workers' sets in one dead-bit
+// word; the prefixes also split a chunk between cache and spill.
+TEST(StreamingCoverTest, ParallelPassMatchesIndexedGreedyAtAnyThreadCount) {
+  Graph g = MakeWcPowerLaw(250, 5, 21);
+  const uint64_t theta = 6000;
+  const int k = 8;
+
+  RRCollection full(g.num_nodes());
+  std::vector<uint64_t> edges;
+  SamplingEngine sampler(g, IcSampling(33, 2));
+  sampler.SampleInto(&full, theta, &edges);
+  TempSpillDir dir;
+  RRSpillOptions spill_options;
+  spill_options.dir = dir.path();
+  spill_options.sets_per_chunk = 500;
+  RRSpillStore store(g.num_nodes(), spill_options);
+  ASSERT_TRUE(store.SpillRange(full, edges, 0, theta, 0).ok());
+  full.BuildIndex();
+  const CoverResult reference = GreedyMaxCover(full, k);
+
+  for (const bool spilled : {false, true}) {
+    for (const uint64_t cached : {uint64_t{0}, uint64_t{1}, uint64_t{2083},
+                                  uint64_t{4500}, theta}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (spilled ? "spill" : "regenerate") << " cached "
+                   << cached);
+      RRCollection cache(g.num_nodes());
+      cache.AppendRange(full, 0, cached);
+      StreamingCoverResult first;
+      RRSpillStats first_io;
+      for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE(threads);
+        SamplingEngine streamer(g, IcSampling(33, threads));
+        const RRSpillStats before = store.stats();
+        const StreamingCoverResult streamed = StreamingGreedyMaxCover(
+            streamer, cache, 0, theta, k, spilled ? &store : nullptr);
+        const RRSpillStats after = store.stats();
+        ExpectSameCover(reference, streamed.cover);
+        if (spilled) {
+          EXPECT_EQ(streamed.regeneration_passes, 0u);
+          EXPECT_EQ(after.sets_read - before.sets_read,
+                    streamed.sets_spill_read);
+        } else if (cached < theta) {
+          EXPECT_GT(streamed.sets_regenerated, 0u);
+        }
+        RRSpillStats io;
+        io.chunk_loads = after.chunk_loads - before.chunk_loads;
+        io.sets_read = after.sets_read - before.sets_read;
+        if (threads == 1) {
+          first = streamed;
+          first_io = io;
+          continue;
+        }
+        // Exact counters: the work is the same at every worker count.
+        EXPECT_EQ(streamed.regeneration_passes, first.regeneration_passes);
+        EXPECT_EQ(streamed.sets_regenerated, first.sets_regenerated);
+        EXPECT_EQ(streamed.edges_examined, first.edges_examined);
+        EXPECT_EQ(streamed.spill_read_passes, first.spill_read_passes);
+        EXPECT_EQ(streamed.sets_spill_read, first.sets_spill_read);
+        EXPECT_EQ(io.chunk_loads, first_io.chunk_loads);
+        EXPECT_EQ(io.sets_read, first_io.sets_read);
+      }
+    }
+  }
+}
+
+// A chunk that fails to read is regenerated for that round on its own;
+// every other chunk still replays from disk.
+TEST(StreamingCoverTest, CorruptChunkRegeneratesOnlyThatChunk) {
+  Graph g = MakeWcPowerLaw(250, 5, 21);
+  const uint64_t theta = 6000;
+  const uint64_t per_chunk = 500;
+  const int k = 8;
+
+  RRCollection full(g.num_nodes());
+  std::vector<uint64_t> edges;
+  SamplingEngine sampler(g, IcSampling(33, 2));
+  sampler.SampleInto(&full, theta, &edges);
+  TempSpillDir dir;
+  RRSpillOptions spill_options;
+  spill_options.dir = dir.path();
+  spill_options.sets_per_chunk = per_chunk;
+  RRSpillStore store(g.num_nodes(), spill_options);
+  ASSERT_TRUE(store.SpillRange(full, edges, 0, theta, 0).ok());
+  full.BuildIndex();
+  const CoverResult reference = GreedyMaxCover(full, k);
+
+  // Truncate the chunk holding [3000, 3500): its reads now fail.
+  const std::string victim = store.directory() + "/chunk-3000-500.rrsh";
+  ASSERT_TRUE(std::filesystem::exists(victim));
+  std::filesystem::resize_file(victim,
+                               std::filesystem::file_size(victim) / 2);
+
+  const RRCollection none(g.num_nodes());
+  for (const unsigned threads : {1u, 3u, 8u}) {
+    SCOPED_TRACE(threads);
+    SamplingEngine streamer(g, IcSampling(33, threads));
+    const StreamingCoverResult streamed =
+        StreamingGreedyMaxCover(streamer, none, 0, theta, k, &store);
+    ExpectSameCover(reference, streamed.cover);
+    EXPECT_GE(streamed.regeneration_passes, 1u);
+    EXPECT_GT(streamed.sets_regenerated, 0u);
+    EXPECT_LE(streamed.sets_regenerated, k * per_chunk)
+        << "only the failed chunk may be regenerated";
+    EXPECT_EQ(streamed.spill_read_passes, static_cast<uint64_t>(k));
   }
 }
 

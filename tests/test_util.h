@@ -4,7 +4,11 @@
 #define TIMPP_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "engine/sampling_engine.h"
@@ -81,6 +85,27 @@ inline Graph MakeTwoCommunities(float p) {
   };
   return MakeGraph(10, edges);
 }
+
+/// Self-cleaning spill parent directory, unique per process and instance
+/// (test binaries run concurrently under ctest -j).
+class TempSpillDir {
+ public:
+  TempSpillDir() {
+    dir_ = ::testing::TempDir() + "/timpp_spill_test_" +
+           std::to_string(::getpid()) + "_" + std::to_string(counter_++);
+  }
+  ~TempSpillDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  TempSpillDir(const TempSpillDir&) = delete;
+  TempSpillDir& operator=(const TempSpillDir&) = delete;
+  const std::string& path() const { return dir_; }
+
+ private:
+  inline static int counter_ = 0;
+  std::string dir_;
+};
 
 /// EXPECT that two Monte-Carlo quantities agree within both an absolute
 /// floor and a relative band. MC tests in this suite use fixed seeds, so
