@@ -6,10 +6,10 @@
 // covers 64 lanes on mostly-dead arcs).
 //
 // Statistical equivalence is asserted BEFORE any timing: per regime the
-// scalar, bitmap64 and bitmap64:shared estimates of the same seed set
-// must agree within MC tolerance, and the batched estimator must be
-// deterministic (two runs bit-equal). A CELF parity section then checks
-// the end-to-end claim — seed sets selected with batched estimates match
+// scalar and bitmap64 estimates of the same seed set must agree within
+// MC tolerance, and the batched estimator must be deterministic (two
+// runs bit-equal). A CELF parity section then checks the end-to-end
+// claim — seed sets selected with batched estimates match
 // scalar-selected sets in measured spread.
 //
 // Usage: bench_mc_spread [--nodes=20000] [--cascades=128000] [--seeds=50]
@@ -82,9 +82,8 @@ double TimeScalar(const Graph& graph, std::span<const NodeId> seeds,
 
 /// Cascades/sec of the batched simulator over `cascades`/64 batches.
 double TimeBatched(const Graph& graph, std::span<const NodeId> seeds,
-                   LaneLiveness liveness, uint64_t cascades, uint64_t seed,
-                   uint64_t* sink) {
-  BatchedIcSimulator sim(graph, liveness);
+                   uint64_t cascades, uint64_t seed, uint64_t* sink) {
+  BatchedIcSimulator sim(graph);
   Rng rng(seed);
   const uint64_t batches = cascades / BatchedIcSimulator::kMaxLanes;
   Timer timer;
@@ -116,8 +115,8 @@ void Run(int argc, char** argv) {
   // Mean-degree regimes: BA attachment a gives mean degree ~2a. Sparse
   // frontiers (a=1) amortize the least; dense hubs (a=10) the most.
   uint64_t sink = 0;
-  std::printf("%8s | %14s %14s %8s | %14s %8s\n", "regime", "scalar c/s",
-              "bitmap64 c/s", "speedup", "shared c/s", "speedup");
+  std::printf("%8s | %14s %14s %8s\n", "regime", "scalar c/s",
+              "bitmap64 c/s", "speedup");
   for (unsigned attach : {1u, 4u, 10u}) {
     Graph graph = bench::MustBuildWcPowerLaw(nodes, attach, seed);
     const std::vector<NodeId> seeds = TopOutDegreeSeeds(graph, num_seeds);
@@ -131,11 +130,7 @@ void Run(int argc, char** argv) {
     const double bitmap =
         EstimateWithMode(graph, seeds, McBatchMode::kBitmap64, check_samples,
                          seed ^ 0x11);
-    const double shared = EstimateWithMode(
-        graph, seeds, McBatchMode::kBitmap64Shared, check_samples,
-        seed ^ 0x11);
     RequireClose("bitmap64 estimate", ref, bitmap, 0.04);
-    RequireClose("bitmap64:shared estimate", ref, shared, 0.06);
     const double again =
         EstimateWithMode(graph, seeds, McBatchMode::kBitmap64, check_samples,
                          seed ^ 0x11);
@@ -148,19 +143,12 @@ void Run(int argc, char** argv) {
     const double scalar_cs =
         TimeScalar(graph, seeds, cascades, seed ^ 0x22, &sink);
     const double bitmap_cs =
-        TimeBatched(graph, seeds, LaneLiveness::kIndependent, cascades,
-                    seed ^ 0x22, &sink);
-    const double shared_cs =
-        TimeBatched(graph, seeds, LaneLiveness::kSharedDraw, cascades,
-                    seed ^ 0x22, &sink);
-    std::printf("%8s | %14.0f %14.0f %7.1fx | %14.0f %7.1fx\n",
-                regime.c_str(), scalar_cs, bitmap_cs, bitmap_cs / scalar_cs,
-                shared_cs, shared_cs / scalar_cs);
+        TimeBatched(graph, seeds, cascades, seed ^ 0x22, &sink);
+    std::printf("%8s | %14.0f %14.0f %7.1fx\n", regime.c_str(), scalar_cs,
+                bitmap_cs, bitmap_cs / scalar_cs);
     bench::RecordMetric(regime + ".scalar_cascades_per_sec", scalar_cs);
     bench::RecordMetric(regime + ".bitmap64_cascades_per_sec", bitmap_cs);
     bench::RecordMetric(regime + ".bitmap64_speedup", bitmap_cs / scalar_cs);
-    bench::RecordMetric(regime + ".shared_cascades_per_sec", shared_cs);
-    bench::RecordMetric(regime + ".shared_speedup", shared_cs / scalar_cs);
   }
 
   // ---- CELF parity: batched estimates must select equal-quality seeds
@@ -210,8 +198,8 @@ void Run(int argc, char** argv) {
       scalar_stats.seconds_total / bitmap_stats.seconds_total);
 
   std::printf(
-      "\nequivalence checks: scalar/bitmap64/shared estimates agree per "
-      "regime; batched estimator deterministic; CELF seed quality matches "
+      "\nequivalence checks: scalar/bitmap64 estimates agree per regime; "
+      "batched estimator deterministic; CELF seed quality matches "
       "(checksum %llu)\n",
       static_cast<unsigned long long>(sink % 97));
 }

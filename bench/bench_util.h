@@ -238,9 +238,8 @@ inline Graph MustBuildWcPowerLaw(NodeId n, unsigned attach, uint64_t seed) {
 
 /// Monte-Carlo spread of `seeds` (10^4 cascades unless overridden; the
 /// paper's figures use 10^4-10^5). Routed through VerifySpread so every
-/// bench table shares one spread-measurement contract — IC estimates run
-/// the bitmap64 batched engine (statistically equivalent, ~64× fewer
-/// traversals), LT falls back to scalar inside the estimator.
+/// bench table shares one spread-measurement contract: scalar cascades
+/// under every model, on 4 threads.
 inline double MeasureSpread(const Graph& graph,
                             const std::vector<NodeId>& seeds,
                             DiffusionModel model,

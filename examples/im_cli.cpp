@@ -28,16 +28,13 @@
 //                     geometric skip sampling over constant-probability
 //                     arc runs (fast on wc/uniform graphs) vs one coin
 //                     per arc; auto picks per graph
-//   --mc-batch=scalar scalar | bitmap64 | bitmap64:shared — Monte-Carlo
-//                     cascade batching for the greedy/CELF family, IRIE's
-//                     AP estimation and the final spread report: bitmap64
-//                     runs 64 IC cascades per graph traversal (per-vertex
-//                     uint64_t lane bitmaps, OR-propagation; unbiased,
-//                     near-64× traversal amortization); bitmap64:shared
-//                     additionally shares each examined arc's liveness
-//                     draw across lanes (same mean, correlated lanes —
-//                     cheaper per batch, more batches for equal
-//                     variance). LT/triggering estimates stay scalar
+//   --mc-batch=scalar scalar | bitmap64 — Monte-Carlo cascade batching
+//                     for the greedy/CELF family, IRIE's AP estimation and
+//                     the final spread report: bitmap64 runs 64 IC
+//                     cascades per graph traversal (per-vertex uint64_t
+//                     lane bitmaps, OR-propagation; same distribution as
+//                     scalar, faster only on small tree-like graphs).
+//                     LT/triggering estimates stay scalar
 //   --backend=local   local | procs:N | procs:N:T — where RR sampling
 //                     runs: in-process threads, or N worker subprocesses
 //                     (T sampling threads each) coordinated over pipes.
@@ -237,8 +234,6 @@ bool ParseMcBatchMode(const std::string& name, timpp::McBatchMode* mode) {
     *mode = timpp::McBatchMode::kScalar;
   } else if (name == "bitmap64") {
     *mode = timpp::McBatchMode::kBitmap64;
-  } else if (name == "bitmap64:shared") {
-    *mode = timpp::McBatchMode::kBitmap64Shared;
   } else {
     return false;
   }
@@ -312,7 +307,7 @@ bool ParseBatchLine(const std::string& line, int line_number,
         if (!ParseMcBatchMode(value, &request->mc_batch)) {
           std::fprintf(stderr,
                        "batch line %d: unknown mc_batch '%s' "
-                       "(scalar|bitmap64|bitmap64:shared)\n",
+                       "(scalar|bitmap64)\n",
                        line_number, value.c_str());
           return false;
         }
@@ -537,7 +532,7 @@ int main(int argc, char** argv) {
   timpp::McBatchMode mc_batch;
   if (!ParseMcBatchMode(mc_batch_name, &mc_batch)) {
     std::fprintf(stderr,
-                 "unknown --mc-batch=%s (scalar|bitmap64|bitmap64:shared)\n",
+                 "unknown --mc-batch=%s (scalar|bitmap64)\n",
                  mc_batch_name.c_str());
     return 2;
   }

@@ -49,7 +49,7 @@ void EstimateActivationProbability(const Graph& graph,
   uint64_t remaining = samples;
   constexpr uint64_t kLanes = BatchedIcSimulator::kMaxLanes;
   if (mc_batch != McBatchMode::kScalar && remaining >= kLanes) {
-    BatchedIcSimulator batched(graph, LivenessOfBatchMode(mc_batch));
+    BatchedIcSimulator batched(graph);
     std::vector<LaneActivation> events;
     for (; remaining >= kLanes; remaining -= kLanes) {
       batched.SimulateBatchCollect(seeds, rng, &events);

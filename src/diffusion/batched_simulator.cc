@@ -3,8 +3,6 @@
 #include <bit>
 #include <cmath>
 
-#include "graph/run_sampling.h"
-
 namespace timpp {
 
 namespace {
@@ -140,123 +138,110 @@ uint64_t BatchedIcSimulator::Run(std::span<const NodeId> seeds, Rng& rng,
       const auto arcs = graph_.OutArcs(u);
       const auto run_ends = graph_.OutRunEnds(u);
       const auto run_invs = graph_.OutRunInvLog1mp(u);
-      if (liveness_ == LaneLiveness::kSharedDraw) {
-        // One draw per arc shared across the lanes of `mask`: the batch
-        // traversal costs what ONE scalar skip-mode cascade costs.
-        SampleLiveArcsInRuns(arcs, run_ends, run_invs, rng,
-                             [&](const Arc& a) {
-                               const uint64_t add =
-                                   mask & ~VisitedBits(a.node);
-                               if (add != 0) {
-                                 activate(a.node, add, *next, next_par);
-                               }
-                             });
-      } else {
-        // Independent lanes: walk the runs in lockstep with the arcs.
-        // Each (arc, pending lane) pair is one i.i.d. Bernoulli(p) trial
-        // — only lanes that newly activated u and have not yet activated
-        // w examine the arc; coins for other lanes are never relevant,
-        // so they are never drawn.
-        const int mask_pc = std::popcount(mask);
-        EdgeIndex start = 0;
-        for (size_t r = 0; r < run_ends.size(); ++r) {
-          const EdgeIndex end = run_ends[r];
-          const float p = arcs[start].prob;
-          if (p >= 1.0f) {
-            for (EdgeIndex i = start; i < end; ++i) {
-              const NodeId w = arcs[i].node;
-              const uint64_t pend = mask & ~VisitedBits(w);
-              if (pend != 0) activate(w, pend, *next, next_par);
-            }
-          } else if (p > 0.0f && p < kCoinProbability &&
-                     mask_pc <= kPerLaneSkipLanes) {
-            // Few pending lanes at sparse p: run the scalar skip sampler
-            // once per lane over the run's arcs. Visited bitmaps are
-            // loaded only at live landings — scalar memory traffic —
-            // instead of one pend lookup per arc; coins for arcs whose
-            // target the lane already activated are drawn and ignored,
-            // exactly as the scalar simulator does, so each lane's
-            // cascade distribution is unchanged.
-            const double inv_log1mp = run_invs[r];
-            for (uint64_t lanes = mask; lanes != 0; lanes &= lanes - 1) {
-              const uint64_t lane = lanes & -lanes;
-              for (EdgeIndex i =
-                       start + rng.NextSkip(inv_log1mp, end - start);
-                   i < end; i += 1 + rng.NextSkip(inv_log1mp, end - i - 1)) {
-                const NodeId w = arcs[i].node;
-                const uint64_t add = lane & ~VisitedBits(w);
-                if (add != 0) activate(w, add, *next, next_par);
-              }
-            }
-          } else if (p > 0.0f) {
-            // Three exact samplers, dispatched per arc on the pending-
-            // lane count pc (all draw each (arc, lane) coin Bernoulli(p),
-            // so the per-lane cascade distribution is unchanged):
-            //  - dense pend: bitwise-exact mask, k raw words for 64 coins
-            //    (k = the float's expansion length; 1 word for p = 1/2);
-            //  - sparse pend, coin-friendly p: one uniform per lane;
-            //  - sparse pend, sparse p: geometric skips over the run's
-            //    flattened (arc × pending-lane) trial sequence — the
-            //    scalar skip sampler lifted to the lane dimension,
-            //    reusing the run's precomputed 1/ln(1-p). One jump
-            //    covers the dead trials of many arcs at once, so a
-            //    mostly-dead run costs O(1) log draws total.
-            // Mixing samplers across arcs is exact: arcs' coins are
-            // independent, and the geometric stream is memoryless, so
-            // dense arcs simply contribute no slots to it.
-            uint32_t expansion_m;
-            int expansion_k;
-            DecomposeProb(p, &expansion_m, &expansion_k);
-            const double inv_log1mp = run_invs[r];
-            const bool use_coins = p >= kCoinProbability;
-            uint64_t jump =
-                use_coins ? 0 : rng.NextSkip(inv_log1mp, kUnbounded);
-            for (EdgeIndex i = start; i < end; ++i) {
-              const NodeId w = arcs[i].node;
-              const uint64_t pend = mask & ~VisitedBits(w);
-              uint64_t slots = static_cast<uint64_t>(std::popcount(pend));
-              if (slots == 0) continue;
-              // Bitwise wins once its k words undercut one ~1.5-word
-              // uniform (or one multi-word log) draw per pending lane.
-              if (expansion_k <= static_cast<int>(slots + (slots >> 1))) {
-                const uint64_t add =
-                    pend & DrawBitwiseMask(rng, expansion_m, expansion_k);
-                if (add != 0) activate(w, add, *next, next_par);
-                continue;
-              }
-              if (use_coins) {
-                uint64_t add = 0;
-                for (uint64_t bits = pend; bits != 0; bits &= bits - 1) {
-                  if (rng.NextDouble() < p) add |= bits & -bits;
-                }
-                if (add != 0) activate(w, add, *next, next_par);
-                continue;
-              }
-              if (jump >= slots) {
-                jump -= slots;
-                continue;
-              }
-              // The jump landed inside this arc's pending slots: select
-              // the jump-th pending lane (ascending bit order), then keep
-              // jumping within the arc until the remaining slots run out.
-              uint64_t add = 0;
-              uint64_t bits = pend;
-              while (jump < slots) {
-                for (uint64_t j = 0; j < jump; ++j) bits &= bits - 1;
-                add |= bits & -bits;
-                bits &= bits - 1;
-                slots -= jump + 1;
-                jump = rng.NextSkip(inv_log1mp, kUnbounded);
-              }
-              jump -= slots;
-              activate(w, add, *next, next_par);
-            }
-            // Any leftover jump is discarded at the run boundary —
-            // memorylessness makes the restart exact, and the next run's
-            // p (hence inv_log1mp) differs anyway.
+      // Walk the runs in lockstep with the arcs. Each (arc, pending
+      // lane) pair is one i.i.d. Bernoulli(p) trial — only lanes that
+      // newly activated u and have not yet activated w examine the arc;
+      // coins for other lanes are never relevant, so they are never
+      // drawn.
+      const int mask_pc = std::popcount(mask);
+      EdgeIndex start = 0;
+      for (size_t r = 0; r < run_ends.size(); ++r) {
+        const EdgeIndex end = run_ends[r];
+        const float p = arcs[start].prob;
+        if (p >= 1.0f) {
+          for (EdgeIndex i = start; i < end; ++i) {
+            const NodeId w = arcs[i].node;
+            const uint64_t pend = mask & ~VisitedBits(w);
+            if (pend != 0) activate(w, pend, *next, next_par);
           }
-          start = end;
+        } else if (p > 0.0f && p < kCoinProbability &&
+                   mask_pc <= kPerLaneSkipLanes) {
+          // Few pending lanes at sparse p: run the scalar skip sampler
+          // once per lane over the run's arcs. Visited bitmaps are
+          // loaded only at live landings — scalar memory traffic —
+          // instead of one pend lookup per arc; coins for arcs whose
+          // target the lane already activated are drawn and ignored,
+          // exactly as the scalar simulator does, so each lane's
+          // cascade distribution is unchanged.
+          const double inv_log1mp = run_invs[r];
+          for (uint64_t lanes = mask; lanes != 0; lanes &= lanes - 1) {
+            const uint64_t lane = lanes & -lanes;
+            for (EdgeIndex i =
+                     start + rng.NextSkip(inv_log1mp, end - start);
+                 i < end; i += 1 + rng.NextSkip(inv_log1mp, end - i - 1)) {
+              const NodeId w = arcs[i].node;
+              const uint64_t add = lane & ~VisitedBits(w);
+              if (add != 0) activate(w, add, *next, next_par);
+            }
+          }
+        } else if (p > 0.0f) {
+          // Three exact samplers, dispatched per arc on the pending-
+          // lane count pc (all draw each (arc, lane) coin Bernoulli(p),
+          // so the per-lane cascade distribution is unchanged):
+          //  - dense pend: bitwise-exact mask, k raw words for 64 coins
+          //    (k = the float's expansion length; 1 word for p = 1/2);
+          //  - sparse pend, coin-friendly p: one uniform per lane;
+          //  - sparse pend, sparse p: geometric skips over the run's
+          //    flattened (arc × pending-lane) trial sequence — the
+          //    scalar skip sampler lifted to the lane dimension,
+          //    reusing the run's precomputed 1/ln(1-p). One jump
+          //    covers the dead trials of many arcs at once, so a
+          //    mostly-dead run costs O(1) log draws total.
+          // Mixing samplers across arcs is exact: arcs' coins are
+          // independent, and the geometric stream is memoryless, so
+          // dense arcs simply contribute no slots to it.
+          uint32_t expansion_m;
+          int expansion_k;
+          DecomposeProb(p, &expansion_m, &expansion_k);
+          const double inv_log1mp = run_invs[r];
+          const bool use_coins = p >= kCoinProbability;
+          uint64_t jump =
+              use_coins ? 0 : rng.NextSkip(inv_log1mp, kUnbounded);
+          for (EdgeIndex i = start; i < end; ++i) {
+            const NodeId w = arcs[i].node;
+            const uint64_t pend = mask & ~VisitedBits(w);
+            uint64_t slots = static_cast<uint64_t>(std::popcount(pend));
+            if (slots == 0) continue;
+            // Bitwise wins once its k words undercut one ~1.5-word
+            // uniform (or one multi-word log) draw per pending lane.
+            if (expansion_k <= static_cast<int>(slots + (slots >> 1))) {
+              const uint64_t add =
+                  pend & DrawBitwiseMask(rng, expansion_m, expansion_k);
+              if (add != 0) activate(w, add, *next, next_par);
+              continue;
+            }
+            if (use_coins) {
+              uint64_t add = 0;
+              for (uint64_t bits = pend; bits != 0; bits &= bits - 1) {
+                if (rng.NextDouble() < p) add |= bits & -bits;
+              }
+              if (add != 0) activate(w, add, *next, next_par);
+              continue;
+            }
+            if (jump >= slots) {
+              jump -= slots;
+              continue;
+            }
+            // The jump landed inside this arc's pending slots: select
+            // the jump-th pending lane (ascending bit order), then keep
+            // jumping within the arc until the remaining slots run out.
+            uint64_t add = 0;
+            uint64_t bits = pend;
+            while (jump < slots) {
+              for (uint64_t j = 0; j < jump; ++j) bits &= bits - 1;
+              add |= bits & -bits;
+              bits &= bits - 1;
+              slots -= jump + 1;
+              jump = rng.NextSkip(inv_log1mp, kUnbounded);
+            }
+            jump -= slots;
+            activate(w, add, *next, next_par);
+          }
+          // Any leftover jump is discarded at the run boundary —
+          // memorylessness makes the restart exact, and the next run's
+          // p (hence inv_log1mp) differs anyway.
         }
+        start = end;
       }
     }
     cur->clear();

@@ -18,33 +18,6 @@
 
 namespace timpp {
 
-/// How the lanes of one batch decide whether an examined arc is live.
-enum class LaneLiveness {
-  /// 64 independent Bernoulli(p) coins per examined arc — the lanes are
-  /// exactly 64 independent scalar cascades (the unbiased default). The
-  /// coins of only the PENDING lanes are drawn, and for sparse p not one
-  /// by one: a run's (arc × pending-lane) trials form one i.i.d.
-  /// Bernoulli(p) sequence, so geometric-skip jumps — using the
-  /// 1/ln(1-p) the graph's constant-probability run metadata already
-  /// stores — reach the live trials in an expected 1 + p·trials log
-  /// draws per run. Coin-friendly p (>= ~1/8) flips one uniform per
-  /// pending lane instead, where jumps stop paying for themselves, and
-  /// nodes whose pending mask degenerated to few lanes (the common case
-  /// once cascades diverge) are sampled per lane with the scalar skip
-  /// idiom — visited state touched only at live landings, so the
-  /// diverged tail of a batch costs what scalar cascades cost.
-  kIndependent,
-  /// One Bernoulli(p) draw per examined arc, shared by every lane whose
-  /// cascade examines the arc at that moment. Each lane's marginal is
-  /// still Bernoulli(p) — the batch mean is unbiased — but lanes that
-  /// activated a node at the same hop share edge outcomes, so they are
-  /// positively correlated and the batch mean has higher variance than
-  /// 64 independent cascades. Trade-off: per examined arc this pays the
-  /// cost of ONE scalar coin instead of a lane-mask draw, so it wins
-  /// when draws dominate and extra batches are cheap.
-  kSharedDraw,
-};
-
 /// One activation event of a batched run: `node` became active in the
 /// cascades of `lanes` (at least one bit set). The per-lane activation
 /// list of lane i is exactly {e.node : e.lanes >> i & 1} — the batched
@@ -59,25 +32,31 @@ struct LaneActivation {
 /// frontier queues) so repeated batches do not allocate. Not thread-safe;
 /// create one simulator per thread.
 ///
-/// Per-lane distribution: with kIndependent liveness every lane is
-/// distributed exactly as one IcSimulator cascade (each (arc, lane) pair
-/// draws its own coin the moment that lane's cascade examines the arc);
-/// with kSharedDraw the per-lane marginals are unchanged but lanes are
-/// correlated (see LaneLiveness). Determinism: results are a pure
-/// function of (graph, seeds, rng state, num_lanes, max_hops).
+/// Per-lane distribution: every lane is distributed exactly as one
+/// IcSimulator cascade — each (arc, lane) pair draws its own Bernoulli(p)
+/// coin the moment that lane's cascade examines the arc. The coins of
+/// only the PENDING lanes are drawn, and for sparse p not one by one: a
+/// run's (arc × pending-lane) trials form one i.i.d. Bernoulli(p)
+/// sequence, so geometric-skip jumps — using the 1/ln(1-p) the graph's
+/// constant-probability run metadata already stores — reach the live
+/// trials in an expected 1 + p·trials log draws per run. Coin-friendly p
+/// (>= ~1/8) flips one uniform per pending lane instead, where jumps stop
+/// paying for themselves, and nodes whose pending mask degenerated to few
+/// lanes (the common case once cascades diverge) are sampled per lane
+/// with the scalar skip idiom — visited state touched only at live
+/// landings, so the diverged tail of a batch costs what scalar cascades
+/// cost. Determinism: results are a pure function of (graph, seeds, rng
+/// state, num_lanes, max_hops).
 class BatchedIcSimulator {
  public:
   /// Lanes per batch — the width of the per-vertex bitmap.
   static constexpr int kMaxLanes = 64;
 
-  explicit BatchedIcSimulator(const Graph& graph,
-                              LaneLiveness liveness = LaneLiveness::kIndependent)
-      : graph_(graph), liveness_(liveness), state_(graph.num_nodes()) {
+  explicit BatchedIcSimulator(const Graph& graph)
+      : graph_(graph), state_(graph.num_nodes()) {
     queue_a_.reserve(256);
     queue_b_.reserve(256);
   }
-
-  LaneLiveness liveness() const { return liveness_; }
 
   /// Simulates `num_lanes` (clamped to [1, 64]) cascades from `seeds` in
   /// one traversal; returns the total activation count summed over lanes
@@ -130,18 +109,10 @@ class BatchedIcSimulator {
   }
 
   const Graph& graph_;
-  LaneLiveness liveness_;
   std::vector<NodeState> state_;
   std::vector<NodeId> queue_a_, queue_b_;
   uint32_t epoch_ = 0;
 };
-
-/// Maps the estimator-level batching knob onto the simulator's liveness
-/// mode (kScalar has no batched equivalent and maps to the default).
-inline LaneLiveness LivenessOfBatchMode(McBatchMode mode) {
-  return mode == McBatchMode::kBitmap64Shared ? LaneLiveness::kSharedDraw
-                                              : LaneLiveness::kIndependent;
-}
 
 }  // namespace timpp
 

@@ -41,8 +41,7 @@ double SpreadEstimator::EstimateSingleThread(std::span<const NodeId> seeds,
     if (options_.model == DiffusionModel::kIC) {
       uint64_t remaining = samples;
       if (UseBitmapBatches(options_) && remaining >= kLanes) {
-        BatchedIcSimulator batched(graph_,
-                                   LivenessOfBatchMode(options_.mc_batch));
+        BatchedIcSimulator batched(graph_);
         for (; remaining >= kLanes; remaining -= kLanes) {
           total_weight += batched.SimulateBatchWeighted(
               seeds, rng, w, BatchedIcSimulator::kMaxLanes,
@@ -81,8 +80,7 @@ double SpreadEstimator::EstimateSingleThread(std::span<const NodeId> seeds,
       if (UseBitmapBatches(options_) && remaining >= kLanes) {
         // ⌊r/64⌋ bitmap batches; the r mod 64 tail below stays scalar so
         // a partial batch never changes the per-cascade cost model.
-        BatchedIcSimulator batched(graph_,
-                                   LivenessOfBatchMode(options_.mc_batch));
+        BatchedIcSimulator batched(graph_);
         for (; remaining >= kLanes; remaining -= kLanes) {
           total += batched.SimulateBatch(
               seeds, rng, BatchedIcSimulator::kMaxLanes, options_.max_hops);
@@ -155,7 +153,6 @@ double VerifySpread(const Graph& graph, std::span<const NodeId> seeds,
   est.model = options.model;
   est.custom_model = options.custom_model;
   est.max_hops = options.max_hops;
-  est.mc_batch = options.mc_batch;
   est.node_weights = options.node_weights;
   return SpreadEstimator(graph, est).Estimate(seeds, options.seed);
 }

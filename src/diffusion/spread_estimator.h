@@ -31,14 +31,14 @@ struct SpreadEstimatorOptions {
   /// Arc-decision strategy for the forward IC cascades (see SamplerMode).
   /// LT and triggering simulation never flip per-arc coins and ignore it.
   SamplerMode sampler_mode = SamplerMode::kAuto;
-  /// Cascade batching: kBitmap64[Shared] runs ⌊r/64⌋ batches of 64 IC
-  /// cascades per traversal through BatchedIcSimulator (plus a scalar
-  /// tail for r mod 64) instead of r scalar traversals — near-64×
-  /// traversal amortization at an identical estimator distribution
-  /// (kBitmap64) or identical mean with correlated lanes
-  /// (kBitmap64Shared; see LaneLiveness). IC-model estimates only; LT
-  /// and triggering estimation ignore it. Estimates stay deterministic
-  /// in (seed, num_threads) for every mode, but the three modes consume
+  /// Cascade batching: kBitmap64 runs ⌊r/64⌋ batches of 64 IC cascades
+  /// per traversal through BatchedIcSimulator (plus a scalar tail for
+  /// r mod 64) instead of r scalar traversals, at an identical estimator
+  /// distribution. It pays off on small, tree-like graphs where lanes
+  /// stay coincident and runs slower than scalar on larger ones (README
+  /// "Monte-Carlo batching" has the ratios). IC-model estimates only;
+  /// LT and triggering estimation ignore it. Estimates stay deterministic
+  /// in (seed, num_threads) for both modes, but the modes consume
   /// randomness differently, so their values differ within MC noise.
   McBatchMode mc_batch = McBatchMode::kScalar;
   /// Optional per-node weights (borrowed; size n). When set, Estimate()
@@ -66,7 +66,8 @@ class SpreadEstimator {
 };
 
 /// Configuration for VerifySpread; the defaults are the quality-check
-/// sweet spot (10^4 cascades, batched, single-threaded determinism).
+/// sweet spot (10^4 cascades, single-threaded determinism). Every
+/// estimate runs scalar cascades.
 struct VerifySpreadOptions {
   uint64_t num_samples = 10000;
   unsigned num_threads = 1;
@@ -74,20 +75,16 @@ struct VerifySpreadOptions {
   /// Borrowed; required when model == kTriggering.
   const TriggeringModel* custom_model = nullptr;
   uint32_t max_hops = 0;
-  /// Batch mode of the IC cascades — bitmap64 by default, which is the
-  /// point: quality checks should not pay the scalar path.
-  McBatchMode mc_batch = McBatchMode::kBitmap64;
   uint64_t seed = 0x5eedc4e1ULL;
   /// Optional per-node weights (borrowed; size n) — weighted spread.
   const std::vector<double>* node_weights = nullptr;
 };
 
-/// Scores a seed set's expected spread with the batched estimator — the
-/// fast spread-verification instrument for tests and benches (Tier-1
-/// quality checks measure seed-set quality in MC spread; QuickIM-style
-/// evaluation at scale needs this to not be the bottleneck). Equivalent
-/// to SpreadEstimator::Estimate with mc_batch = bitmap64: unbiased, and
-/// deterministic in (options.seed, options.num_threads).
+/// Scores a seed set's expected spread with scalar Monte-Carlo cascades —
+/// the spread-verification instrument for tests, benches and the
+/// end-to-end benchmark. Equivalent to SpreadEstimator::Estimate with
+/// mc_batch = kScalar and the same samples, threads and seed: unbiased,
+/// and deterministic in (options.seed, options.num_threads).
 double VerifySpread(const Graph& graph, std::span<const NodeId> seeds,
                     const VerifySpreadOptions& options = {});
 

@@ -42,8 +42,9 @@ enum class SamplerMode {
 /// How Monte-Carlo spread estimation packs its forward cascades
 /// (`im_cli --mc-batch`): one graph traversal per cascade, or 64 cascades
 /// per traversal with a uint64_t lane bitmap per vertex and OR-propagation
-/// (diffusion/batched_simulator.h). Bitmap modes apply to IC-model
-/// cascades; LT and triggering estimation always run scalar.
+/// (diffusion/batched_simulator.h). The bitmap mode applies to IC-model
+/// cascades; LT and triggering estimation, and VerifySpread, always run
+/// scalar.
 enum class McBatchMode {
   /// One traversal per cascade (the classic loop).
   kScalar,
@@ -51,22 +52,16 @@ enum class McBatchMode {
   /// Bernoulli coins (as one geometric-skip mask draw) — exactly the
   /// scalar estimator's distribution per lane.
   kBitmap64,
-  /// 64 lanes per traversal sharing one liveness draw per examined arc:
-  /// the same per-lane marginal (mean-unbiased) but positively correlated
-  /// lanes, so the estimator needs more batches for the same variance.
-  kBitmap64Shared,
 };
 
 /// Human-readable McBatchMode name, matching the --mc-batch grammar
-/// ("scalar" | "bitmap64" | "bitmap64:shared").
+/// ("scalar" | "bitmap64").
 inline const char* McBatchModeName(McBatchMode mode) {
   switch (mode) {
     case McBatchMode::kScalar:
       return "scalar";
     case McBatchMode::kBitmap64:
       return "bitmap64";
-    case McBatchMode::kBitmap64Shared:
-      return "bitmap64:shared";
   }
   return "?";
 }

@@ -7,8 +7,7 @@
 // activation readout, max_hops truncation, duplicate seeds, partial
 // batches). At p < 1 the batched estimator must agree with the exact
 // oracle / the scalar estimator within Monte-Carlo tolerance — for plain
-// IC, weighted spread, hop-bounded cascades, and the shared-draw mode
-// (whose lanes are correlated but whose mean must stay unbiased).
+// IC, weighted spread and hop-bounded cascades.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -135,28 +134,9 @@ TEST(BatchedSimulatorTest, IndependentLanesMatchExactOracle) {
   const std::vector<NodeId> seeds = {0};
   double exact = 0;
   ASSERT_TRUE(ExactSpreadIC(g, seeds, &exact).ok());
-  BatchedIcSimulator sim(g, LaneLiveness::kIndependent);
+  BatchedIcSimulator sim(g);
   Rng rng(0xabcde);
   ExpectClose(exact, BatchedMean(sim, seeds, rng, 400), 0.05);
-}
-
-TEST(BatchedSimulatorTest, SharedDrawMeanIsUnbiased) {
-  // Correlated lanes, unbiased mean: the shared-draw estimate must land
-  // on the exact oracle too. Out-star: E[I({hub})] = 1 + (n-1)p exactly.
-  Graph star = MakeOutStar(41, 0.25f);
-  const std::vector<NodeId> hub = {0};
-  BatchedIcSimulator shared_star(star, LaneLiveness::kSharedDraw);
-  Rng rng1(0x5eed);
-  ExpectClose(1.0 + 40 * 0.25, BatchedMean(shared_star, hub, rng1, 600),
-              0.05);
-
-  Graph g = MakeTwoCommunities(0.3f);
-  const std::vector<NodeId> seeds = {0};
-  double exact = 0;
-  ASSERT_TRUE(ExactSpreadIC(g, seeds, &exact).ok());
-  BatchedIcSimulator shared(g, LaneLiveness::kSharedDraw);
-  Rng rng2(0x5eed);
-  ExpectClose(exact, BatchedMean(shared, seeds, rng2, 800), 0.05);
 }
 
 TEST(BatchedSimulatorTest, SmallProbabilityExpansionBeyond32Bits) {
@@ -169,7 +149,7 @@ TEST(BatchedSimulatorTest, SmallProbabilityExpansionBeyond32Bits) {
   // mask would inflate the mean to ~n/2. E[I({hub})] = 1 + (n-1)p.
   Graph star = MakeOutStar(600, 0.001f);
   const std::vector<NodeId> hub = {0};
-  BatchedIcSimulator sim(star, LaneLiveness::kIndependent);
+  BatchedIcSimulator sim(star);
   Rng rng(0x5ca1e);
   ExpectClose(1.0 + 599 * 0.001, BatchedMean(sim, hub, rng, 400), 0.05);
 }
@@ -185,7 +165,7 @@ TEST(BatchedSimulatorTest, MaxHopsStatisticalEquivalence) {
   const double reference =
       SpreadEstimator(g, scalar).Estimate(seeds, 0xfeed);
 
-  BatchedIcSimulator sim(g, LaneLiveness::kIndependent);
+  BatchedIcSimulator sim(g);
   Rng rng(0xbeef);
   ExpectClose(reference, BatchedMean(sim, seeds, rng, 500, 2), 0.05);
 }
@@ -204,7 +184,7 @@ TEST(BatchedSimulatorTest, WeightedSpreadMatchesScalarCollect) {
   const double reference =
       SpreadEstimator(g, scalar).Estimate(seeds, 0x77);
 
-  BatchedIcSimulator sim(g, LaneLiveness::kIndependent);
+  BatchedIcSimulator sim(g);
   Rng rng(0x42);
   double total = 0;
   const int batches = 500;
@@ -219,15 +199,12 @@ TEST(BatchedSimulatorTest, WeightedSpreadMatchesScalarCollect) {
 TEST(BatchedEstimatorTest, Bitmap64AgreesWithScalarEstimate) {
   Graph g = MakeWcPowerLaw(500, 3, 23);
   const std::vector<NodeId> seeds = {0, 1, 2, 3, 4};
-  SpreadEstimatorOptions scalar, bitmap, shared;
-  scalar.num_samples = bitmap.num_samples = shared.num_samples = 40000;
+  SpreadEstimatorOptions scalar, bitmap;
+  scalar.num_samples = bitmap.num_samples = 40000;
   bitmap.mc_batch = McBatchMode::kBitmap64;
-  shared.mc_batch = McBatchMode::kBitmap64Shared;
   const double s = SpreadEstimator(g, scalar).Estimate(seeds, 0x123);
   const double b = SpreadEstimator(g, bitmap).Estimate(seeds, 0x123);
-  const double h = SpreadEstimator(g, shared).Estimate(seeds, 0x123);
   ExpectClose(s, b, 0.03);
-  ExpectClose(s, h, 0.05);  // correlated lanes: wider band, same mean
 }
 
 TEST(BatchedEstimatorTest, ScalarTailHandlesSubBatchSampleCounts) {
@@ -247,8 +224,7 @@ TEST(BatchedEstimatorTest, ScalarTailHandlesSubBatchSampleCounts) {
 TEST(BatchedEstimatorTest, DeterministicInSeedAndThreadCount) {
   Graph g = MakeWcPowerLaw(300, 2, 31);
   const std::vector<NodeId> seeds = {0, 5};
-  for (McBatchMode mode : {McBatchMode::kScalar, McBatchMode::kBitmap64,
-                           McBatchMode::kBitmap64Shared}) {
+  for (McBatchMode mode : {McBatchMode::kScalar, McBatchMode::kBitmap64}) {
     for (uint64_t samples : {1ull, 64ull, 1000ull}) {
       for (unsigned threads : {1u, 2u, 4u}) {
         SpreadEstimatorOptions options;
@@ -266,16 +242,23 @@ TEST(BatchedEstimatorTest, DeterministicInSeedAndThreadCount) {
 }
 
 TEST(BatchedEstimatorTest, VerifySpreadMatchesEquivalentEstimate) {
+  // VerifySpread runs scalar cascades: it is the scalar estimator with
+  // the same samples, threads and seed, bit for bit.
   Graph g = MakeWcPowerLaw(300, 2, 31);
   const std::vector<NodeId> seeds = {0, 1};
-  VerifySpreadOptions verify;
-  verify.num_samples = 5000;
-  verify.seed = 0xabc;
-  SpreadEstimatorOptions est;
-  est.num_samples = 5000;
-  est.mc_batch = McBatchMode::kBitmap64;
-  EXPECT_DOUBLE_EQ(VerifySpread(g, seeds, verify),
-                   SpreadEstimator(g, est).Estimate(seeds, 0xabc));
+  for (unsigned threads : {1u, 4u}) {
+    VerifySpreadOptions verify;
+    verify.num_samples = 5000;
+    verify.num_threads = threads;
+    verify.seed = 0xabc;
+    SpreadEstimatorOptions est;
+    est.num_samples = 5000;
+    est.num_threads = threads;
+    est.mc_batch = McBatchMode::kScalar;
+    EXPECT_DOUBLE_EQ(VerifySpread(g, seeds, verify),
+                     SpreadEstimator(g, est).Estimate(seeds, 0xabc))
+        << "threads=" << threads;
+  }
 }
 
 // ---- thread-split sample accounting (regression) --------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "diffusion/exact_spread.h"
 #include "diffusion/ic_simulator.h"
@@ -377,6 +379,39 @@ TEST(SpreadEstimatorTest, MultiThreadedIsDeterministicAndAccurate) {
   double b = estimator.Estimate(std::vector<NodeId>{0}, 7);
   EXPECT_DOUBLE_EQ(a, b);
   ExpectClose(exact, a, 0.02);
+}
+
+TEST(VerifySpreadTest, MatchesExactOracleOnWeightedCascadeGraph) {
+  // Weighted cascade (p = 1/indeg) on 10 nodes and 18 arcs: in-degrees
+  // 1-3 mix probabilities within out-lists, so IcSimulator takes its
+  // per-arc path, and the oracle still enumerates every world.
+  GraphBuilder builder;
+  for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+           {0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 4}, {2, 4},
+           {2, 5}, {3, 5}, {3, 6}, {4, 7}, {5, 7}, {6, 7},
+           {4, 8}, {7, 8}, {6, 9}, {8, 9}, {7, 9}, {9, 3}}) {
+    builder.AddEdge(u, v);
+  }
+  AssignWeightedCascade(&builder);
+  Graph g;
+  ASSERT_TRUE(builder.Build(&g).ok());
+  ASSERT_FALSE(IcSimulator(g).skip_mode());
+
+  const std::vector<NodeId> seeds = {0};
+  double exact = 0;
+  ASSERT_TRUE(ExactSpreadIC(g, seeds, &exact).ok());
+  // 4 standard errors, bounding the variance of a spread in [|S|, n] by
+  // Bhatia-Davis: Var <= (n - mu)(mu - |S|).
+  const uint64_t r = 20000;
+  const double se = std::sqrt((g.num_nodes() - exact) *
+                              (exact - seeds.size()) / r);
+  for (unsigned threads : {1u, 4u}) {
+    VerifySpreadOptions options;
+    options.num_samples = r;
+    options.num_threads = threads;
+    EXPECT_NEAR(VerifySpread(g, seeds, options), exact, 4 * se)
+        << "threads=" << threads;
+  }
 }
 
 TEST(SpreadEstimatorTest, CustomTriggeringModelPath) {
