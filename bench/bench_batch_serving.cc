@@ -79,10 +79,7 @@ void Run(int argc, char** argv) {
     Status status = SolverRegistry::Global().Create(requests[i].algo, graph,
                                                     &solver);
     if (!status.ok()) std::exit(1);
-    SolverOptions options;
-    options.k = requests[i].k;
-    options.epsilon = requests[i].epsilon;
-    options.seed = requests[i].seed;
+    SolverOptions options = requests[i];
     options.num_threads = threads;
     status = solver->Run(options, &standalone[i]);
     if (!status.ok()) std::exit(1);

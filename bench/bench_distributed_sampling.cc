@@ -155,9 +155,9 @@ void Run(int argc, char** argv) {
 
   for (unsigned workers : {1u, 2u, 4u}) {
     SamplingConfig config = local_config;
-    config.backend.kind = SampleBackendKind::kProcessShards;
-    config.backend.num_workers = workers;
-    config.backend.worker_threads = worker_threads;
+    config.sample_backend.kind = SampleBackendKind::kProcessShards;
+    config.sample_backend.num_workers = workers;
+    config.sample_backend.worker_threads = worker_threads;
     SamplingEngine engine(graph, config);
 
     // Warm-up regeneration forces spawn + handshake out of the timed
@@ -203,11 +203,11 @@ void Run(int argc, char** argv) {
   // never show up in the stream, only in the counters and the rate.
   {
     SamplingConfig config = local_config;
-    config.backend.kind = SampleBackendKind::kProcessShards;
-    config.backend.num_workers = 2;
-    config.backend.worker_threads = worker_threads;
-    config.backend.fault_spec = "kill@" + std::to_string(sets / 3);
-    config.backend.retry_backoff_ms = 1;
+    config.sample_backend.kind = SampleBackendKind::kProcessShards;
+    config.sample_backend.num_workers = 2;
+    config.sample_backend.worker_threads = worker_threads;
+    config.sample_backend.fault_spec = "kill@" + std::to_string(sets / 3);
+    config.sample_backend.retry_backoff_ms = 1;
     SamplingEngine engine(graph, config);
     engine.VisitSamples(0, 64, SamplingEngine::SampleFilter(),
                         [](uint64_t, std::span<const NodeId>) {});

@@ -108,10 +108,8 @@
 //                     batch mode: async backend of the serving preload's
 //                     readahead: auto probes io_uring and falls back to
 //                     the pread thread pool
-//   --ris_tau_scale / --ris_max_sets / --ris_memory_budget
+//   --ris_tau_scale / --ris_max_sets
 //                     RIS cost-threshold and out-of-memory knobs
-//                     (--ris_memory_budget overrides --memory-budget for
-//                     ris)
 //   --undirected      treat each input line as an undirected edge
 //   --batch=req.tsv   serve many requests against the loaded graph through
 //                     the ServingEngine (cross-request RR-collection and
@@ -448,6 +446,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  if (flags.Has("ris_memory_budget")) {
+    // Removed flag: ignoring it silently would drop the user's budget.
+    std::fprintf(stderr,
+                 "--ris_memory_budget was removed; use --memory-budget, "
+                 "which applies to ris too\n");
+    return 2;
+  }
+
   const std::string path =
       flags.positional().empty() ? std::string() : flags.positional()[0];
   const std::string algo = flags.GetString("algo", "tim+");
@@ -621,51 +627,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // ---- batch mode ---------------------------------------------------
-  if (flags.Has("batch")) {
-    timpp::ImRequest defaults;
-    defaults.graph = "g";
-    defaults.model = model;
-    defaults.sampler_mode = sampler_mode;
-    defaults.seed = seed;
-    defaults.ell = flags.GetDouble("ell", 1.0);
-    defaults.max_hops = static_cast<uint32_t>(flags.GetInt("max_hops", 0));
-    defaults.memory_budget_bytes = static_cast<size_t>(
-        flags.Has("memory-budget") ? flags.GetInt("memory-budget", 0)
-                                   : flags.GetInt("memory_budget", 0));
-    defaults.mc_samples = mc;
-    defaults.mc_batch = mc_batch;
-    defaults.ris_tau_scale = flags.GetDouble("ris_tau_scale", 0.1);
-    defaults.ris_max_sets = flags.GetInt("ris_max_sets", 10000000);
-    timpp::ServingOptions serving_options;
-    serving_options.num_threads = num_threads;
-    serving_options.sample_backend = backend_spec;
-    serving_options.shared_cache_budget_bytes =
-        static_cast<size_t>(flags.GetInt("cache-budget", 0));
-    const unsigned concurrency = static_cast<unsigned>(
-        std::max<int64_t>(1, flags.GetInt("concurrency", 1)));
-    serving_options.submit_workers = concurrency;
-    // A batch file is a finite, known workload: default to unbounded
-    // admission so --concurrency never sheds requests unless the user
-    // asks for a bound.
-    serving_options.max_pending_requests =
-        static_cast<size_t>(flags.GetInt("max-pending", 0));
-    serving_options.pin_threads = flags.GetBool("pin-threads", false);
-    serving_options.spill_dir = spill_dir;
-    serving_options.spill_tuning = spill_tuning;
-    return RunBatch(flags.GetString("batch", ""), std::move(graph), defaults,
-                    serving_options, concurrency);
-  }
-
-  // ---- solve --------------------------------------------------------
-  std::unique_ptr<timpp::InfluenceSolver> solver;
-  status = timpp::SolverRegistry::Global().Create(algo, graph, &solver);
-  if (!status.ok()) {
-    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-    PrintAlgos();
-    return 2;
-  }
-
+  // ---- options ------------------------------------------------------
   timpp::SolverOptions options;
   options.k = static_cast<int>(flags.GetInt("k", 50));
   options.sampler_mode = sampler_mode;
@@ -681,13 +643,47 @@ int main(int argc, char** argv) {
   options.mc_batch = mc_batch;
   options.ris_tau_scale = flags.GetDouble("ris_tau_scale", 0.1);
   options.ris_max_sets = flags.GetInt("ris_max_sets", 10000000);
-  options.ris_memory_budget_bytes =
-      static_cast<size_t>(flags.GetInt("ris_memory_budget", 0));
   // --memory_budget is accepted as a spelling variant.
   options.memory_budget_bytes = static_cast<size_t>(
       flags.Has("memory-budget") ? flags.GetInt("memory-budget", 0)
                                  : flags.GetInt("memory_budget", 0));
   options.spill_dir = spill_dir;
+
+  // ---- batch mode ---------------------------------------------------
+  if (flags.Has("batch")) {
+    // The CLI options are every request's defaults (k and ε come from
+    // each line); the engine-wide knobs come from serving_options.
+    timpp::ImRequest defaults;
+    static_cast<timpp::SolverOptions&>(defaults) = options;
+    defaults.graph = "g";
+    timpp::ServingOptions serving_options;
+    serving_options.num_threads = num_threads;
+    serving_options.sample_backend = backend_spec;
+    serving_options.shared_cache_budget_bytes =
+        static_cast<size_t>(flags.GetInt("cache-budget", 0));
+    const unsigned concurrency = static_cast<unsigned>(
+        std::max<int64_t>(1, flags.GetInt("concurrency", 1)));
+    serving_options.submit_workers = concurrency;
+    // A batch file is a finite, known workload: default to unbounded
+    // admission so --concurrency never sheds requests unless the user
+    // asks for a bound.
+    serving_options.max_pending_requests =
+        static_cast<size_t>(flags.GetInt("max-pending", 0));
+    serving_options.pin_threads = options.pin_threads;
+    serving_options.spill_dir = spill_dir;
+    serving_options.spill_tuning = spill_tuning;
+    return RunBatch(flags.GetString("batch", ""), std::move(graph), defaults,
+                    serving_options, concurrency);
+  }
+
+  // ---- solve --------------------------------------------------------
+  std::unique_ptr<timpp::InfluenceSolver> solver;
+  status = timpp::SolverRegistry::Global().Create(algo, graph, &solver);
+  if (!status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+    PrintAlgos();
+    return 2;
+  }
 
   timpp::SolverResult result;
   status = solver->Run(options, &result);

@@ -42,6 +42,9 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
     return Status::InvalidArgument(
         "model == kTriggering requires custom_model");
   }
+  if (options.max_hops != 0) {
+    return Status::InvalidArgument("RIS does not support max_hops");
+  }
   if (context.source != nullptr && &context.source->graph() != &graph) {
     return Status::InvalidArgument(
         "SolveContext source is bound to a different graph");
@@ -80,15 +83,7 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
   std::optional<EngineSampleSource> local_source;
   SampleSource* source = context.source;
   if (source == nullptr) {
-    SamplingConfig sampling;
-    sampling.model = options.model;
-    sampling.custom_model = options.custom_model;
-    sampling.sampler_mode = options.sampler_mode;
-    sampling.num_threads = options.num_threads;
-    sampling.pin_threads = options.pin_threads;
-    sampling.seed = options.seed;
-    sampling.backend = options.sample_backend;
-    local_engine.emplace(graph, sampling);
+    local_engine.emplace(graph, options);
     local_source.emplace(*local_engine);
     source = &*local_source;
   }
@@ -197,8 +192,7 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
     local_stats.regeneration_passes = streamed.regeneration_passes;
     local_stats.sets_spill_read = streamed.sets_spill_read;
     if (spill != nullptr) {
-      local_stats.spill = spill->stats();
-      local_stats.spill_bytes_written = local_stats.spill.bytes_written;
+      local_stats.spill_bytes_written = spill->stats().bytes_written;
     }
     *seeds = std::move(streamed.cover.seeds);
     local_stats.covered_fraction = streamed.cover.covered_fraction;

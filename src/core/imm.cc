@@ -158,19 +158,9 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
   std::optional<EngineSampleSource> local_source;
   SampleSource* source = context.source;
   if (source == nullptr) {
-    SamplingConfig sampling;
-    sampling.model = options.model;
-    sampling.custom_model = options.custom_model;
-    sampling.max_hops = options.max_hops;
-    sampling.sampler_mode = options.sampler_mode;
-    sampling.num_threads = options.num_threads;
-    sampling.pin_threads = options.pin_threads;
-    sampling.seed = options.seed;
-    if (options.node_weights != nullptr) {
-      sampling.root_distribution = &root_dist;
-    }
-    sampling.backend = options.sample_backend;
-    local_engine.emplace(graph, sampling);
+    local_engine.emplace(graph, options,
+                         options.node_weights != nullptr ? &root_dist
+                                                         : nullptr);
     local_source.emplace(*local_engine);
     source = &*local_source;
   }
@@ -200,17 +190,6 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
                       options.node_weights == nullptr)
                          ? context.phase_cache
                          : nullptr;
-  LbPhaseKey memo_key;
-  if (memo != nullptr) {
-    memo_key.model = options.model;
-    memo_key.sampler_mode = options.sampler_mode;
-    memo_key.max_hops = options.max_hops;
-    memo_key.seed = options.seed;
-    memo_key.custom_model = options.custom_model;
-    memo_key.k = options.k;
-    memo_key.epsilon_bits = DoubleBits(eps);
-    memo_key.ell_bits = DoubleBits(ell);
-  }
 
   RRCollection sampling_rr(graph.num_nodes());
   sampling_rr.set_memory_budget(budget);
@@ -222,7 +201,10 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
   // AcquireLb and wake as hits once this one publishes. An error return
   // destroys the unpublished lease, waking them to recompute instead.
   PhaseCache::LbLease lease;
-  if (memo != nullptr) lease = memo->AcquireLb(memo_key);
+  if (memo != nullptr) {
+    lease = memo->AcquireLb(
+        {options, options.k, DoubleBits(eps), DoubleBits(ell)});
+  }
   const LbPhaseEntry* hit = lease.entry();
   if (hit != nullptr) {
     // The whole binary search is a pure function of the key: restore LB
@@ -356,8 +338,7 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
   stats.rr_sets_retained = cache->num_sets();
   stats.rr_sets_spilled = sets_spilled;
   if (spill != nullptr) {
-    stats.spill = spill->stats();
-    stats.spill_bytes_written = stats.spill.bytes_written;
+    stats.spill_bytes_written = spill->stats().bytes_written;
   }
   stats.estimated_spread = n * cover.covered_fraction;
   stats.seconds_selection = phase_timer.ElapsedSeconds();

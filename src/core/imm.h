@@ -34,28 +34,24 @@
 #include <string>
 #include <vector>
 
-#include "diffusion/triggering.h"
-#include "engine/sample_backend.h"
+#include "engine/run_options.h"
 #include "engine/solve_context.h"
 #include "graph/graph.h"
-#include "rrset/rr_spill.h"
 #include "util/status.h"
 #include "util/types.h"
 
 namespace timpp {
 
-/// Configuration of an IMM run.
-struct ImmOptions {
+/// Configuration of an IMM run. The RunOptions base holds the run knobs
+/// (engine/run_options.h); IMM budgets BOTH phases (the progressive x_i
+/// batches grow toward θ-scale) and spills both phases' non-resident
+/// ranges to one store.
+struct ImmOptions : RunOptions {
+  ImmOptions() { seed = 0x1e1eULL; }
+
   int k = 50;
   double epsilon = 0.1;
   double ell = 1.0;
-  DiffusionModel model = DiffusionModel::kIC;
-  /// Borrowed; required when model == kTriggering.
-  const TriggeringModel* custom_model = nullptr;
-  /// Propagation-round bound (0 = unlimited), as in TimOptions.
-  uint32_t max_hops = 0;
-  /// RR-traversal strategy (see SamplerMode and TimOptions::sampler_mode).
-  SamplerMode sampler_mode = SamplerMode::kAuto;
   /// true reproduces the original (dependence-flawed) sample reuse; false
   /// (default) regenerates fresh RR sets for the selection phase.
   bool reuse_samples = false;
@@ -68,36 +64,14 @@ struct ImmOptions {
   /// analysis carries verbatim because coverage indicators scaled by W
   /// stay in [0, W].
   const std::vector<double>* node_weights = nullptr;
-  /// Sampling worker threads for both phases (see the determinism note in
-  /// the header comment: results do not depend on this value).
-  unsigned num_threads = 1;
-  /// Pin sampling worker threads to CPUs (placement only; results are
-  /// invariant to it).
-  bool pin_threads = false;
-  /// Soft cap (bytes; 0 = unlimited) on resident RR-collection DataBytes
-  /// in BOTH phases (the progressive x_i batches grow toward θ-scale, so
-  /// the sampling phase needs the cap as much as selection). Past the
-  /// cap, greedy rounds run over a retained stream prefix plus exact
-  /// per-index regeneration of the discarded sets (see
-  /// coverage/streaming_cover.h); seeds and LB stay bit-identical to a
-  /// budget-off run.
-  size_t memory_budget_bytes = 0;
-  /// Parent directory for disk-spilled RR prefixes (empty = no spill).
-  /// Only consulted when the budget trips: non-resident index ranges of
-  /// BOTH phases go to one append-only store (written once, replayed each
-  /// greedy round) instead of being regenerated — identical seeds/LB/θ,
-  /// regeneration_passes == 0 while the store stays healthy. See
-  /// TimOptions::spill_dir.
-  std::string spill_dir;
-  uint64_t seed = 0x1e1eULL;
-  /// Where sample production runs (in-process threads vs coordinated
-  /// worker subprocesses, engine/sample_backend.h). Never changes the
-  /// result — only throughput and failure modes.
-  SampleBackendSpec sample_backend;
 };
 
-/// Instrumentation of an IMM run.
-struct ImmStats {
+/// Instrumentation of an IMM run. The RrRunStats base holds the budget,
+/// spill and backend counters; its regeneration_passes sum over every
+/// streaming solve of both phases, and rr_sets_retained counts the final
+/// selection's resident sets (θ budget-off, max(θ, sampling-phase sets)
+/// under reuse_samples).
+struct ImmStats : RrRunStats {
   double lb = 0.0;            // lower bound of OPT from the sampling phase
   double lambda_prime = 0.0;  // sampling-phase constant
   double lambda_star = 0.0;   // selection-phase constant
@@ -113,33 +87,10 @@ struct ImmStats {
   /// (DataBytes before any index build — what the budget caps, comparable
   /// across budget settings).
   size_t rr_data_bytes = 0;
-  /// memory_budget_bytes forced streaming sample-and-discard selection in
-  /// at least one greedy solve (either phase).
-  bool hit_memory_budget = false;
-  /// RR sets resident for the final selection. Budget-off this equals the
-  /// selection collection's size: theta, except under reuse_samples where
-  /// it is max(theta, sampling-phase sets).
-  uint64_t rr_sets_retained = 0;
-  /// Greedy rounds that regenerated discarded RR sets, summed over every
-  /// streaming solve of the run (0 budget-off, and 0 under a healthy
-  /// spill store).
-  uint64_t regeneration_passes = 0;
-  /// Spill-tier activity (zero without a spill_dir): sets written to
-  /// disk, sets replayed from disk across all greedy rounds, and chunk
-  /// bytes written.
-  uint64_t rr_sets_spilled = 0;
-  uint64_t sets_spill_read = 0;
-  uint64_t spill_bytes_written = 0;
-  /// Full spill-store counter snapshot (prefetch issued/hit/wasted, sync
-  /// fallbacks, SLRU hot/probation hit split). Zero without a store.
-  RRSpillStats spill;
   /// The sampling phase (LB binary search) was restored from a
   /// SolveContext's PhaseCache instead of recomputed (serving layer;
   /// always false standalone).
   bool lb_cache_hit = false;
-  /// Backend fault-tolerance activity during this run (see BackendStats;
-  /// zero for local backends and healthy distributed runs).
-  BackendStats backend;
 };
 
 /// Result of an IMM run.

@@ -81,6 +81,9 @@ NodeSelection SelectNodes(SampleSource& source, int k, uint64_t theta,
     result.seeds = std::move(streamed.cover.seeds);
     result.covered_fraction = streamed.cover.covered_fraction;
   }
+  if (spill != nullptr) {
+    result.spill_bytes_written = spill->stats().bytes_written;
+  }
   result.seconds_coverage = timer.ElapsedSeconds();
   return result;
 }

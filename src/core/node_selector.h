@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "engine/run_options.h"
 #include "engine/sample_source.h"
 #include "engine/sampling_engine.h"
 #include "rrset/rr_spill.h"
@@ -25,8 +26,11 @@
 
 namespace timpp {
 
-/// Output of Algorithm 1.
-struct NodeSelection {
+/// Output of Algorithm 1. The RrRunStats base carries the budget and
+/// spill counters (a budget that trips keeps only rr_sets_retained of the
+/// θ sets resident; seeds stay bit-identical to a budget-off run); its
+/// backend delta is the caller's to fill.
+struct NodeSelection : RrRunStats {
   /// The selected seed set S*_k, in selection order.
   std::vector<NodeId> seeds;
   /// Fraction F_R(S*_k) of the θ RR sets covered; n·F_R(S) is an unbiased
@@ -42,18 +46,6 @@ struct NodeSelection {
   size_t rr_data_bytes = 0;
   /// Cost accounting (regeneration passes included).
   uint64_t edges_examined = 0;
-  /// The memory budget forced sample-and-discard selection: only
-  /// `rr_sets_retained` of the θ sets were kept resident and the rest
-  /// were regenerated per greedy round. Seeds are still bit-identical to
-  /// a budget-off run.
-  bool hit_memory_budget = false;
-  uint64_t rr_sets_retained = 0;
-  uint64_t regeneration_passes = 0;
-  /// Spill-tier accounting (zero without a store): sets written to disk by
-  /// this selection, and sets replayed from disk during its greedy rounds
-  /// (each replayed set is a regeneration that didn't happen).
-  uint64_t rr_sets_spilled = 0;
-  uint64_t sets_spill_read = 0;
   /// Wall-clock split between the sampling and coverage halves.
   double seconds_sampling = 0.0;
   double seconds_coverage = 0.0;

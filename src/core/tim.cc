@@ -74,16 +74,7 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
   std::optional<EngineSampleSource> local_source;
   SampleSource* source = context.source;
   if (source == nullptr) {
-    SamplingConfig sampling;
-    sampling.model = options.model;
-    sampling.custom_model = options.custom_model;
-    sampling.max_hops = options.max_hops;
-    sampling.sampler_mode = options.sampler_mode;
-    sampling.num_threads = options.num_threads;
-    sampling.pin_threads = options.pin_threads;
-    sampling.seed = options.seed;
-    sampling.backend = options.sample_backend;
-    local_engine.emplace(graph_, sampling);
+    local_engine.emplace(graph_, options);
     local_source.emplace(*local_engine);
     source = &*local_source;
   }
@@ -111,18 +102,6 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
   // (how every run starts); only engage the memo in that situation.
   PhaseCache* memo =
       source->position() == 0 ? context.phase_cache : nullptr;
-  KptPhaseKey memo_key;
-  if (memo != nullptr) {
-    memo_key.model = options.model;
-    memo_key.sampler_mode = options.sampler_mode;
-    memo_key.max_hops = options.max_hops;
-    memo_key.seed = options.seed;
-    memo_key.custom_model = options.custom_model;
-    memo_key.k = options.k;
-    memo_key.use_refinement = options.use_refinement;
-    memo_key.ell_bits = DoubleBits(ell);
-    memo_key.eps_prime_bits = DoubleBits(eps_prime);
-  }
 
   double kpt_bound = 0.0;
   // Acquire either a ready entry or the obligation to compute it; a
@@ -130,7 +109,10 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
   // this one publishes (once-computation). An error return below destroys
   // the unpublished lease, which wakes the waiters to recompute.
   PhaseCache::KptLease lease;
-  if (memo != nullptr) lease = memo->AcquireKpt(memo_key);
+  if (memo != nullptr) {
+    lease = memo->AcquireKpt({options, options.k, options.use_refinement,
+                              DoubleBits(ell), DoubleBits(eps_prime)});
+  }
   const KptPhaseEntry* hit = lease.entry();
   if (hit != nullptr) {
     // Algorithms 2(+3) are pure functions of the key: restore their
@@ -218,15 +200,7 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
       selection.covered_fraction * static_cast<double>(n);
   stats.rr_memory_bytes = selection.rr_memory_bytes;
   stats.rr_data_bytes = selection.rr_data_bytes;
-  stats.hit_memory_budget = selection.hit_memory_budget;
-  stats.rr_sets_retained = selection.rr_sets_retained;
-  stats.regeneration_passes = selection.regeneration_passes;
-  stats.rr_sets_spilled = selection.rr_sets_spilled;
-  stats.sets_spill_read = selection.sets_spill_read;
-  if (spill) {
-    stats.spill = spill->stats();
-    stats.spill_bytes_written = stats.spill.bytes_written;
-  }
+  static_cast<RrRunStats&>(stats) = selection;  // budget + spill counters
   stats.edges_examined += selection.edges_examined;
   stats.backend = source->engine().backend_stats() - backend_before;
   stats.seconds_total = total_timer.ElapsedSeconds();

@@ -40,14 +40,18 @@ std::string ProcessShardBackend::ResolveWorkerBinary(
 }
 
 ProcessShardBackend::ProcessShardBackend(const Graph& graph,
-                                         const SamplingConfig& config)
+                                         const SamplingConfig& config,
+                                         const AliasTable* root_distribution)
     : graph_(graph),
       config_(config),
+      weighted_roots_(root_distribution != nullptr),
       // Capped defensively: API callers bypass the CLI's parse validation,
       // and a wrapped negative would otherwise fork-bomb the host.
-      num_workers_(std::min(256u, std::max(1u, config.backend.num_workers))),
-      worker_threads_(std::max(1u, config.backend.worker_threads)),
-      worker_binary_(ResolveWorkerBinary(config.backend.worker_binary)) {}
+      num_workers_(
+          std::min(256u, std::max(1u, config.sample_backend.num_workers))),
+      worker_threads_(std::max(1u, config.sample_backend.worker_threads)),
+      worker_binary_(
+          ResolveWorkerBinary(config.sample_backend.worker_binary)) {}
 
 ProcessShardBackend::~ProcessShardBackend() = default;
 
@@ -70,12 +74,12 @@ Status ProcessShardBackend::EnsureSupervisor() {
         "process-shard backend cannot ship a custom TriggeringModel to "
         "worker processes; use backend=local for kTriggering runs"));
   }
-  if (config_.root_distribution != nullptr) {
+  if (weighted_roots_) {
     return Fatal(Status::Unimplemented(
         "process-shard backend cannot ship a root distribution "
         "(node-weighted runs); use backend=local"));
   }
-  const std::string& graph_source = config_.backend.graph_source;
+  const std::string& graph_source = config_.sample_backend.graph_source;
   if (graph_source.empty() && graph_payload_.empty()) {
     SerializeGraph(graph_, &graph_payload_);
   }
@@ -98,7 +102,7 @@ Status ProcessShardBackend::EnsureSupervisor() {
   hello.seed = config_.seed;
   hello.worker_threads = worker_threads_;
   hello.graph_hash = graph_.ContentHash();
-  hello.fault_spec = config_.backend.fault_spec;
+  hello.fault_spec = config_.sample_backend.fault_spec;
   if (graph_source.empty()) {
     hello.graph_transport = wire::GraphTransport::kInline;
     hello.graph_payload = graph_payload_;
@@ -110,11 +114,11 @@ Status ProcessShardBackend::EnsureSupervisor() {
   SupervisorOptions options;
   options.num_workers = num_workers_;
   options.worker_binary = worker_binary_;
-  options.shard_timeout_ms = config_.backend.shard_timeout_ms;
-  options.max_shard_retries = config_.backend.max_shard_retries;
-  options.retry_backoff_ms = config_.backend.retry_backoff_ms;
-  options.max_backoff_ms = config_.backend.max_backoff_ms;
-  options.max_worker_failures = config_.backend.max_worker_failures;
+  options.shard_timeout_ms = config_.sample_backend.shard_timeout_ms;
+  options.max_shard_retries = config_.sample_backend.max_shard_retries;
+  options.retry_backoff_ms = config_.sample_backend.retry_backoff_ms;
+  options.max_backoff_ms = config_.sample_backend.max_backoff_ms;
+  options.max_worker_failures = config_.sample_backend.max_worker_failures;
   supervisor_ = std::make_unique<WorkerSupervisor>(std::move(options),
                                                    std::move(hello));
   supervisor_view_.store(supervisor_.get(), std::memory_order_release);
@@ -132,7 +136,7 @@ Status ProcessShardBackend::FillShardLocally(
     // for exactly one worker process worth of capacity. Bit-identity is
     // the per-index RNG contract's job, not the thread count's.
     SamplingConfig local = config_;
-    local.backend = SampleBackendSpec();
+    local.sample_backend = SampleBackendSpec();
     local.num_threads = worker_threads_;
     fallback_ = std::make_unique<LocalThreadBackend>(graph_, local);
   }
@@ -222,7 +226,7 @@ Status ProcessShardBackend::Fill(uint64_t base, uint64_t count,
 
   for (size_t s = 0; s < requests.size(); ++s) {
     if (outcomes[s].ok()) continue;
-    if (config_.backend.fallback != FallbackPolicy::kLocal) {
+    if (config_.sample_backend.fallback != FallbackPolicy::kLocal) {
       return Fatal(std::move(outcomes[s]));
     }
     // Graceful degradation: regenerate the shard in-process. Identical

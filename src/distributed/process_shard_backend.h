@@ -46,8 +46,10 @@ class ProcessShardBackend final : public SampleBackend {
  public:
   /// `graph` must outlive the backend; `config` (including its
   /// backend spec) is copied. No processes are spawned until the first
-  /// Fill.
-  ProcessShardBackend(const Graph& graph, const SamplingConfig& config);
+  /// Fill. A non-null `root_distribution` cannot be shipped to workers:
+  /// the first Fill then fails with Unimplemented.
+  ProcessShardBackend(const Graph& graph, const SamplingConfig& config,
+                      const AliasTable* root_distribution = nullptr);
   ~ProcessShardBackend() override;
 
   Status Fill(uint64_t base, uint64_t count,
@@ -92,6 +94,7 @@ class ProcessShardBackend final : public SampleBackend {
   // and the local fallback backend both need it, and storing it by value
   // unties the backend from the engine's copy.
   SamplingConfig config_;
+  bool weighted_roots_;
   unsigned num_workers_;
   unsigned worker_threads_;
   std::string worker_binary_;

@@ -19,260 +19,184 @@ namespace timpp {
 
 namespace {
 
-// Appends the run's backend fault-tolerance counters to the metrics list,
-// but only when any fired: healthy runs (every local run, and distributed
-// runs with no recovery activity) keep the exact metric set they had
-// before fault tolerance existed, which is what backend-invariance
-// comparisons (local vs procs, stat for stat) rely on.
-void AppendBackendMetrics(const BackendStats& backend,
-                          std::vector<std::pair<std::string, double>>* out) {
-  if (!backend.any()) return;
-  const auto add = [out](const char* name, uint64_t value) {
-    out->emplace_back(name, static_cast<double>(value));
-  };
-  add("backend_shard_retries", backend.shard_retries);
-  add("backend_worker_respawns", backend.worker_respawns);
-  add("backend_shard_timeouts", backend.shard_timeouts);
-  add("backend_worker_crashes", backend.worker_crashes);
-  add("backend_corrupt_frames", backend.corrupt_frames);
-  add("backend_quarantined_workers", backend.quarantined_workers);
-  add("backend_fallback_shards", backend.fallback_shards);
-  add("backend_fallback_sets", backend.fallback_sets);
-}
+using Metrics = std::vector<std::pair<std::string, double>>;
 
-// Spill-tier metrics, same emission contract as the backend counters:
-// only present when the tier actually fired, so no-spill runs keep the
-// exact metric set they had before the out-of-core layer existed.
-void AppendSpillMetrics(uint64_t rr_sets_spilled, uint64_t sets_spill_read,
-                        const RRSpillStats& io,
-                        std::vector<std::pair<std::string, double>>* out) {
-  if (rr_sets_spilled == 0 && sets_spill_read == 0 &&
-      io.bytes_written == 0) {
-    return;
+double Count(uint64_t value) { return static_cast<double>(value); }
+double Flag(bool value) { return value ? 1.0 : 0.0; }
+
+// The one metric layout of every RR-set solver: its own head metrics, the
+// budget triple, its tail, then the spill and backend counters — each
+// group only when it fired. Healthy, unspilled runs (every local run, and
+// distributed runs with no recovery activity) therefore keep the exact
+// metric list they had before either tier existed, which is what
+// stat-for-stat sweeps (local vs procs, budgeted vs not) rely on.
+Metrics RrMetrics(Metrics head, const RrRunStats& run, const Metrics& tail) {
+  head.insert(head.end(),
+              {{"hit_memory_budget", Flag(run.hit_memory_budget)},
+               {"rr_sets_retained", Count(run.rr_sets_retained)},
+               {"regeneration_passes", Count(run.regeneration_passes)}});
+  head.insert(head.end(), tail.begin(), tail.end());
+  if (run.rr_sets_spilled != 0 || run.sets_spill_read != 0 ||
+      run.spill_bytes_written != 0) {
+    head.insert(head.end(),
+                {{"rr_sets_spilled", Count(run.rr_sets_spilled)},
+                 {"sets_spill_read", Count(run.sets_spill_read)},
+                 {"spill_bytes_written", Count(run.spill_bytes_written)}});
   }
-  out->emplace_back("rr_sets_spilled",
-                    static_cast<double>(rr_sets_spilled));
-  out->emplace_back("sets_spill_read",
-                    static_cast<double>(sets_spill_read));
-  out->emplace_back("spill_bytes_written",
-                    static_cast<double>(io.bytes_written));
+  const BackendStats& b = run.backend;
+  if (b.any()) {
+    head.insert(
+        head.end(),
+        {{"backend_shard_retries", Count(b.shard_retries)},
+         {"backend_worker_respawns", Count(b.worker_respawns)},
+         {"backend_shard_timeouts", Count(b.shard_timeouts)},
+         {"backend_worker_crashes", Count(b.worker_crashes)},
+         {"backend_corrupt_frames", Count(b.corrupt_frames)},
+         {"backend_quarantined_workers", Count(b.quarantined_workers)},
+         {"backend_fallback_shards", Count(b.fallback_shards)},
+         {"backend_fallback_sets", Count(b.fallback_sets)}});
+  }
+  return head;
 }
 
-// ------------------------------------------------------------- TIM/TIM+ --
-
-class TimInfluenceSolver final : public InfluenceSolver {
+// Shared shape of the RR-set solvers: context-aware, and a budgeted
+// request runs standalone — a memory budget caps THIS request's resident
+// bytes, which is meaningless against a shared collection.
+class RrInfluenceSolver : public InfluenceSolver {
  public:
-  TimInfluenceSolver(const Graph& graph, bool use_refinement)
-      : graph_(graph), use_refinement_(use_refinement) {}
-
-  std::string name() const override { return use_refinement_ ? "tim+" : "tim"; }
-
   bool UsesSolveContext() const override { return true; }
 
   Status Run(const SolverOptions& options, SolverResult* result) override {
-    return RunWithContext(options, SolveContext(), result);
+    return Solve(options, SolveContext(), result);
   }
 
   Status RunWithContext(const SolverOptions& options,
                         const SolveContext& context,
                         SolverResult* result) override {
+    return Solve(options,
+                 options.memory_budget_bytes == 0 ? context : SolveContext(),
+                 result);
+  }
+
+ protected:
+  explicit RrInfluenceSolver(const Graph& graph) : graph_(graph) {}
+
+  virtual Status Solve(const SolverOptions& options,
+                       const SolveContext& context, SolverResult* result) = 0;
+
+  const Graph& graph_;
+};
+
+// ------------------------------------------------------------- TIM/TIM+ --
+
+class TimInfluenceSolver final : public RrInfluenceSolver {
+ public:
+  TimInfluenceSolver(const Graph& graph, bool use_refinement)
+      : RrInfluenceSolver(graph), use_refinement_(use_refinement) {}
+
+  std::string name() const override { return use_refinement_ ? "tim+" : "tim"; }
+
+ private:
+  Status Solve(const SolverOptions& options, const SolveContext& context,
+               SolverResult* result) override {
     TimOptions tim;
+    static_cast<RunOptions&>(tim) = options;
     tim.k = options.k;
     tim.epsilon = options.epsilon;
     tim.ell = options.ell;
-    tim.model = options.model;
-    tim.custom_model = options.custom_model;
     tim.use_refinement = use_refinement_;
-    tim.max_hops = options.max_hops;
-    tim.sampler_mode = options.sampler_mode;
-    tim.num_threads = options.num_threads;
-    tim.pin_threads = options.pin_threads;
-    tim.seed = options.seed;
-    tim.memory_budget_bytes = options.memory_budget_bytes;
-    tim.spill_dir = options.spill_dir;
-    tim.sample_backend = options.sample_backend;
 
-    // A memory budget caps this request's resident bytes — meaningless
-    // against a shared collection, so budgeted requests run standalone.
-    const SolveContext effective =
-        options.memory_budget_bytes == 0 ? context : SolveContext();
-
-    TimSolver solver(graph_);
     TimResult native;
-    TIMPP_RETURN_NOT_OK(solver.Run(tim, effective, &native));
-
+    TIMPP_RETURN_NOT_OK(TimSolver(graph_).Run(tim, context, &native));
+    const TimStats& s = native.stats;
     result->seeds = std::move(native.seeds);
-    result->seconds_total = native.stats.seconds_total;
-    result->estimated_spread = native.stats.estimated_spread;
-    result->metrics = {
-        {"theta", static_cast<double>(native.stats.theta)},
-        {"theta_prime", static_cast<double>(native.stats.theta_prime)},
-        {"kpt_star", native.stats.kpt_star},
-        {"kpt_plus", native.stats.kpt_plus},
-        {"rr_sets_kpt", static_cast<double>(native.stats.rr_sets_kpt)},
-        {"edges_examined", static_cast<double>(native.stats.edges_examined)},
-        {"rr_memory_bytes",
-         static_cast<double>(native.stats.rr_memory_bytes)},
-        {"rr_data_bytes", static_cast<double>(native.stats.rr_data_bytes)},
-        {"hit_memory_budget", native.stats.hit_memory_budget ? 1.0 : 0.0},
-        {"rr_sets_retained",
-         static_cast<double>(native.stats.rr_sets_retained)},
-        {"regeneration_passes",
-         static_cast<double>(native.stats.regeneration_passes)},
-        {"seconds_node_selection", native.stats.seconds_node_selection},
-        {"kpt_cache_hit", native.stats.kpt_cache_hit ? 1.0 : 0.0},
-    };
-    AppendSpillMetrics(native.stats.rr_sets_spilled,
-                       native.stats.sets_spill_read, native.stats.spill,
-                       &result->metrics);
-    AppendBackendMetrics(native.stats.backend, &result->metrics);
+    result->seconds_total = s.seconds_total;
+    result->estimated_spread = s.estimated_spread;
+    result->metrics = RrMetrics(
+        {{"theta", Count(s.theta)},
+         {"theta_prime", Count(s.theta_prime)},
+         {"kpt_star", s.kpt_star},
+         {"kpt_plus", s.kpt_plus},
+         {"rr_sets_kpt", Count(s.rr_sets_kpt)},
+         {"edges_examined", Count(s.edges_examined)},
+         {"rr_memory_bytes", Count(s.rr_memory_bytes)},
+         {"rr_data_bytes", Count(s.rr_data_bytes)}},
+        s,
+        {{"seconds_node_selection", s.seconds_node_selection},
+         {"kpt_cache_hit", Flag(s.kpt_cache_hit)}});
     return Status::OK();
   }
 
- private:
-  const Graph& graph_;
   bool use_refinement_;
 };
 
 // ------------------------------------------------------------------- IMM --
 
-class ImmInfluenceSolver final : public InfluenceSolver {
+class ImmInfluenceSolver final : public RrInfluenceSolver {
  public:
-  explicit ImmInfluenceSolver(const Graph& graph) : graph_(graph) {}
+  explicit ImmInfluenceSolver(const Graph& graph) : RrInfluenceSolver(graph) {}
 
   std::string name() const override { return "imm"; }
 
-  bool UsesSolveContext() const override { return true; }
-
-  Status Run(const SolverOptions& options, SolverResult* result) override {
-    return RunWithContext(options, SolveContext(), result);
-  }
-
-  Status RunWithContext(const SolverOptions& options,
-                        const SolveContext& context,
-                        SolverResult* result) override {
+ private:
+  Status Solve(const SolverOptions& options, const SolveContext& context,
+               SolverResult* result) override {
     ImmOptions imm;
+    static_cast<RunOptions&>(imm) = options;
     imm.k = options.k;
     imm.epsilon = options.epsilon;
     imm.ell = options.ell;
-    imm.model = options.model;
-    imm.custom_model = options.custom_model;
-    imm.max_hops = options.max_hops;
-    imm.sampler_mode = options.sampler_mode;
-    imm.num_threads = options.num_threads;
-    imm.pin_threads = options.pin_threads;
-    imm.seed = options.seed;
-    imm.memory_budget_bytes = options.memory_budget_bytes;
-    imm.spill_dir = options.spill_dir;
-    imm.sample_backend = options.sample_backend;
-
-    // Budgeted requests run standalone (see TimInfluenceSolver).
-    const SolveContext effective =
-        options.memory_budget_bytes == 0 ? context : SolveContext();
 
     ImmResult native;
-    TIMPP_RETURN_NOT_OK(RunImm(graph_, imm, effective, &native));
-
+    TIMPP_RETURN_NOT_OK(RunImm(graph_, imm, context, &native));
+    const ImmStats& s = native.stats;
     result->seeds = std::move(native.seeds);
-    result->seconds_total = native.stats.seconds_total;
-    result->estimated_spread = native.stats.estimated_spread;
-    result->metrics = {
-        {"theta", static_cast<double>(native.stats.theta)},
-        {"lb", native.stats.lb},
-        {"rr_sets_sampling",
-         static_cast<double>(native.stats.rr_sets_sampling)},
-        {"sampling_iterations",
-         static_cast<double>(native.stats.sampling_iterations)},
-        {"rr_memory_bytes",
-         static_cast<double>(native.stats.rr_memory_bytes)},
-        {"rr_data_bytes", static_cast<double>(native.stats.rr_data_bytes)},
-        {"hit_memory_budget", native.stats.hit_memory_budget ? 1.0 : 0.0},
-        {"rr_sets_retained",
-         static_cast<double>(native.stats.rr_sets_retained)},
-        {"regeneration_passes",
-         static_cast<double>(native.stats.regeneration_passes)},
-        {"lb_cache_hit", native.stats.lb_cache_hit ? 1.0 : 0.0},
-    };
-    AppendSpillMetrics(native.stats.rr_sets_spilled,
-                       native.stats.sets_spill_read, native.stats.spill,
-                       &result->metrics);
-    AppendBackendMetrics(native.stats.backend, &result->metrics);
+    result->seconds_total = s.seconds_total;
+    result->estimated_spread = s.estimated_spread;
+    result->metrics = RrMetrics(
+        {{"theta", Count(s.theta)},
+         {"lb", s.lb},
+         {"rr_sets_sampling", Count(s.rr_sets_sampling)},
+         {"sampling_iterations", Count(s.sampling_iterations)},
+         {"rr_memory_bytes", Count(s.rr_memory_bytes)},
+         {"rr_data_bytes", Count(s.rr_data_bytes)}},
+        s, {{"lb_cache_hit", Flag(s.lb_cache_hit)}});
     return Status::OK();
   }
-
- private:
-  const Graph& graph_;
 };
 
 // ------------------------------------------------------------------- RIS --
 
-class RisInfluenceSolver final : public InfluenceSolver {
+class RisInfluenceSolver final : public RrInfluenceSolver {
  public:
-  explicit RisInfluenceSolver(const Graph& graph) : graph_(graph) {}
+  explicit RisInfluenceSolver(const Graph& graph) : RrInfluenceSolver(graph) {}
 
   std::string name() const override { return "ris"; }
 
-  bool UsesSolveContext() const override { return true; }
-
-  Status Run(const SolverOptions& options, SolverResult* result) override {
-    return RunWithContext(options, SolveContext(), result);
-  }
-
-  Status RunWithContext(const SolverOptions& options,
-                        const SolveContext& context,
-                        SolverResult* result) override {
+ private:
+  Status Solve(const SolverOptions& options, const SolveContext& context,
+               SolverResult* result) override {
     RisOptions ris;
+    static_cast<RunOptions&>(ris) = options;
     ris.epsilon = options.epsilon;
     ris.ell = options.ell;
-    ris.model = options.model;
-    ris.custom_model = options.custom_model;
-    ris.sampler_mode = options.sampler_mode;
     ris.tau_scale = options.ris_tau_scale;
     ris.max_rr_sets = options.ris_max_sets;
-    // The RIS-specific budget knob wins when set; the generic budget
-    // otherwise applies to RIS too (as its stop switch).
-    ris.memory_budget_bytes = options.ris_memory_budget_bytes != 0
-                                  ? options.ris_memory_budget_bytes
-                                  : options.memory_budget_bytes;
-    ris.num_threads = options.num_threads;
-    ris.pin_threads = options.pin_threads;
-    ris.seed = options.seed;
-    ris.spill_dir = options.spill_dir;
-    ris.sample_backend = options.sample_backend;
 
-    // RIS's budget contract is per-request (standalone), and RIS ignores
-    // max_hops — a shared stream keyed with a hop bound would diverge
-    // from the standalone run, so fall back in both cases.
-    const SolveContext effective =
-        (ris.memory_budget_bytes == 0 && options.max_hops == 0)
-            ? context
-            : SolveContext();
-
-    RisStats stats;
+    RisStats s;
     TIMPP_RETURN_NOT_OK(
-        RunRis(graph_, ris, options.k, effective, &result->seeds, &stats));
-
-    result->seconds_total = stats.seconds_total;
+        RunRis(graph_, ris, options.k, context, &result->seeds, &s));
+    result->seconds_total = s.seconds_total;
     result->estimated_spread =
-        stats.covered_fraction * static_cast<double>(graph_.num_nodes());
-    result->metrics = {
-        {"tau", stats.tau},
-        {"rr_sets_generated", static_cast<double>(stats.rr_sets_generated)},
-        {"cost_examined", static_cast<double>(stats.cost_examined)},
-        {"hit_set_cap", stats.hit_set_cap ? 1.0 : 0.0},
-        {"hit_memory_budget", stats.hit_memory_budget ? 1.0 : 0.0},
-        {"rr_sets_retained", static_cast<double>(stats.rr_sets_retained)},
-        {"regeneration_passes",
-         static_cast<double>(stats.regeneration_passes)},
-    };
-    AppendSpillMetrics(stats.rr_sets_spilled, stats.sets_spill_read,
-                       stats.spill, &result->metrics);
-    AppendBackendMetrics(stats.backend, &result->metrics);
+        s.covered_fraction * static_cast<double>(graph_.num_nodes());
+    result->metrics = RrMetrics({{"tau", s.tau},
+                                 {"rr_sets_generated",
+                                  Count(s.rr_sets_generated)},
+                                 {"cost_examined", Count(s.cost_examined)},
+                                 {"hit_set_cap", Flag(s.hit_set_cap)}},
+                                s, {});
     return Status::OK();
   }
-
- private:
-  const Graph& graph_;
 };
 
 // ---------------------------------------------------------- greedy family --

@@ -19,11 +19,12 @@ constexpr uint64_t kFillChunkSets = 64;
 }  // namespace
 
 struct LocalThreadBackend::Shard {
-  Shard(const Graph& graph, const SamplingConfig& config)
+  Shard(const Graph& graph, const SamplingConfig& config,
+        const AliasTable* root_distribution)
       : sampler(graph, config.model, config.custom_model, config.max_hops,
                 config.sampler_mode),
         sets(graph.num_nodes()) {
-    sampler.SetRootDistribution(config.root_distribution);
+    sampler.SetRootDistribution(root_distribution);
     scratch.reserve(256);
   }
 
@@ -40,12 +41,14 @@ struct LocalThreadBackend::Shard {
 };
 
 LocalThreadBackend::LocalThreadBackend(const Graph& graph,
-                                       const SamplingConfig& config)
+                                       const SamplingConfig& config,
+                                       const AliasTable* root_distribution)
     : graph_(graph), seed_(config.seed) {
   const unsigned num_threads = std::max(1u, config.num_threads);
   shards_.reserve(num_threads);
   for (unsigned w = 0; w < num_threads; ++w) {
-    shards_.push_back(std::make_unique<Shard>(graph_, config));
+    shards_.push_back(
+        std::make_unique<Shard>(graph_, config, root_distribution));
   }
   if (num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(num_threads - 1, config.pin_threads);

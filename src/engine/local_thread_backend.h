@@ -25,9 +25,11 @@ namespace timpp {
 
 class LocalThreadBackend final : public SampleBackend {
  public:
-  /// `graph` and `config`'s borrowed pointers must outlive the backend.
+  /// `graph`, `config`'s borrowed pointers and `root_distribution`
+  /// (nullptr = uniform roots) must outlive the backend.
   /// `config.num_threads` fixes the pool size (1 = sequential).
-  LocalThreadBackend(const Graph& graph, const SamplingConfig& config);
+  LocalThreadBackend(const Graph& graph, const SamplingConfig& config,
+                     const AliasTable* root_distribution = nullptr);
   ~LocalThreadBackend() override;
 
   Status Fill(uint64_t base, uint64_t count,

@@ -10,11 +10,12 @@
 // to having rerun the phase, because the phase itself was a pure function
 // of the key.
 //
-// Keys deliberately include every input the phase output depends on —
-// model, sampler mode, seed, hop bound, k, ℓ, ε′ — so a request that
-// changes any of them (most notably sampler mode or diffusion model, which
-// switch to a different RR stream entirely) misses instead of reading a
-// stale entry; "invalidation" is structural, not timed. Entries record
+// Keys deliberately include every input the phase output depends on — the
+// run's StreamKey (model, sampler mode, hop bound, seed, custom model) plus
+// k, ℓ, ε′ — so a request that changes any of them (most notably sampler
+// mode or diffusion model, which switch to a different RR stream entirely)
+// misses instead of reading a stale entry; "invalidation" is structural,
+// not timed. Entries record
 // positions of a stream consumed from index 0, which is how every solver
 // run starts (standalone engines are fresh; serving cursors start at 0),
 // and callers must only consult the cache in that situation.
@@ -40,8 +41,7 @@
 #include <mutex>
 #include <utility>
 
-#include "diffusion/triggering.h"
-#include "util/types.h"
+#include "engine/run_options.h"
 
 namespace timpp {
 
@@ -49,11 +49,7 @@ namespace timpp {
 /// (Algorithm 2, plus Algorithm 3 when use_refinement). Doubles are keyed
 /// by bit pattern: the phase is a function of the exact value.
 struct KptPhaseKey {
-  DiffusionModel model = DiffusionModel::kIC;
-  SamplerMode sampler_mode = SamplerMode::kAuto;
-  uint32_t max_hops = 0;
-  uint64_t seed = 0;
-  const TriggeringModel* custom_model = nullptr;
+  StreamKey stream;
   int k = 0;
   bool use_refinement = false;
   uint64_t ell_bits = 0;        // ℓ after any adjustment (bit pattern)
@@ -76,11 +72,7 @@ struct KptPhaseEntry {
 /// Inputs that fully determine IMM's sampling-phase output (the LB binary
 /// search over progressive θ_i batches).
 struct LbPhaseKey {
-  DiffusionModel model = DiffusionModel::kIC;
-  SamplerMode sampler_mode = SamplerMode::kAuto;
-  uint32_t max_hops = 0;
-  uint64_t seed = 0;
-  const TriggeringModel* custom_model = nullptr;
+  StreamKey stream;
   int k = 0;
   uint64_t epsilon_bits = 0;
   uint64_t ell_bits = 0;  // ℓ after any adjustment (bit pattern)
@@ -107,12 +99,18 @@ inline uint64_t PhaseHashMix(uint64_t h, uint64_t v) {
   return v ^ (v >> 31);
 }
 
-inline uint64_t PhaseKeyHash(const KptPhaseKey& key) {
-  uint64_t h = PhaseHashMix(0, static_cast<uint64_t>(key.model));
+/// Folds a stream's identity into hash state `h` — the part both phase
+/// keys share.
+inline uint64_t StreamKeyHash(uint64_t h, const StreamKey& key) {
+  h = PhaseHashMix(h, static_cast<uint64_t>(key.model));
   h = PhaseHashMix(h, static_cast<uint64_t>(key.sampler_mode));
   h = PhaseHashMix(h, key.max_hops);
   h = PhaseHashMix(h, key.seed);
-  h = PhaseHashMix(h, reinterpret_cast<uintptr_t>(key.custom_model));
+  return PhaseHashMix(h, reinterpret_cast<uintptr_t>(key.custom_model));
+}
+
+inline uint64_t PhaseKeyHash(const KptPhaseKey& key) {
+  uint64_t h = StreamKeyHash(0, key.stream);
   h = PhaseHashMix(h, static_cast<uint64_t>(key.k));
   h = PhaseHashMix(h, key.use_refinement ? 1 : 0);
   h = PhaseHashMix(h, key.ell_bits);
@@ -120,11 +118,7 @@ inline uint64_t PhaseKeyHash(const KptPhaseKey& key) {
 }
 
 inline uint64_t PhaseKeyHash(const LbPhaseKey& key) {
-  uint64_t h = PhaseHashMix(1, static_cast<uint64_t>(key.model));
-  h = PhaseHashMix(h, static_cast<uint64_t>(key.sampler_mode));
-  h = PhaseHashMix(h, key.max_hops);
-  h = PhaseHashMix(h, key.seed);
-  h = PhaseHashMix(h, reinterpret_cast<uintptr_t>(key.custom_model));
+  uint64_t h = StreamKeyHash(1, key.stream);
   h = PhaseHashMix(h, static_cast<uint64_t>(key.k));
   h = PhaseHashMix(h, key.epsilon_bits);
   return PhaseHashMix(h, key.ell_bits);

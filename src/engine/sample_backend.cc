@@ -7,14 +7,17 @@
 namespace timpp {
 
 std::unique_ptr<SampleBackend> CreateSampleBackend(
-    const Graph& graph, const SamplingConfig& config) {
-  switch (config.backend.kind) {
+    const Graph& graph, const SamplingConfig& config,
+    const AliasTable* root_distribution) {
+  switch (config.sample_backend.kind) {
     case SampleBackendKind::kProcessShards:
-      return std::make_unique<ProcessShardBackend>(graph, config);
+      return std::make_unique<ProcessShardBackend>(graph, config,
+                                                   root_distribution);
     case SampleBackendKind::kLocalThreads:
       break;
   }
-  return std::make_unique<LocalThreadBackend>(graph, config);
+  return std::make_unique<LocalThreadBackend>(graph, config,
+                                              root_distribution);
 }
 
 }  // namespace timpp

@@ -40,6 +40,7 @@
 
 namespace timpp {
 
+class AliasTable;
 class Graph;
 struct SamplingConfig;
 
@@ -78,7 +79,8 @@ enum class FallbackPolicy : uint8_t {
 };
 
 /// Backend selection and its process-shard knobs. Rides inside
-/// SamplingConfig / SolverOptions / ServingOptions; `--backend=local` vs
+/// SamplingConfig (and so every RunOptions) and ServingOptions;
+/// `--backend=local` vs
 /// `--backend=procs:N[:T][,fallback=local]` on the CLI. The choice never
 /// changes results — only where the sampling work runs.
 struct SampleBackendSpec {
@@ -217,11 +219,13 @@ inline Rng SampleIndexRng(uint64_t seed, uint64_t index) {
   return Rng(SplitMix64(state));
 }
 
-/// Builds the backend `config.backend` asks for. Never returns null; a
+/// Builds the backend `config.sample_backend` asks for, forwarding the
+/// engine's optional root distribution. Never returns null; a
 /// misconfigured process-shard backend reports its error on first Fill
 /// (workers are spawned lazily), so engine construction stays infallible.
-std::unique_ptr<SampleBackend> CreateSampleBackend(const Graph& graph,
-                                                   const SamplingConfig& config);
+std::unique_ptr<SampleBackend> CreateSampleBackend(
+    const Graph& graph, const SamplingConfig& config,
+    const AliasTable* root_distribution);
 
 }  // namespace timpp
 

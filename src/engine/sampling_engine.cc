@@ -22,10 +22,11 @@ constexpr uint64_t kSetsPerVisitBatch = 1024;
 }  // namespace
 
 SamplingEngine::SamplingEngine(const Graph& graph,
-                               const SamplingConfig& config)
+                               const SamplingConfig& config,
+                               const AliasTable* root_distribution)
     : graph_(graph), config_(config) {
   config_.num_threads = std::max(1u, config_.num_threads);
-  backend_ = CreateSampleBackend(graph_, config_);
+  backend_ = CreateSampleBackend(graph_, config_, root_distribution);
 }
 
 SamplingEngine::~SamplingEngine() = default;

@@ -38,7 +38,7 @@
 #include <span>
 #include <vector>
 
-#include "diffusion/triggering.h"
+#include "engine/run_options.h"
 #include "engine/sample_backend.h"
 #include "graph/graph.h"
 #include "rrset/rr_collection.h"
@@ -49,39 +49,6 @@
 #include "util/types.h"
 
 namespace timpp {
-
-/// Fixes the sampling distribution and the execution resources of an
-/// engine. Borrowed pointers must outlive the engine.
-struct SamplingConfig {
-  /// Diffusion model; kTriggering requires `custom_model`.
-  DiffusionModel model = DiffusionModel::kIC;
-  const TriggeringModel* custom_model = nullptr;
-  /// Reverse-traversal depth bound (0 = unlimited) — time-critical variant.
-  uint32_t max_hops = 0;
-  /// Non-uniform root distribution for node-weighted influence (nullptr =
-  /// uniform roots, Definition 2).
-  const AliasTable* root_distribution = nullptr;
-  /// Traversal strategy for the per-worker samplers: geometric skip
-  /// sampling over constant-probability arc runs vs one coin per arc
-  /// (see SamplerMode in util/types.h). Modes sample the identical RR-set
-  /// distribution but consume RNG streams differently, so switching modes
-  /// changes individual sets (not their statistics).
-  SamplerMode sampler_mode = SamplerMode::kAuto;
-  /// Total sampling parallelism (calling thread included). 1 = sequential.
-  /// Local-thread backends pool this many workers; process-shard backends
-  /// sample in their workers instead (see backend.worker_threads).
-  unsigned num_threads = 1;
-  /// Pin sampling worker threads to CPUs (util/ThreadPool affinity). Pure
-  /// placement — results are invariant to it, like num_threads.
-  bool pin_threads = false;
-  /// Master seed. Together with the engine's running set index it fully
-  /// determines every sampled set.
-  uint64_t seed = 0x7145ULL;
-  /// Where sample production runs (in-process threads vs worker
-  /// subprocesses). Results are bit-identical across backends; only
-  /// throughput and failure modes differ.
-  SampleBackendSpec backend;
-};
 
 /// Borgs et al.'s cost-threshold admission rule — the ONE definition of
 /// "sample until the cumulative traversal cost reaches τ" shared by every
@@ -134,12 +101,17 @@ struct SampleBatch {
   uint64_t sets_reused = 0;
 };
 
-/// Parallel RR-set generator bound to one graph and one SamplingConfig.
-/// Not thread-safe: one batch call at a time (the engine parallelizes
-/// internally).
+/// Parallel RR-set generator bound to one graph and one SamplingConfig
+/// (engine/run_options.h). Not thread-safe: one batch call at a time (the
+/// engine parallelizes internally).
 class SamplingEngine {
  public:
-  SamplingEngine(const Graph& graph, const SamplingConfig& config);
+  /// `config` is copied (sliced, when a solver passes its options); its
+  /// borrowed pointers must outlive the engine. `root_distribution`
+  /// (borrowed; nullptr = uniform roots, Definition 2) draws roots ∝ node
+  /// weight for node-weighted influence — local backends only.
+  SamplingEngine(const Graph& graph, const SamplingConfig& config,
+                 const AliasTable* root_distribution = nullptr);
   ~SamplingEngine();
 
   SamplingEngine(const SamplingEngine&) = delete;

@@ -2,9 +2,10 @@
 // maximization algorithm in timpp.
 //
 // A solver binds a graph at construction (via SolverRegistry::Create) and
-// executes with one options struct shared by all algorithms: common
-// parameters (k, ε, ℓ, model, threads, seed) plus a handful of
-// family-specific knobs that solvers outside the family ignore. Stats come
+// executes with one options struct shared by all algorithms: the shared
+// run knobs (RunOptions: model, seed, threads, backend, budget, ...), the
+// common parameters (k, ε, ℓ), plus a handful of family-specific knobs
+// that solvers outside the family ignore. Stats come
 // back as a uniform name → value list so callers (CLI, benches, serving
 // layers) can report any algorithm without branching on its concrete
 // result type.
@@ -16,8 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "diffusion/triggering.h"
-#include "engine/sample_backend.h"
+#include "engine/run_options.h"
 #include "engine/solve_context.h"
 #include "graph/graph.h"
 #include "util/status.h"
@@ -27,69 +27,31 @@ namespace timpp {
 
 /// One options struct for every registered algorithm. Solvers read the
 /// fields they understand and ignore the rest; defaults are the values the
-/// paper (or the quoted original work) recommends.
-struct SolverOptions {
+/// paper (or the quoted original work) recommends. The RunOptions base
+/// carries the RR-set solvers' run knobs (engine/run_options.h); solvers
+/// without RR sets read at most model, custom_model, sampler_mode and
+/// seed from it.
+struct SolverOptions : RunOptions {
   /// Seed-set size k ∈ [1, n].
   int k = 50;
   /// Approximation slack ε (RIS-family algorithms).
   double epsilon = 0.1;
   /// Confidence exponent: failure probability at most n^-ℓ.
   double ell = 1.0;
-  /// Diffusion model; kTriggering requires custom_model.
-  DiffusionModel model = DiffusionModel::kIC;
-  /// Borrowed; must outlive the run.
-  const TriggeringModel* custom_model = nullptr;
-  /// Propagation-round bound (0 = unlimited) for RR-set algorithms.
-  uint32_t max_hops = 0;
-  /// RR-traversal strategy for RR-set algorithms: geometric skip sampling
-  /// over constant-probability arc runs vs per-arc coins (SamplerMode).
-  SamplerMode sampler_mode = SamplerMode::kAuto;
-  /// Sampling worker threads (RR-set algorithms; results stay identical
-  /// across thread counts under the SamplingEngine contract).
-  unsigned num_threads = 1;
-  /// Pin sampling worker threads to CPUs (util/ThreadPool affinity).
-  /// Placement only — results are invariant to it.
-  bool pin_threads = false;
-  /// Master RNG seed for randomized algorithms.
-  uint64_t seed = 0x7145ULL;
-  /// Soft cap (bytes; 0 = unlimited) on resident RR-collection DataBytes
-  /// for RR-set algorithms. TIM/TIM+/IMM/RIS all degrade gracefully past
-  /// it (streaming sample-and-discard selection over a retained stream
-  /// prefix: same seeds, bounded memory, extra sampling passes — see
-  /// coverage/streaming_cover.h). Solvers without RR collections ignore
-  /// it.
-  size_t memory_budget_bytes = 0;
-  /// Parent directory for disk-spilled RR prefixes (empty = no spill
-  /// tier). Only consulted by RR-set solvers when memory_budget_bytes
-  /// trips: non-resident index ranges are then written to disk once and
-  /// replayed each greedy round instead of regenerated by graph traversal
-  /// — identical output, regeneration_passes == 0 while the store stays
-  /// healthy. Chunk files live in unique per-run subdirectories, deleted
-  /// when the run ends.
-  std::string spill_dir;
-  /// Where RR-set production runs: in-process threads (default) or
-  /// process shards — worker subprocesses coordinated over pipes
-  /// (engine/sample_backend.h; `im_cli --backend=procs:N`). Seeds, θ, LB
-  /// and all stats are bit-identical across backends for every RR-set
-  /// solver; non-RR solvers ignore it.
-  SampleBackendSpec sample_backend;
 
   // ---- family-specific knobs ----------------------------------------
   /// Monte-Carlo cascades per spread estimate (greedy/CELF family).
   uint64_t mc_samples = 10000;
   /// Cascade batching of Monte-Carlo spread estimates (greedy/CELF
-  /// family and IRIE's AP estimation; `im_cli --mc-batch`): bitmap64
-  /// packs 64 IC cascades per graph traversal via per-vertex lane
-  /// bitmaps (diffusion/batched_simulator.h) — near-64× traversal
-  /// amortization with statistically equivalent seed quality. RR-set
-  /// solvers ignore it.
+  /// family and IRIE's AP estimation; `im_cli --mc-batch`). bitmap64
+  /// pays off only on small, tree-like graphs — see
+  /// SpreadEstimatorOptions::mc_batch and the README's "Monte-Carlo
+  /// batching" table. RR-set solvers ignore it.
   McBatchMode mc_batch = McBatchMode::kScalar;
   /// Multiplier on RIS's theoretical cost threshold τ.
   double ris_tau_scale = 1.0;
   /// Cap on RIS's generated RR sets (0 = none).
   uint64_t ris_max_sets = 0;
-  /// Soft cap on RIS's RR-collection heap bytes (0 = none).
-  size_t ris_memory_budget_bytes = 0;
   /// IRIE rank-propagation strength α.
   double irie_alpha = 0.7;
   /// SIMPATH path-pruning threshold η.

@@ -7,25 +7,19 @@ namespace timpp {
 
 GraphContext::GraphContext(Graph graph, unsigned num_threads,
                            SampleBackendSpec backend, bool pin_threads)
-    : graph_(std::move(graph)),
-      num_threads_(std::max(1u, num_threads)),
-      backend_(std::move(backend)),
-      pin_threads_(pin_threads) {}
+    : graph_(std::move(graph)) {
+  sampling_.num_threads = std::max(1u, num_threads);
+  sampling_.pin_threads = pin_threads;
+  sampling_.sample_backend = std::move(backend);
+}
 
 std::shared_ptr<SharedRRCache> GraphContext::AcquireStream(
     const StreamKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = caches_.find(key);
   if (it == caches_.end()) {
-    SamplingConfig config;
-    config.model = key.model;
-    config.custom_model = key.custom_model;
-    config.max_hops = key.max_hops;
-    config.sampler_mode = key.sampler_mode;
-    config.num_threads = num_threads_;
-    config.pin_threads = pin_threads_;
-    config.seed = key.seed;
-    config.backend = backend_;
+    SamplingConfig config = sampling_;
+    static_cast<StreamKey&>(config) = key;
     std::shared_ptr<RRSpillStore> spill;
     if (!spill_dir_.empty()) {
       // The store persists across cache generations under this key: the

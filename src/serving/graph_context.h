@@ -1,9 +1,9 @@
 // GraphContext — everything a serving layer keeps alive per graph so that
 // requests against it amortize each other's work.
 //
-// A context owns the Graph, one SharedRRCache per sampling configuration
-// ever requested (model × sampler mode × seed × hop bound: different
-// configurations are different RR streams and share nothing), and a
+// A context owns the Graph, one SharedRRCache per StreamKey ever requested
+// (engine/run_options.h: different keys are different RR streams and share
+// nothing; thread count and backend are not part of the key), and a
 // PhaseCache memoizing TIM's KPT estimation and IMM's LB search. Per the
 // engine's per-index RNG contract, a request that needs the stream prefix
 // [0, θ′) consumes exactly the bytes it would have generated standalone —
@@ -41,34 +41,14 @@
 #include <mutex>
 #include <string>
 
-#include "diffusion/triggering.h"
 #include "engine/phase_cache.h"
-#include "engine/sample_backend.h"
+#include "engine/run_options.h"
 #include "graph/graph.h"
 #include "rrset/rr_spill.h"
 #include "serving/rr_cache.h"
 #include "util/types.h"
 
 namespace timpp {
-
-/// The sampling configuration facets that select a distinct RR stream.
-/// num_threads and the sample backend are deliberately absent: content is
-/// invariant to both, so one cache serves any parallelism setting and any
-/// backend.
-struct StreamKey {
-  DiffusionModel model = DiffusionModel::kIC;
-  SamplerMode sampler_mode = SamplerMode::kAuto;
-  uint32_t max_hops = 0;
-  uint64_t seed = 0;
-  /// Borrowed AND retained: a cache created under this key holds the
-  /// pointer for the context's lifetime, so it must outlive the context.
-  /// The ServingEngine never populates it (triggering requests run
-  /// standalone); only native callers building their own contexts may,
-  /// and they own the lifetime.
-  const TriggeringModel* custom_model = nullptr;
-
-  auto operator<=>(const StreamKey&) const = default;
-};
 
 /// Per-graph serving state. Not copyable; owned by a ServingEngine (or a
 /// test). Thread-safe: any number of requests may acquire streams, read,
@@ -88,13 +68,13 @@ class GraphContext {
   GraphContext& operator=(const GraphContext&) = delete;
 
   const Graph& graph() const { return graph_; }
-  unsigned num_threads() const { return num_threads_; }
-  const SampleBackendSpec& backend() const { return backend_; }
 
   /// The shared stream cache for `key`, created on first use and marked
   /// most-recently-used. The returned handle shares ownership: a stream
   /// evicted by EnforceCacheBudget while the caller still reads it stays
-  /// fully alive until the handle drops.
+  /// fully alive until the handle drops. A key's custom_model is retained
+  /// for the context's lifetime, so it must outlive the context (the
+  /// ServingEngine never passes one: triggering requests run standalone).
   std::shared_ptr<SharedRRCache> AcquireStream(const StreamKey& key);
 
   /// AcquireStream for single-threaded callers that want a reference and
@@ -167,9 +147,8 @@ class GraphContext {
   void RetireLocked(const CacheEntry& entry);
 
   Graph graph_;
-  unsigned num_threads_;
-  SampleBackendSpec backend_;
-  bool pin_threads_;
+  // Every cache engine's execution knobs; AcquireStream fills in the key.
+  SamplingConfig sampling_;
   PhaseCache phase_cache_;
   mutable std::mutex mu_;  // guards everything below
   std::map<StreamKey, CacheEntry> caches_;

@@ -13,31 +13,6 @@ namespace timpp {
 
 namespace {
 
-SolverOptions ToSolverOptions(const ImRequest& request,
-                              const ServingOptions& serving) {
-  SolverOptions options;
-  options.k = request.k;
-  options.epsilon = request.epsilon;
-  options.ell = request.ell;
-  options.model = request.model;
-  options.custom_model = request.custom_model;
-  options.sampler_mode = request.sampler_mode;
-  options.max_hops = request.max_hops;
-  options.seed = request.seed;
-  options.memory_budget_bytes = request.memory_budget_bytes;
-  options.spill_dir = serving.spill_dir;
-  options.mc_samples = request.mc_samples;
-  options.mc_batch = request.mc_batch;
-  options.ris_tau_scale = request.ris_tau_scale;
-  options.ris_max_sets = request.ris_max_sets;
-  options.num_threads = serving.num_threads;
-  options.pin_threads = serving.pin_threads;
-  // Standalone-path requests (budgeted, non-RR, custom-model) still run
-  // their sampling on the engine-wide backend.
-  options.sample_backend = serving.sample_backend;
-  return options;
-}
-
 /// Whether this run restored an estimation phase (TIM's KPT, IMM's LB)
 /// from the PhaseCache — read off the result's own metrics, which a
 /// concurrent request can't perturb (a global hit-counter delta could
@@ -111,12 +86,18 @@ ImResponse ServingEngine::SolveOnContext(GraphContext& context,
                                                     context.graph(), &solver);
   if (!response.status.ok()) return response;
 
-  const SolverOptions options = ToSolverOptions(request, options_);
+  SolverOptions options = request;
+  options.num_threads = options_.num_threads;
+  options.pin_threads = options_.pin_threads;
+  // Standalone-path requests (budgeted, non-RR, custom-model) still run
+  // their sampling on the engine-wide backend and spill dir.
+  options.sample_backend = options_.sample_backend;
+  options.spill_dir = options_.spill_dir;
 
   // The shared stream only helps RR-set solvers; a per-request memory
   // budget contradicts a shared collection; and a caller-owned triggering
   // model must not be retained past the request (the caches would keep
-  // its pointer alive context-lifetime — see ImRequest::custom_model).
+  // its pointer alive context-lifetime — see ImRequest).
   // All three cases run the plain standalone path.
   if (!solver->UsesSolveContext() || request.memory_budget_bytes != 0 ||
       request.custom_model != nullptr) {
@@ -124,15 +105,9 @@ ImResponse ServingEngine::SolveOnContext(GraphContext& context,
     return response;
   }
 
-  StreamKey key;
-  key.model = request.model;
-  key.sampler_mode = request.sampler_mode;
-  key.max_hops = request.max_hops;
-  key.seed = request.seed;
-  key.custom_model = request.custom_model;
   // The shared handle keeps the stream alive even if a concurrent
   // request's budget enforcement evicts it mid-read.
-  std::shared_ptr<SharedRRCache> cache = context.AcquireStream(key);
+  std::shared_ptr<SharedRRCache> cache = context.AcquireStream(options);
   CachedSampleSource source(cache.get());
   SolveContext solve_context;
   solve_context.source = &source;

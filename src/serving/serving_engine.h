@@ -83,39 +83,21 @@ struct ServingOptions {
   bool pin_threads = false;
 };
 
-/// One influence-maximization request. Field semantics match
-/// SolverOptions; defaults are the library defaults.
-struct ImRequest {
+/// One influence-maximization request: SolverOptions plus routing.
+///
+/// The run knobs num_threads, pin_threads, sample_backend and spill_dir
+/// are engine-wide: ServingEngine overwrites them from ServingOptions, so
+/// setting them here has no effect. A request with a memory budget runs
+/// standalone (no shared-collection reuse): the budget caps THIS request's
+/// resident bytes, which a shared collection would make meaningless. So
+/// does one with a custom_model (borrowed; must outlive the request), so
+/// that the shared caches never retain the caller's pointer past it. Seeds
+/// match the equivalent standalone run either way.
+struct ImRequest : SolverOptions {
   /// Registered graph name.
   std::string graph;
   /// Registry solver name ("tim+", "imm", "ris", "celf", ...).
   std::string algo = "tim+";
-  int k = 50;
-  double epsilon = 0.1;
-  double ell = 1.0;
-  DiffusionModel model = DiffusionModel::kIC;
-  /// Borrowed; must outlive the request (API users only — the CLI batch
-  /// format cannot express it). Triggering-model requests always run the
-  /// standalone path: the shared caches would otherwise retain this
-  /// pointer for the context's lifetime, dangling once the caller frees
-  /// the model.
-  const TriggeringModel* custom_model = nullptr;
-  SamplerMode sampler_mode = SamplerMode::kAuto;
-  uint32_t max_hops = 0;
-  uint64_t seed = 0x7145ULL;
-  /// Per-request resident-memory cap. A budgeted request runs standalone
-  /// (no shared-collection reuse): the budget contract is about THIS
-  /// request's resident bytes, which a shared collection would make
-  /// meaningless. Seeds still match the equivalent standalone run.
-  size_t memory_budget_bytes = 0;
-  /// Family-specific knobs (ignored by solvers outside the family).
-  uint64_t mc_samples = 10000;
-  /// Cascade batching of MC spread estimates (greedy/CELF family, IRIE;
-  /// batch key "mc_batch"). MC solvers never touch the shared RR
-  /// streams, so this knob does not participate in any cache key.
-  McBatchMode mc_batch = McBatchMode::kScalar;
-  double ris_tau_scale = 1.0;
-  uint64_t ris_max_sets = 0;
 };
 
 /// One request's outcome. `result` is meaningful only when status is OK.

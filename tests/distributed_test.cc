@@ -44,7 +44,7 @@ SamplingConfig Config(DiffusionModel model, uint64_t seed,
   SamplingConfig config;
   config.model = model;
   config.seed = seed;
-  config.backend = backend;
+  config.sample_backend = backend;
   return config;
 }
 

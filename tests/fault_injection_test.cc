@@ -51,7 +51,7 @@ SamplingConfig Config(uint64_t seed, const SampleBackendSpec& backend = {}) {
   SamplingConfig config;
   config.model = DiffusionModel::kIC;
   config.seed = seed;
-  config.backend = backend;
+  config.sample_backend = backend;
   return config;
 }
 
@@ -250,6 +250,102 @@ TEST(FaultMatrixTest, SolversStayBitIdenticalUnderInjectedFaults) {
     }
     EXPECT_GE(faulty.Metric("backend_shard_retries", 0.0), 1.0);
     EXPECT_GE(faulty.Metric("backend_worker_respawns", 0.0), 1.0);
+  }
+}
+
+// ------------------------------------ metric contract -------------------
+
+// The registry's metric names AND their order are a contract: im_cli prints
+// them in emission order, and local-vs-procs / budget / spill sweeps
+// compare runs stat for stat. Spill and backend counters appear only when
+// they fired, so a plain local run keeps the exact list it always had.
+TEST(SolverMetricContractTest, NamesAndOrderArePinnedPerAlgorithm) {
+  const Graph graph = MakeWcPowerLaw(250, 3, 17);
+  testing::TempSpillDir dir;
+
+  const std::vector<std::string> budget = {
+      "hit_memory_budget", "rr_sets_retained", "regeneration_passes"};
+  const std::vector<std::string> spill = {
+      "rr_sets_spilled", "sets_spill_read", "spill_bytes_written"};
+  const std::vector<std::string> backend = {
+      "backend_shard_retries",   "backend_worker_respawns",
+      "backend_shard_timeouts",  "backend_worker_crashes",
+      "backend_corrupt_frames",  "backend_quarantined_workers",
+      "backend_fallback_shards", "backend_fallback_sets"};
+  const auto concat = [](std::vector<std::vector<std::string>> parts) {
+    std::vector<std::string> out;
+    for (const auto& part : parts) {
+      out.insert(out.end(), part.begin(), part.end());
+    }
+    return out;
+  };
+  const std::vector<std::string> tim_head = {
+      "theta",       "theta_prime",    "kpt_star",        "kpt_plus",
+      "rr_sets_kpt", "edges_examined", "rr_memory_bytes", "rr_data_bytes"};
+  const std::vector<std::string> tim_tail = {"seconds_node_selection",
+                                             "kpt_cache_hit"};
+  const std::vector<std::string> imm_head = {
+      "theta",           "lb",           "rr_sets_sampling",
+      "sampling_iterations", "rr_memory_bytes", "rr_data_bytes"};
+  const std::vector<std::string> imm_tail = {"lb_cache_hit"};
+  const std::vector<std::string> ris_head = {"tau", "rr_sets_generated",
+                                             "cost_examined", "hit_set_cap"};
+  struct AlgoNames {
+    const char* algo;
+    std::vector<std::string> plain;
+  };
+  const AlgoNames algos[] = {
+      {"tim", concat({tim_head, budget, tim_tail})},
+      {"tim+", concat({tim_head, budget, tim_tail})},
+      {"imm", concat({imm_head, budget, imm_tail})},
+      {"ris", concat({ris_head, budget})},
+  };
+
+  const auto names_of = [](const SolverResult& result) {
+    std::vector<std::string> names;
+    for (const auto& [name, value] : result.metrics) names.push_back(name);
+    return names;
+  };
+  for (const AlgoNames& expected : algos) {
+    SCOPED_TRACE(expected.algo);
+    std::unique_ptr<InfluenceSolver> solver;
+    ASSERT_TRUE(
+        SolverRegistry::Global().Create(expected.algo, graph, &solver).ok());
+    SolverOptions options;
+    options.k = 4;
+    options.epsilon = 0.3;
+    options.seed = 1234;
+    options.ris_tau_scale = 0.05;
+    options.ris_max_sets = 200000;
+
+    SolverResult plain;
+    ASSERT_TRUE(solver->Run(options, &plain).ok());
+    EXPECT_EQ(names_of(plain), expected.plain);
+
+    // A 1 KiB budget trips every RR solver on this graph: regeneration
+    // without a spill dir, disk replay with one.
+    options.memory_budget_bytes = 1024;
+    SolverResult regenerated;
+    ASSERT_TRUE(solver->Run(options, &regenerated).ok());
+    EXPECT_EQ(regenerated.Metric("hit_memory_budget"), 1.0);
+    EXPECT_GT(regenerated.Metric("regeneration_passes"), 0.0);
+    EXPECT_EQ(names_of(regenerated), expected.plain);
+
+    options.spill_dir = dir.path();
+    SolverResult spilled;
+    ASSERT_TRUE(solver->Run(options, &spilled).ok());
+    EXPECT_GT(spilled.Metric("rr_sets_spilled"), 0.0);
+    EXPECT_EQ(names_of(spilled), concat({expected.plain, spill}));
+
+    // A killed worker makes every backend counter appear, zeros included.
+    options.memory_budget_bytes = 0;
+    options.spill_dir.clear();
+    options.sample_backend = Procs(2, "kill@50");
+    SolverResult recovered;
+    const Status status = solver->Run(options, &recovered);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_GE(recovered.Metric("backend_shard_retries"), 1.0);
+    EXPECT_EQ(names_of(recovered), concat({expected.plain, backend}));
   }
 }
 

@@ -138,9 +138,10 @@ TEST(GraphImageTest, ProcsWorkersLoadTheImageBitIdentically) {
   local.SampleInto(&local_rr, 1500);
 
   SamplingConfig procs_config = local_config;
-  procs_config.backend.kind = SampleBackendKind::kProcessShards;
-  procs_config.backend.num_workers = 2;
-  procs_config.backend.graph_source = "format=image;path=" + image.path();
+  procs_config.sample_backend.kind = SampleBackendKind::kProcessShards;
+  procs_config.sample_backend.num_workers = 2;
+  procs_config.sample_backend.graph_source =
+      "format=image;path=" + image.path();
   SamplingEngine procs(mapped, procs_config);
   RRCollection procs_rr(mapped.num_nodes());
   procs.SampleInto(&procs_rr, 1500);

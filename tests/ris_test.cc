@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "baselines/ris.h"
 #include "diffusion/exact_spread.h"
 #include "diffusion/triggering.h"
+#include "engine/solver_registry.h"
 #include "tests/test_util.h"
 
 namespace timpp {
@@ -35,6 +37,26 @@ TEST(RisValidationTest, RejectsBadInputs) {
   options = SmallOptions();
   options.model = DiffusionModel::kTriggering;
   EXPECT_TRUE(RunRis(g, options, 1, &seeds, nullptr).IsInvalidArgument());
+}
+
+// τ is Borgs et al.'s bound for the unbounded spread, so a hop bound must
+// fail loudly instead of silently optimizing the wrong objective — both
+// natively and through the registry.
+TEST(RisValidationTest, RejectsMaxHops) {
+  Graph g = MakeTwoCommunities(0.3f);
+  std::vector<NodeId> seeds;
+  RisOptions options = SmallOptions();
+  options.max_hops = 2;
+  EXPECT_TRUE(RunRis(g, options, 2, &seeds, nullptr).IsInvalidArgument());
+
+  std::unique_ptr<InfluenceSolver> solver;
+  ASSERT_TRUE(SolverRegistry::Global().Create("ris", g, &solver).ok());
+  SolverOptions solver_options;
+  solver_options.k = 2;
+  solver_options.epsilon = 0.3;
+  solver_options.max_hops = 2;
+  SolverResult result;
+  EXPECT_TRUE(solver->Run(solver_options, &result).IsInvalidArgument());
 }
 
 TEST(RisTest, StopsAtTauAndReportsCost) {

@@ -31,18 +31,7 @@ SolverResult SolveStandalone(const Graph& graph, const ImRequest& request,
   std::unique_ptr<InfluenceSolver> solver;
   Status s = SolverRegistry::Global().Create(request.algo, graph, &solver);
   EXPECT_TRUE(s.ok()) << s.ToString();
-  SolverOptions options;
-  options.k = request.k;
-  options.epsilon = request.epsilon;
-  options.ell = request.ell;
-  options.model = request.model;
-  options.sampler_mode = request.sampler_mode;
-  options.max_hops = request.max_hops;
-  options.seed = request.seed;
-  options.memory_budget_bytes = request.memory_budget_bytes;
-  options.mc_samples = request.mc_samples;
-  options.ris_tau_scale = request.ris_tau_scale;
-  options.ris_max_sets = request.ris_max_sets;
+  SolverOptions options = request;
   options.num_threads = num_threads;
   SolverResult result;
   s = solver->Run(options, &result);
