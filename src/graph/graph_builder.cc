@@ -42,7 +42,19 @@ void GraphBuilder::RemoveSelfLoops() {
 }
 
 Status GraphBuilder::Build(Graph* out) const {
+  const NodeId n = num_nodes_;
+  // A count of kInvalidNode wraps the n + 1 offsets below, and AddEdge's
+  // count wraps past an endpoint of kInvalidNode, leaving it out of range.
+  if (n == kInvalidNode) {
+    return Status::InvalidArgument("node count " + std::to_string(n) +
+                                   " reaches the reserved id kInvalidNode");
+  }
   for (const RawEdge& e : edges_) {
+    if (e.from >= n || e.to >= n) {
+      return Status::InvalidArgument(
+          "edge (" + std::to_string(e.from) + " -> " + std::to_string(e.to) +
+          ") has an endpoint outside [0, " + std::to_string(n) + ")");
+    }
     if (!std::isfinite(e.prob) || e.prob < 0.0f || e.prob > 1.0f) {
       return Status::InvalidArgument(
           "edge (" + std::to_string(e.from) + " -> " + std::to_string(e.to) +
@@ -50,7 +62,6 @@ Status GraphBuilder::Build(Graph* out) const {
     }
   }
 
-  const NodeId n = num_nodes_;
   const size_t m = edges_.size();
 
   GraphArrays a;

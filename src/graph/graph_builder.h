@@ -60,7 +60,9 @@ class GraphBuilder {
   void RemoveSelfLoops();
 
   /// Freezes into `*out`. Fails with InvalidArgument if any probability is
-  /// outside [0, 1] or not finite. The builder remains reusable.
+  /// outside [0, 1] or not finite, if the node count is kInvalidNode, or if
+  /// an endpoint is not below the node count (AddEdge's count wraps past an
+  /// endpoint of kInvalidNode). The builder remains reusable.
   Status Build(Graph* out) const;
 
  private:

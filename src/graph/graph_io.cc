@@ -5,15 +5,21 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <array>
+#include <bit>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -24,42 +30,175 @@ namespace {
 constexpr char kMagic[4] = {'T', 'I', 'M', 'G'};
 constexpr uint32_t kVersion = 1;
 
+// ReadEdgeList reads the file in blocks of this size. A line longer than
+// the buffer doubles it until the line fits.
+constexpr size_t kReadBlockBytes = size_t{1} << 20;
+
+/// Closes a POSIX descriptor on scope exit.
+class ScopedFd {
+ public:
+  explicit ScopedFd(int fd) : fd_(fd) {}
+  ~ScopedFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+// The classic locale's whitespace: ' ', '\t', '\n', '\v', '\f', '\r'.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+bool AtTokenEnd(const char* p, const char* end) {
+  return p == end || IsSpace(*p);
+}
+
+const char* SkipSpace(const char* p, const char* end) {
+  while (p != end && IsSpace(*p)) ++p;
+  return p;
+}
+
+// Reads the whitespace-delimited id token at *p ("[+-]digits") and
+// advances *p past it. Returns nullptr, or why the token is not an id.
+const char* ReadId(const char** p, const char* end, NodeId* id) {
+  const char* q = *p;
+  const bool negative = q != end && *q == '-';
+  if (q != end && (*q == '+' || *q == '-')) ++q;
+  uint64_t value = 0;
+  const std::from_chars_result r = std::from_chars(q, end, value);
+  if (r.ec == std::errc::invalid_argument || !AtTokenEnd(r.ptr, end)) {
+    return "expected 'u v [p]'";
+  }
+  if (negative && (value != 0 || r.ec != std::errc())) {
+    return "negative node id";
+  }
+  if (r.ec != std::errc() || value >= kInvalidNode) {
+    return "node id out of range";
+  }
+  *id = static_cast<NodeId>(value);
+  *p = r.ptr;
+  return nullptr;
+}
+
+// Reads the whitespace-delimited probability token at p: a finite decimal
+// within float range. It is read as a double and then narrowed, the path
+// edge lists have always taken, so existing files keep their float bits.
+// False when the token is anything else.
+bool ReadProb(const char* p, const char* end, float* prob) {
+  // The grammar allows a leading '+'; from_chars does not.
+  if (*p == '+' && ++p != end && *p == '-') return false;
+  double value = 0;
+  std::from_chars_result r = std::from_chars(p, end, value);
+  if (r.ec == std::errc::result_out_of_range) {
+    // Beyond double's exponent range. An underflow is a valid value that
+    // reads as +-0; long double tells it from an overflow.
+    long double wide = 0;
+    r = std::from_chars(p, end, wide);
+    if (r.ec == std::errc() && std::fabs(wide) < 1) {
+      value = std::signbit(wide) ? -0.0 : 0.0;
+    } else {
+      r.ec = std::errc::result_out_of_range;
+    }
+  }
+  if (r.ec != std::errc() || !AtTokenEnd(r.ptr, end) ||
+      !(std::fabs(value) <= std::numeric_limits<float>::max())) {
+    return false;
+  }
+  *prob = static_cast<float>(value);
+  return true;
+}
+
+// Parses lines of an edge list into a builder.
+class LineParser {
+ public:
+  LineParser(const EdgeListOptions& options, GraphBuilder* builder)
+      : options_(options), builder_(builder) {
+    for (const char c : options.comment_chars) {
+      is_comment_[static_cast<unsigned char>(c)] = true;
+    }
+  }
+
+  // Parses one line, without its '\n'. Returns nullptr, or why the line is
+  // malformed.
+  const char* Parse(const char* p, const char* end) const {
+    // The first byte that is not ' ', '\t' or '\r' decides whether the
+    // line is blank or a comment.
+    const char* first = p;
+    while (first != end &&
+           (*first == ' ' || *first == '\t' || *first == '\r')) {
+      ++first;
+    }
+    if (first == end || is_comment_[static_cast<unsigned char>(*first)]) {
+      return nullptr;
+    }
+
+    NodeId from = 0, to = 0;
+    p = SkipSpace(first, end);
+    if (const char* error = ReadId(&p, end, &from)) return error;
+    p = SkipSpace(p, end);
+    if (const char* error = ReadId(&p, end, &to)) return error;
+    // Tokens after the third are ignored.
+    float prob = options_.default_prob;
+    p = SkipSpace(p, end);
+    if (p != end && !ReadProb(p, end, &prob)) {
+      return "probability is not a finite float";
+    }
+
+    if (options_.undirected) {
+      builder_->AddUndirectedEdge(from, to, prob);
+    } else {
+      builder_->AddEdge(from, to, prob);
+    }
+    return nullptr;
+  }
+
+ private:
+  const EdgeListOptions& options_;
+  GraphBuilder* builder_;
+  std::array<bool, 256> is_comment_{};
+};
+
 }  // namespace
 
 Status ReadEdgeList(const std::string& path, const EdgeListOptions& options,
                     GraphBuilder* builder) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
+  const ScopedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (fd.get() < 0) return Status::IOError("cannot open " + path);
 
-  std::string line;
+  const LineParser parser(options, builder);
+  std::vector<char> buffer(kReadBlockBytes);
+  size_t held = 0;  // bytes of an unfinished line at the front of buffer
   size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // Skip blank and comment lines.
-    size_t start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos) continue;
-    if (options.comment_chars.find(line[start]) != std::string::npos) continue;
-
-    std::istringstream ss(line);
-    long long u = -1, v = -1;
-    double p = options.default_prob;
-    if (!(ss >> u >> v)) {
-      return Status::Corruption(path + ":" + std::to_string(line_no) +
-                                ": expected 'u v [p]'");
+  for (bool eof = false; !eof;) {
+    const ssize_t got =
+        ::read(fd.get(), buffer.data() + held, buffer.size() - held);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError("read error on " + path + ": " +
+                             std::strerror(errno));
     }
-    ss >> p;  // optional third column; keeps default on failure
-    if (u < 0 || v < 0) {
-      return Status::Corruption(path + ":" + std::to_string(line_no) +
-                                ": negative node id");
+    eof = got == 0;
+    const char* p = buffer.data();
+    const char* const end = p + held + got;
+    while (p != end) {
+      const char* newline =
+          static_cast<const char*>(std::memchr(p, '\n', end - p));
+      if (newline == nullptr && !eof) break;  // wait for the rest of it
+      const char* const line_end = newline == nullptr ? end : newline;
+      ++line_no;
+      if (const char* error = parser.Parse(p, line_end)) {
+        return Status::Corruption(path + ":" + std::to_string(line_no) +
+                                  ": " + error);
+      }
+      p = newline == nullptr ? end : newline + 1;
     }
-    const NodeId from = static_cast<NodeId>(u);
-    const NodeId to = static_cast<NodeId>(v);
-    const float prob = static_cast<float>(p);
-    if (options.undirected) {
-      builder->AddUndirectedEdge(from, to, prob);
-    } else {
-      builder->AddEdge(from, to, prob);
-    }
+    held = static_cast<size_t>(end - p);
+    std::memmove(buffer.data(), p, held);
+    if (held == buffer.size()) buffer.resize(2 * buffer.size());
   }
   return Status::OK();
 }
@@ -69,21 +208,36 @@ Status WriteEdgeList(const Graph& graph, const std::string& path) {
   if (!out) return Status::IOError("cannot open " + path + " for writing");
   out << "# timpp edge list: n=" << graph.num_nodes()
       << " m=" << graph.num_edges() << "\n";
+  // The widest line is two 10-digit ids, a 24-byte double and separators.
+  char line[64];
+  char* const last = line + sizeof(line) - 1;  // a byte for each separator
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     for (const Arc& a : graph.OutArcs(v)) {
-      out << v << ' ' << a.node << ' ' << a.prob << '\n';
+      char* p = std::to_chars(line, last, v).ptr;
+      *p++ = ' ';
+      p = std::to_chars(p, last, a.node).ptr;
+      *p++ = ' ';
+      char* const prob = p;
+      p = std::to_chars(prob, last, a.prob).ptr;
+      // ReadEdgeList narrows the decimal through double, and for a few
+      // floats (e.g. 7.038531e-26) the float's shortest form rounds twice
+      // to a neighbour. The double's shortest form always reads back.
+      float back = 0;
+      ReadProb(prob, p, &back);
+      if (std::bit_cast<uint32_t>(back) != std::bit_cast<uint32_t>(a.prob)) {
+        p = std::to_chars(prob, last, static_cast<double>(a.prob)).ptr;
+      }
+      *p++ = '\n';
+      out.write(line, p - line);
     }
   }
   if (!out) return Status::IOError("write failure on " + path);
   return Status::OK();
 }
 
-namespace {
-
-// Stream cores shared by the file and in-memory forms; `name` labels error
-// messages (a path, or a transport description).
-Status WriteBinaryStream(const Graph& graph, std::ostream& out,
-                         const std::string& name) {
+Status WriteBinary(const Graph& graph, const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return Status::IOError("cannot open " + path + " for writing");
   out.write(kMagic, sizeof(kMagic));
   uint32_t version = kVersion;
   uint64_t n = graph.num_nodes();
@@ -100,55 +254,57 @@ Status WriteBinaryStream(const Graph& graph, std::ostream& out,
       out.write(reinterpret_cast<const char*>(&a.prob), sizeof(a.prob));
     }
   }
-  if (!out) return Status::IOError("write failure on " + name);
+  if (!out) return Status::IOError("write failure on " + path);
   return Status::OK();
 }
 
-Status ReadBinaryStream(std::istream& in, const std::string& name,
-                        Graph* graph) {
+Status ReadBinary(const std::string& path, Graph* graph) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("cannot open " + path);
   char magic[4];
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption(name + ": bad magic");
+    return Status::Corruption(path + ": bad magic");
   }
   uint32_t version = 0;
   uint64_t n = 0, m = 0;
   in.read(reinterpret_cast<char*>(&version), sizeof(version));
   in.read(reinterpret_cast<char*>(&n), sizeof(n));
   in.read(reinterpret_cast<char*>(&m), sizeof(m));
-  if (!in) return Status::Corruption(name + ": truncated header");
+  if (!in) return Status::Corruption(path + ": truncated header");
   if (version != kVersion) {
-    return Status::Corruption(name + ": unsupported version " +
+    return Status::Corruption(path + ": unsupported version " +
                               std::to_string(version));
+  }
+  if (n >= kInvalidNode) {
+    return Status::Corruption(path + ": node count out of range");
   }
 
   GraphBuilder builder;
   builder.ReserveNodes(static_cast<NodeId>(n));
-  builder.ReserveEdges(m);
+  // A regular file holds at most its remaining bytes / 12 records, which
+  // bounds the reservation a corrupt header can ask for. Other inputs
+  // (pipes) reserve nothing and stop at their first missing record.
+  constexpr uint64_t kHeaderBytes = 24, kRecordBytes = 12;
+  std::error_code ec;
+  const uintmax_t file_bytes = std::filesystem::file_size(path, ec);
+  if (!ec) {
+    if (file_bytes < kHeaderBytes ||
+        m > (file_bytes - kHeaderBytes) / kRecordBytes) {
+      return Status::Corruption(path + ": edge count exceeds file size");
+    }
+    builder.ReserveEdges(m);
+  }
   for (uint64_t i = 0; i < m; ++i) {
     uint32_t from = 0, to = 0;
     float prob = 0;
     in.read(reinterpret_cast<char*>(&from), sizeof(from));
     in.read(reinterpret_cast<char*>(&to), sizeof(to));
     in.read(reinterpret_cast<char*>(&prob), sizeof(prob));
-    if (!in) return Status::Corruption(name + ": truncated edge records");
+    if (!in) return Status::Corruption(path + ": truncated edge records");
     builder.AddEdge(from, to, prob);
   }
   return builder.Build(graph);
-}
-
-}  // namespace
-
-Status WriteBinary(const Graph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  return WriteBinaryStream(graph, out, path);
-}
-
-Status ReadBinary(const std::string& path, Graph* graph) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  return ReadBinaryStream(in, path, graph);
 }
 
 namespace {

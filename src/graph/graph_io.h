@@ -25,16 +25,34 @@ struct EdgeListOptions {
 };
 
 /// Parses a whitespace-separated edge list ("u v" or "u v p" per line) into
-/// `builder` (appending to existing content). Node ids must be non-negative
-/// integers; ids are used as-is (no compaction).
+/// `builder` (appending to existing content). Ids are used as-is (no
+/// compaction).
+///
+/// Grammar, per '\n'-terminated line (the last line needs no '\n'):
+///   - A line is skipped when it holds only ' ', '\t' and '\r', or when its
+///     first other byte is one of `comment_chars`.
+///   - Otherwise it holds tokens separated by ' ', '\t', '\r', '\v', '\f'.
+///     The first two are node ids: decimal digits with an optional '+' (or
+///     '-' on zero), below kInvalidNode (2^32 - 1).
+///   - An optional third token is the probability: a finite decimal within
+///     float range, optionally signed, with optional exponent. It is read as
+///     a double and narrowed to float. Values outside [0, 1] parse (a weight
+///     pass may overwrite them); Build() rejects any that survive.
+///   - Tokens after the third are ignored.
+/// Returns IOError when the file cannot be opened or read, and Corruption
+/// naming "path:line:" for the first malformed line. Reads sequentially, so
+/// pipes work too.
 Status ReadEdgeList(const std::string& path, const EdgeListOptions& options,
                     GraphBuilder* builder);
 
-/// Writes "from to prob" lines.
+/// Writes "from to prob" lines, each probability in the shortest form that
+/// ReadEdgeList reads back to the same float bits.
 Status WriteEdgeList(const Graph& graph, const std::string& path);
 
 /// Binary container: magic, version, n, m, then (from, to, prob) triples.
 /// Round-trips exactly (modulo arc ordering, which Build() canonicalizes).
+/// ReadBinary returns Corruption for a header whose node count is not below
+/// kInvalidNode, or whose edge count exceeds what the file's size can hold.
 Status WriteBinary(const Graph& graph, const std::string& path);
 Status ReadBinary(const std::string& path, Graph* graph);
 
