@@ -13,9 +13,9 @@
 
 namespace timpp {
 
-/// Runs IC cascades on a fixed graph. Holds reusable scratch (a visit marker
-/// and a BFS queue) so repeated simulations do not allocate. Not thread-safe;
-/// create one simulator per thread.
+/// Runs IC cascades on a fixed graph. Holds reusable scratch (a visit marker,
+/// a BFS queue and an arc buffer) so repeated simulations do not allocate.
+/// Not thread-safe; create one simulator per thread.
 class IcSimulator {
  public:
   /// `mode` picks the arc-decision strategy: kAuto resolves to geometric
@@ -58,6 +58,9 @@ class IcSimulator {
   bool use_skip_;
   VisitMarker visited_;
   std::vector<NodeId> queue_;
+  /// Per-arc mode's kept arcs of the node being expanded; grown to the
+  /// largest out-degree seen.
+  std::vector<Arc> live_;
 };
 
 }  // namespace timpp

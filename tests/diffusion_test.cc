@@ -2,7 +2,10 @@
 // the exact-spread oracles, cross-validated against hand-computed values.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <ios>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -12,9 +15,12 @@
 #include "diffusion/spread_estimator.h"
 #include "diffusion/triggering.h"
 #include "gen/generators.h"
+#include "graph/graph_builder.h"
+#include "graph/run_sampling.h"
 #include "graph/weight_models.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
+#include "util/visit_marker.h"
 
 namespace timpp {
 namespace {
@@ -24,6 +30,7 @@ using testing::MakeChain;
 using testing::MakeGraph;
 using testing::MakeOutStar;
 using testing::MakeTwoCommunities;
+using testing::MakeWcPowerLaw;
 
 // ------------------------------------------------------------ IC forward --
 
@@ -92,6 +99,138 @@ TEST(IcSimulatorTest, MeanMatchesClosedFormOnStar) {
   std::vector<NodeId> seeds = {0};
   for (int i = 0; i < r; ++i) total += sim.Simulate(seeds, rng);
   ExpectClose(1 + 10 * 0.3, total / r, 0.01);
+}
+
+// ------------------------------------------------ IC kernel equivalence --
+
+// IcSimulator as it stood with a one-pass per-arc loop, kept verbatim as
+// the reference the kernel must match coin for coin: the same counts, the
+// same activation order and the same RNG state after every cascade.
+class OnePassIcSimulator {
+ public:
+  OnePassIcSimulator(const Graph& graph, SamplerMode mode)
+      : graph_(graph),
+        use_skip_(mode == SamplerMode::kSkip ||
+                  (mode == SamplerMode::kAuto &&
+                   graph.AvgOutRunLength() >= kSkipRunLengthThreshold)),
+        visited_(graph.num_nodes()) {}
+
+  uint64_t SimulateCollect(std::span<const NodeId> seeds, Rng& rng,
+                           std::vector<NodeId>* activated,
+                           uint32_t max_hops = 0) {
+    visited_.NewEpoch();
+    queue_.clear();
+    if (activated != nullptr) activated->clear();
+
+    uint64_t count = 0;
+    for (NodeId s : seeds) {
+      if (visited_.VisitIfNew(s)) {
+        queue_.push_back(s);
+        ++count;
+        if (activated != nullptr) activated->push_back(s);
+      }
+    }
+
+    size_t level_end = queue_.size();
+    uint32_t hops = 0;
+    for (size_t head = 0; head < queue_.size(); ++head) {
+      if (head == level_end) {
+        ++hops;
+        level_end = queue_.size();
+      }
+      if (max_hops != 0 && hops >= max_hops) break;
+      NodeId u = queue_[head];
+      const auto arcs = graph_.OutArcs(u);
+      const auto try_activate = [&](NodeId w) {
+        if (visited_.VisitIfNew(w)) {
+          queue_.push_back(w);
+          ++count;
+          if (activated != nullptr) activated->push_back(w);
+        }
+      };
+      if (use_skip_) {
+        SampleLiveArcsInRuns(arcs, graph_.OutRunEnds(u),
+                             graph_.OutRunInvLog1mp(u), rng,
+                             [&](const Arc& a) { try_activate(a.node); });
+      } else {
+        for (const Arc& a : arcs) {
+          if (visited_.Visited(a.node)) continue;
+          if (rng.NextBernoulli(a.prob)) try_activate(a.node);
+        }
+      }
+    }
+    return count;
+  }
+
+ private:
+  const Graph& graph_;
+  bool use_skip_;
+  VisitMarker visited_;
+  std::vector<NodeId> queue_;
+};
+
+// A random multigraph on 1-12 nodes with self-loops and repeated arcs
+// u->v (adjacent and scattered). Probabilities are 0, 1 or a random float,
+// and stay equal over stretches of arcs so skip mode meets multi-arc runs.
+Graph RandomMultigraph(Rng& rng) {
+  const NodeId n = 1 + static_cast<NodeId>(rng.NextBounded(12));
+  const uint64_t m = rng.NextBounded(4 * n + 1);
+  GraphBuilder builder;
+  builder.ReserveNodes(n);
+  float p = 0.5f;
+  for (uint64_t e = 0; e < m; ++e) {
+    const NodeId u = static_cast<NodeId>(rng.NextBounded(n));
+    const NodeId v = rng.NextBounded(8) == 0
+                         ? u
+                         : static_cast<NodeId>(rng.NextBounded(n));
+    if (rng.NextBounded(3) == 0) {
+      const uint64_t kind = rng.NextBounded(3);
+      p = kind == 0   ? 0.0f
+          : kind == 1 ? 1.0f
+                      : static_cast<float>(rng.NextDouble());
+    }
+    builder.AddEdge(u, v, p);
+    if (rng.NextBounded(6) == 0) builder.AddEdge(u, v, p);
+  }
+  Graph g;
+  EXPECT_TRUE(builder.Build(&g).ok());
+  return g;
+}
+
+TEST(IcSimulatorTest, KernelDrawsTheOnePassLoopsCoins) {
+  Rng graph_rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Graph g = RandomMultigraph(graph_rng);
+    // 1-4 seeds drawn with replacement: duplicates are common.
+    std::vector<NodeId> seeds(1 + graph_rng.NextBounded(4));
+    for (NodeId& s : seeds) {
+      s = static_cast<NodeId>(graph_rng.NextBounded(g.num_nodes()));
+    }
+    for (SamplerMode mode : {SamplerMode::kPerArc, SamplerMode::kSkip}) {
+      IcSimulator kernel(g, mode);
+      OnePassIcSimulator reference(g, mode);
+      for (uint32_t max_hops : {0u, 1u, 2u}) {
+        Rng a(trial * 3 + max_hops);
+        Rng b(trial * 3 + max_hops);
+        std::vector<NodeId> got, want;
+        for (int cascade = 0; cascade < 16; ++cascade) {
+          const bool collect = cascade % 2 == 0;
+          const uint64_t count =
+              collect ? kernel.SimulateCollect(seeds, a, &got, max_hops)
+                      : kernel.Simulate(seeds, a, max_hops);
+          ASSERT_EQ(count, reference.SimulateCollect(
+                               seeds, b, collect ? &want : nullptr,
+                               max_hops))
+              << "trial=" << trial << " skip=" << kernel.skip_mode()
+              << " max_hops=" << max_hops << " cascade=" << cascade;
+          if (collect) {
+            ASSERT_EQ(got, want) << "trial=" << trial;
+          }
+          ASSERT_EQ(a.Next(), b.Next()) << "trial=" << trial;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ LT forward --
@@ -423,6 +562,113 @@ TEST(SpreadEstimatorTest, CustomTriggeringModelPath) {
   options.custom_model = &model;
   SpreadEstimator estimator(g, options);
   EXPECT_DOUBLE_EQ(estimator.Estimate(std::vector<NodeId>{0}, 1), 4.0);
+}
+
+// ------------------------------------------ pinned Monte-Carlo estimates --
+
+// Exact bits of VerifySpread and of SpreadEstimator::Estimate at the same
+// options, at threads 1 and 4. Any change to the coins a diffusion kernel
+// draws, or to the order it activates nodes, moves them; a kernel rewrite
+// that keeps every coin passes them unedited.
+void ExpectPinned(const Graph& g, std::span<const NodeId> seeds,
+                  VerifySpreadOptions options, const double (&golden)[2]) {
+  for (int i = 0; i < 2; ++i) {
+    options.num_threads = i == 0 ? 1 : 4;
+    SpreadEstimatorOptions est;
+    est.num_samples = options.num_samples;
+    est.num_threads = options.num_threads;
+    est.model = options.model;
+    est.custom_model = options.custom_model;
+    est.max_hops = options.max_hops;
+    est.node_weights = options.node_weights;
+    const double verified = VerifySpread(g, seeds, options);
+    const double estimated =
+        SpreadEstimator(g, est).Estimate(seeds, options.seed);
+    EXPECT_EQ(std::bit_cast<uint64_t>(verified),
+              std::bit_cast<uint64_t>(golden[i]))
+        << "VerifySpread threads=" << options.num_threads << " got "
+        << std::hexfloat << verified;
+    EXPECT_EQ(std::bit_cast<uint64_t>(estimated),
+              std::bit_cast<uint64_t>(golden[i]))
+        << "Estimate threads=" << options.num_threads << " got "
+        << std::hexfloat << estimated;
+  }
+}
+
+VerifySpreadOptions PinnedOptions() {
+  VerifySpreadOptions options;
+  options.num_samples = 2000;
+  options.seed = 0x901d;
+  return options;
+}
+
+constexpr NodeId kPinnedSeeds[] = {0, 1, 2, 3, 4};
+
+TEST(SpreadEstimatorTest, PinnedIcPerArc) {
+  Graph g = MakeWcPowerLaw(300, 3, 11);
+  ASSERT_FALSE(IcSimulator(g).skip_mode());
+  // 79.5095 at 1 thread, 79.4395 at 4.
+  ExpectPinned(g, kPinnedSeeds, PinnedOptions(),
+               {0x1.3e09ba5e353f8p+6, 0x1.3dc20c49ba5e3p+6});
+}
+
+TEST(SpreadEstimatorTest, PinnedIcSkip) {
+  GraphBuilder builder;
+  GenBarabasiAlbert(300, 5, 12, &builder);
+  AssignUniform(&builder, 0.1f);
+  Graph g;
+  ASSERT_TRUE(builder.Build(&g).ok());
+  ASSERT_TRUE(IcSimulator(g).skip_mode());
+  // 98.089 at 1 thread, 98.3215 at 4.
+  ExpectPinned(g, kPinnedSeeds, PinnedOptions(),
+               {0x1.885b22d0e5604p+6, 0x1.8949374bc6a7fp+6});
+}
+
+TEST(SpreadEstimatorTest, PinnedIcHopBounded) {
+  Graph g = MakeWcPowerLaw(300, 3, 13);
+  VerifySpreadOptions options = PinnedOptions();
+  options.max_hops = 2;
+  // 51.484 at 1 thread, 51.771 at 4.
+  ExpectPinned(g, kPinnedSeeds, options,
+               {0x1.9bdf3b645a1cbp+5, 0x1.9e2b020c49ba6p+5});
+}
+
+TEST(SpreadEstimatorTest, PinnedIcWeighted) {
+  // Summing non-integral weights in activation order: the bits pin that
+  // order, not only the activated sets.
+  Graph g = MakeWcPowerLaw(300, 3, 14);
+  std::vector<double> weights(g.num_nodes());
+  Rng rng(15);
+  for (double& w : weights) w = rng.NextDouble();
+  VerifySpreadOptions options = PinnedOptions();
+  options.node_weights = &weights;
+  // 46.9511 at 1 thread, 47.2129 at 4.
+  ExpectPinned(g, kPinnedSeeds, options,
+               {0x1.779bcd633a8ddp+5, 0x1.79b417ddcd265p+5});
+}
+
+TEST(SpreadEstimatorTest, PinnedLt) {
+  GraphBuilder builder;
+  GenBarabasiAlbert(300, 3, 16, &builder);
+  AssignRandomLT(&builder, 17);
+  Graph g;
+  ASSERT_TRUE(builder.Build(&g).ok());
+  VerifySpreadOptions options = PinnedOptions();
+  options.model = DiffusionModel::kLT;
+  // 133.246 at 1 thread, 132.975 at 4.
+  ExpectPinned(g, kPinnedSeeds, options,
+               {0x1.0a7df3b645a1dp+7, 0x1.09f3333333333p+7});
+}
+
+TEST(SpreadEstimatorTest, PinnedCustomTriggering) {
+  Graph g = MakeWcPowerLaw(300, 3, 18);
+  IcTriggeringModel model;
+  VerifySpreadOptions options = PinnedOptions();
+  options.model = DiffusionModel::kTriggering;
+  options.custom_model = &model;
+  // 70.077 at 1 thread, 69.7135 at 4.
+  ExpectPinned(g, kPinnedSeeds, options,
+               {0x1.184ed916872bp+6, 0x1.16da9fbe76c8bp+6});
 }
 
 }  // namespace

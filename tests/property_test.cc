@@ -3,13 +3,18 @@
 //   * Corollary 1: n·F_R(S) is an unbiased estimator of E[I(S)]
 //   * Equation 7 sandwich: (n/m)·EPT <= KPT <= OPT
 //   * parallel node selection ≡ sequential in distribution & determinism
-//   * end-to-end TIM+ quality across shapes
+//   * end-to-end TIM+, IMM and RIS quality across shapes, k and ε
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "baselines/ris.h"
+#include "core/imm.h"
 #include "core/node_selector.h"
 #include "core/tim.h"
 #include "diffusion/exact_spread.h"
@@ -164,28 +169,65 @@ TEST_P(DiffusionPropertyTest, Equation7Sandwich) {
   EXPECT_LE(kpt, opt * 1.03 + 0.02) << "KPT <= OPT violated";
 }
 
-TEST_P(DiffusionPropertyTest, TimPlusMeetsApproximationGuarantee) {
+TEST_P(DiffusionPropertyTest, RrSolversMeetApproximationGuarantee) {
+  // spread(S) >= (1 - 1/e - ε)·OPT for TIM+, IMM and RIS (Borgs et al.'s
+  // algorithm is IC-only) at k = 1, 2, 3 and ε = 0.1, 0.3, 0.5, with OPT
+  // from the brute-force oracle and spread(S) exact. Brute force on the
+  // 15-arc TwoCommunities IC graph walks C(10, k)·2^15 worlds, about 2.5 s
+  // at k = 3, so that case stops at k = 2.
   const PropertyCase& c = GetParam();
-  const int k = 2;
-  std::vector<NodeId> opt_seeds;
-  double opt = 0;
-  Status status = c.model == DiffusionModel::kLT
-                      ? BruteForceOptimalLT(graph_, k, &opt_seeds, &opt)
-                      : BruteForceOptimalIC(graph_, k, &opt_seeds, &opt);
-  ASSERT_TRUE(status.ok()) << status.ToString();
+  const int max_k =
+      c.shape == Shape::kTwoCommunities && c.model == DiffusionModel::kIC
+          ? 2
+          : 3;
+  std::map<std::vector<NodeId>, double> exact;  // sorted seeds -> spread
+  const auto spread_of = [&](std::vector<NodeId> seeds) {
+    std::sort(seeds.begin(), seeds.end());
+    const auto [it, inserted] = exact.try_emplace(seeds, 0.0);
+    if (inserted) it->second = ExactSpread(graph_, c.model, seeds);
+    return it->second;
+  };
+  for (int k = 1; k <= max_k; ++k) {
+    std::vector<NodeId> opt_seeds;
+    double opt = 0;
+    Status status = c.model == DiffusionModel::kLT
+                        ? BruteForceOptimalLT(graph_, k, &opt_seeds, &opt)
+                        : BruteForceOptimalIC(graph_, k, &opt_seeds, &opt);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    for (double epsilon : {0.1, 0.3, 0.5}) {
+      const double floor = (1.0 - 1.0 / std::exp(1.0) - epsilon) * opt - 1e-9;
+      const std::string where = "k=" + std::to_string(k) +
+                                " eps=" + std::to_string(epsilon) +
+                                " opt=" + std::to_string(opt);
 
-  TimOptions options;
-  options.k = k;
-  options.epsilon = 0.3;
-  options.model = c.model;
-  options.seed = 4242;
-  TimSolver solver(graph_);
-  TimResult result;
-  ASSERT_TRUE(solver.Run(options, &result).ok());
+      TimOptions tim;
+      tim.k = k;
+      tim.epsilon = epsilon;
+      tim.model = c.model;
+      tim.seed = 4242;
+      TimResult tim_result;
+      ASSERT_TRUE(TimSolver(graph_).Run(tim, &tim_result).ok());
+      EXPECT_GE(spread_of(tim_result.seeds), floor) << "TIM+ " << where;
 
-  const double spread = ExactSpread(graph_, c.model, result.seeds);
-  EXPECT_GE(spread, (1.0 - 1.0 / std::exp(1.0) - 0.3) * opt - 1e-9)
-      << "spread=" << spread << " opt=" << opt;
+      ImmOptions imm;
+      imm.k = k;
+      imm.epsilon = epsilon;
+      imm.model = c.model;
+      imm.seed = 4243;
+      ImmResult imm_result;
+      ASSERT_TRUE(RunImm(graph_, imm, &imm_result).ok());
+      EXPECT_GE(spread_of(imm_result.seeds), floor) << "IMM " << where;
+
+      if (c.model != DiffusionModel::kIC) continue;
+      RisOptions ris;
+      ris.epsilon = epsilon;
+      ris.seed = 4244;
+      std::vector<NodeId> ris_seeds;
+      RisStats ris_stats;
+      ASSERT_TRUE(RunRis(graph_, ris, k, &ris_seeds, &ris_stats).ok());
+      EXPECT_GE(spread_of(ris_seeds), floor) << "RIS " << where;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
