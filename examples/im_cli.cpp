@@ -35,30 +35,6 @@
 //                     lane bitmaps, OR-propagation; same distribution as
 //                     scalar, faster only on small tree-like graphs).
 //                     LT/triggering estimates stay scalar
-//   --backend=local   local | procs:N | procs:N:T — where RR sampling
-//                     runs: in-process threads, or N worker subprocesses
-//                     (T sampling threads each) coordinated over pipes.
-//                     Seeds/θ/LB are bit-identical across backends; the
-//                     workers reload the graph from this command's path +
-//                     weight settings and verify it by content hash.
-//                     Append ",fallback=local" to finish a shard
-//                     in-process (still bit-identical) when its retry
-//                     budget runs out instead of failing the run
-//   --shard-timeout-ms=0
-//                     deadline on each worker shard round-trip (0 = none;
-//                     crashes are detected instantly either way — the
-//                     deadline exists to catch hung workers)
-//   --max-shard-retries=2
-//                     shard attempts after the first before giving up
-//                     (respawn + replay, bit-identical by construction;
-//                     0 = fail fast on the first worker failure)
-//   --fault-inject=spec
-//                     deterministic worker fault injection for testing,
-//                     e.g. "kill@100;hang@5000x2:250" (see
-//                     distributed/fault_injection.h for the grammar)
-//   --worker          serve the distributed sampling worker protocol on
-//                     stdin/stdout (what the procs backend spawns; not
-//                     for interactive use)
 //   --cache-budget=0  batch mode: byte cap on the shared RR collections
 //                     (LRU stream eviction; identical results, bounded
 //                     memory)
@@ -83,9 +59,8 @@
 //                     it read-only instead of parsing the edge list (the
 //                     positional argument becomes optional); otherwise
 //                     build from the edge list, write the image, and run
-//                     from the mapped copy. procs workers reload via the
-//                     image too (format=image spec). ContentHash and every
-//                     RR stream are bit-identical to the resident load
+//                     from the mapped copy. ContentHash and every RR
+//                     stream are bit-identical to the resident load
 //   --spill-dir=DIR   out-of-core RR storage: when --memory-budget trips,
 //                     write the non-resident RR ranges to chunk files
 //                     under DIR once and replay them each greedy round
@@ -120,21 +95,20 @@
 //                     budget, mc, mc_batch, tau_scale, max_sets}; '#'
 //                     starts a comment. Unset keys inherit the CLI flags. Prints a
 //                     per-request line plus a reuse summary.
-#include <unistd.h>
-
+//
+// Any other --flag is an error (exit 2), so a misspelt flag never runs
+// silently at its default.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "diffusion/spread_estimator.h"
-#include "distributed/fault_injection.h"
-#include "distributed/graph_spec.h"
-#include "distributed/worker.h"
 #include "engine/solver_registry.h"
 #include "graph/graph_io.h"
 #include "graph/weight_models.h"
@@ -154,77 +128,6 @@ void PrintAlgos() {
     std::printf(" %s", name.c_str());
   }
   std::printf("\n");
-}
-
-/// Parses --backend=local | procs:N | procs:N:T (N worker processes, T
-/// sampling threads each), optionally followed by ",fallback=local" or
-/// ",fallback=none". On failure fills `*error` with what was wrong.
-bool ParseBackendSpec(const std::string& name,
-                      timpp::SampleBackendSpec* spec, std::string* error) {
-  const size_t comma = name.find(',');
-  const std::string base = name.substr(0, comma);
-  if (base == "local") {
-    spec->kind = timpp::SampleBackendKind::kLocalThreads;
-  } else if (base.rfind("procs", 0) == 0) {
-    spec->kind = timpp::SampleBackendKind::kProcessShards;
-    spec->num_workers = 1;
-    // Strict digit parse with a sane cap: stoul would happily wrap
-    // "procs:-1" to 4 billion workers — a fork bomb from a typo.
-    const auto parse_count = [](const std::string& field, unsigned* out) {
-      if (field.empty() || field.size() > 4) return false;
-      unsigned value = 0;
-      for (char c : field) {
-        if (c < '0' || c > '9') return false;
-        value = value * 10 + static_cast<unsigned>(c - '0');
-      }
-      if (value < 1 || value > 256) return false;
-      *out = value;
-      return true;
-    };
-    if (base.size() > 5) {
-      if (base[5] != ':') {
-        *error = "expected 'procs', 'procs:N' or 'procs:N:T', got '" + base +
-                 "'";
-        return false;
-      }
-      const std::string rest = base.substr(6);
-      const size_t colon = rest.find(':');
-      if (!parse_count(rest.substr(0, colon), &spec->num_workers)) {
-        *error = "bad worker count in '" + base + "' (want 1..256)";
-        return false;
-      }
-      if (colon != std::string::npos &&
-          !parse_count(rest.substr(colon + 1), &spec->worker_threads)) {
-        *error = "bad per-worker thread count in '" + base + "' (want 1..256)";
-        return false;
-      }
-    }
-  } else {
-    *error = "unknown backend '" + base + "' (local | procs:N | procs:N:T)";
-    return false;
-  }
-  // Trailing ",key=value" options.
-  for (size_t pos = comma; pos != std::string::npos;) {
-    const size_t next = name.find(',', pos + 1);
-    const std::string opt =
-        name.substr(pos + 1, next == std::string::npos ? std::string::npos
-                                                       : next - pos - 1);
-    if (opt == "fallback=local") {
-      spec->fallback = timpp::FallbackPolicy::kLocal;
-    } else if (opt == "fallback=none") {
-      spec->fallback = timpp::FallbackPolicy::kNone;
-    } else {
-      *error = "unknown backend option '" + opt + "' (fallback=local|none)";
-      return false;
-    }
-    pos = next;
-  }
-  if (spec->fallback == timpp::FallbackPolicy::kLocal &&
-      spec->kind != timpp::SampleBackendKind::kProcessShards) {
-    *error = "fallback=local only applies to the procs backend";
-    return false;
-  }
-  return true;
 }
 
 bool ParseMcBatchMode(const std::string& name, timpp::McBatchMode* mode) {
@@ -424,12 +327,24 @@ int RunBatch(const std::string& path, timpp::Graph graph,
 
 int main(int argc, char** argv) {
   timpp::Flags flags(argc, argv);
-  if (flags.GetBool("worker", false)) {
-    // Distributed-sampling worker mode: serve the coordinator protocol on
-    // stdin/stdout (see distributed/worker.h). ProcessShardBackend spawns
-    // either `im_worker` or `im_cli --worker` — same loop.
-    return timpp::RunSampleWorker(STDIN_FILENO, STDOUT_FILENO);
+  // Every flag main() reads in some mode, including the batch-only ones,
+  // --spill (read only without --spill-dir) and the --celf_r and
+  // --memory_budget aliases.
+  static const std::set<std::string> kKnownFlags = {
+      "algo", "batch", "cache-budget", "celf_r", "concurrency", "ell",
+      "eps", "graph-image", "k", "list_algos", "max-pending", "max_hops",
+      "mc", "mc-batch", "memory-budget", "memory_budget", "model",
+      "pin-threads", "ris_max_sets", "ris_tau_scale", "sampler", "seed",
+      "spill", "spill-dir", "spill-hot-fraction", "spill-io",
+      "spill-readahead", "threads", "undirected", "weights"};
+  bool unknown = false;
+  for (const std::string& name : flags.names()) {
+    if (kKnownFlags.count(name) == 0) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+      unknown = true;
+    }
   }
+  if (unknown) return 2;
   if (flags.GetBool("list_algos", false)) {
     PrintAlgos();
     return 0;
@@ -443,14 +358,6 @@ int main(int argc, char** argv) {
                  "[--model=ic] [--weights=wc] [--threads=N] [--eps=0.1] "
                  "[--graph-image=g.timppimg] [--batch=requests.tsv] ... | "
                  "--list_algos\n");
-    return 2;
-  }
-
-  if (flags.Has("ris_memory_budget")) {
-    // Removed flag: ignoring it silently would drop the user's budget.
-    std::fprintf(stderr,
-                 "--ris_memory_budget was removed; use --memory-budget, "
-                 "which applies to ris too\n");
     return 2;
   }
 
@@ -522,7 +429,6 @@ int main(int argc, char** argv) {
                   image_path.c_str());
     }
   }
-  const bool from_image = image_exists || !image_path.empty();
 
   const std::string sampler = flags.GetString("sampler", "auto");
   timpp::SamplerMode sampler_mode;
@@ -541,72 +447,6 @@ int main(int argc, char** argv) {
                  "unknown --mc-batch=%s (scalar|bitmap64)\n",
                  mc_batch_name.c_str());
     return 2;
-  }
-
-  // ---- sample backend -----------------------------------------------
-  timpp::SampleBackendSpec backend_spec;
-  const std::string backend_name = flags.GetString("backend", "local");
-  std::string backend_error;
-  if (!ParseBackendSpec(backend_name, &backend_spec, &backend_error)) {
-    std::fprintf(stderr, "bad --backend=%s: %s\n", backend_name.c_str(),
-                 backend_error.c_str());
-    return 2;
-  }
-  // Fault-tolerance knobs (meaningful for procs; harmless for local).
-  const int64_t shard_timeout = flags.GetInt("shard-timeout-ms", 0);
-  const int64_t shard_retries = flags.GetInt("max-shard-retries", 2);
-  if (shard_timeout < 0 || shard_timeout > 86'400'000 || shard_retries < 0 ||
-      shard_retries > 1'000'000) {
-    std::fprintf(stderr,
-                 "bad --shard-timeout-ms/--max-shard-retries (want "
-                 "0..86400000 ms / 0..1000000 retries)\n");
-    return 2;
-  }
-  backend_spec.shard_timeout_ms = static_cast<uint32_t>(shard_timeout);
-  backend_spec.max_shard_retries = static_cast<uint32_t>(shard_retries);
-  if (flags.Has("fault-inject")) {
-    const std::string fault_spec = flags.GetString("fault-inject", "");
-    timpp::FaultPlan plan;
-    const timpp::Status fault_status =
-        timpp::ParseFaultPlan(fault_spec, &plan);
-    if (!fault_status.ok()) {
-      std::fprintf(stderr, "bad --fault-inject=%s: %s\n", fault_spec.c_str(),
-                   fault_status.ToString().c_str());
-      return 2;
-    }
-    backend_spec.fault_spec = fault_spec;
-  }
-  if (backend_spec.kind == timpp::SampleBackendKind::kProcessShards) {
-    // Spawn this very binary as the worker (`im_cli --worker`): it is the
-    // one executable guaranteed to exist however the CLI was installed.
-    char self[4096];
-    const ssize_t len = ::readlink("/proc/self/exe", self, sizeof(self) - 1);
-    if (len > 0) {
-      self[len] = '\0';
-      backend_spec.worker_binary = self;
-    } else {
-      backend_spec.worker_binary = argv[0];
-    }
-    // Workers reload the graph from disk (path + weight model + seed)
-    // instead of receiving megabytes of serialized arcs through the
-    // pipe; Graph::ContentHash verifies the reload is bit-exact. Paths
-    // the spec grammar cannot express fall back to inline shipping. With
-    // --graph-image the workers mmap the same image this process runs
-    // from — no per-worker rebuild at all.
-    timpp::GraphSpec graph_spec;
-    if (from_image) {
-      graph_spec.format = "image";
-      graph_spec.path = image_path;
-    } else {
-      graph_spec.path = path;
-      graph_spec.undirected = io_options.undirected;
-      graph_spec.weights = weights;
-      graph_spec.weight_seed = seed;
-    }
-    std::string encoded;
-    if (timpp::EncodeGraphSpec(graph_spec, &encoded).ok()) {
-      backend_spec.graph_source = encoded;
-    }
   }
 
   // ---- spill tier ---------------------------------------------------
@@ -631,7 +471,6 @@ int main(int argc, char** argv) {
   timpp::SolverOptions options;
   options.k = static_cast<int>(flags.GetInt("k", 50));
   options.sampler_mode = sampler_mode;
-  options.sample_backend = backend_spec;
   options.epsilon = flags.GetDouble("eps", 0.1);
   options.ell = flags.GetDouble("ell", 1.0);
   options.model = model;
@@ -658,7 +497,6 @@ int main(int argc, char** argv) {
     defaults.graph = "g";
     timpp::ServingOptions serving_options;
     serving_options.num_threads = num_threads;
-    serving_options.sample_backend = backend_spec;
     serving_options.shared_cache_budget_bytes =
         static_cast<size_t>(flags.GetInt("cache-budget", 0));
     const unsigned concurrency = static_cast<unsigned>(

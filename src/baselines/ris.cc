@@ -87,7 +87,6 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
     local_source.emplace(*local_engine);
     source = &*local_source;
   }
-  const BackendStats backend_before = source->engine().backend_stats();
 
   const uint64_t first = source->position();
   RRCollection rr(graph.num_nodes());
@@ -100,10 +99,6 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
   // keeps the implementation simple).
   const SampleBatch batch =
       source->FetchUntilCost(&rr, tau, options.max_rr_sets);
-  // A failed backend (worker process death) stops the cost loop short of
-  // τ with a latched engine error — fail rather than cover a truncated
-  // collection.
-  TIMPP_RETURN_NOT_OK(source->engine().status());
   local_stats.cost_examined = batch.traversal_cost;
   local_stats.rr_sets_generated = batch.sets_added;
   local_stats.hit_set_cap = batch.hit_set_cap;
@@ -155,9 +150,6 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
       scratch.Clear();
       scratch_edges.clear();
       engine.SampleInto(&scratch, kBudgetScanBatch, &scratch_edges);
-      // Without this check an engine stuck on a dead backend would return
-      // empty batches forever while the admission rule still wants more.
-      TIMPP_RETURN_NOT_OK(engine.status());
       if (spill_ok && scratch.num_sets() > 0) {
         // The whole scan batch goes to disk (overshoot past τ included —
         // the cover walk simply never visits past θ). A write failure
@@ -188,7 +180,6 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
 
     StreamingCoverResult streamed = StreamingGreedyMaxCover(
         engine, rr, first, rule.sets_admitted, k, spill);
-    TIMPP_RETURN_NOT_OK(engine.status());
     local_stats.regeneration_passes = streamed.regeneration_passes;
     local_stats.sets_spill_read = streamed.sets_spill_read;
     if (spill != nullptr) {
@@ -203,7 +194,6 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
     *seeds = std::move(cover.seeds);
     local_stats.covered_fraction = cover.covered_fraction;
   }
-  local_stats.backend = source->engine().backend_stats() - backend_before;
   local_stats.seconds_total = timer.ElapsedSeconds();
   if (stats != nullptr) *stats = local_stats;
   return Status::OK();

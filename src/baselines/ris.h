@@ -42,9 +42,8 @@ struct RisOptions : RunOptions {
   uint64_t max_rr_sets = 0;
 };
 
-/// Instrumentation of a RIS run. The RrRunStats base holds the budget,
-/// spill and backend counters (rr_sets_retained == rr_sets_generated
-/// budget-off).
+/// Instrumentation of a RIS run. The RrRunStats base holds the budget
+/// and spill counters (rr_sets_retained == rr_sets_generated budget-off).
 struct RisStats : RrRunStats {
   double tau = 0.0;               // the cost threshold used
   uint64_t rr_sets_generated = 0;  // θ: sets the cost rule admitted

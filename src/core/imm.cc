@@ -164,7 +164,6 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
     local_source.emplace(*local_engine);
     source = &*local_source;
   }
-  const BackendStats backend_before = source->engine().backend_stats();
 
   Timer phase_timer;
   const size_t budget = options.memory_budget_bytes;
@@ -224,9 +223,6 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
           std::max(1.0, std::ceil(stats.lambda_prime / x_i)));
       GrowTo(*source, stream_start, theta_i, &sampling_rr,
              &sampling_budget_hit, spill, &sampling_edges, &sets_spilled);
-      // A dead sample backend (worker process crash) means the grown
-      // prefix is short, not budget-truncated — fail the run.
-      TIMPP_RETURN_NOT_OK(source->engine().status());
       // Keep the stream aligned with a budget-off run: the sets the cache
       // could not retain still occupy indices [num_sets, θ_i) and are
       // regenerated from them below.
@@ -308,7 +304,6 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
   // goes to disk).
   GrowTo(*source, sel_first, sel_total, cache, &sel_budget_hit, spill,
          cache_edges, &sets_spilled);
-  TIMPP_RETURN_NOT_OK(source->engine().status());
   source->Seek(sel_first + sel_total);
   // The reuse path may carry the sampling phase's index over unchanged;
   // drop it so the budget-fit check below prices one index, not two.
@@ -332,9 +327,6 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
     stats.sets_spill_read += streamed.sets_spill_read;
     cover = std::move(streamed.cover);
   }
-  // The streaming branch regenerates through the engine; a backend that
-  // died there must fail the run, not return partial-coverage seeds.
-  TIMPP_RETURN_NOT_OK(source->engine().status());
   stats.rr_sets_retained = cache->num_sets();
   stats.rr_sets_spilled = sets_spilled;
   if (spill != nullptr) {
@@ -342,7 +334,6 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
   }
   stats.estimated_spread = n * cover.covered_fraction;
   stats.seconds_selection = phase_timer.ElapsedSeconds();
-  stats.backend = source->engine().backend_stats() - backend_before;
   stats.seconds_total = total_timer.ElapsedSeconds();
 
   result->seeds = std::move(cover.seeds);

@@ -66,8 +66,8 @@ struct ImmOptions : RunOptions {
   const std::vector<double>* node_weights = nullptr;
 };
 
-/// Instrumentation of an IMM run. The RrRunStats base holds the budget,
-/// spill and backend counters; its regeneration_passes sum over every
+/// Instrumentation of an IMM run. The RrRunStats base holds the budget
+/// and spill counters; its regeneration_passes sum over every
 /// streaming solve of both phases, and rr_sets_retained counts the final
 /// selection's resident sets (θ budget-off, max(θ, sampling-phase sets)
 /// under reuse_samples).

@@ -28,8 +28,7 @@ namespace timpp {
 
 /// Output of Algorithm 1. The RrRunStats base carries the budget and
 /// spill counters (a budget that trips keeps only rr_sets_retained of the
-/// θ sets resident; seeds stay bit-identical to a budget-off run); its
-/// backend delta is the caller's to fill.
+/// θ sets resident; seeds stay bit-identical to a budget-off run).
 struct NodeSelection : RrRunStats {
   /// The selected seed set S*_k, in selection order.
   std::vector<NodeId> seeds;

@@ -78,7 +78,6 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
     local_source.emplace(*local_engine);
     source = &*local_source;
   }
-  const BackendStats backend_before = source->engine().backend_stats();
   Timer total_timer;
 
   const double eps_prime =
@@ -130,10 +129,6 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
     // Phase 1: parameter estimation (Algorithm 2).
     Timer phase_timer;
     KptEstimate kpt = EstimateKpt(*source, options.k, ell);
-    // A failed sample backend (a worker process died mid-shard) leaves the
-    // engine with a latched error and a short batch; surface it instead of
-    // computing on truncated samples. Same check after each phase below.
-    TIMPP_RETURN_NOT_OK(source->engine().status());
     stats.seconds_kpt_estimation = phase_timer.ElapsedSeconds();
     stats.kpt_star = kpt.kpt_star;
     stats.rr_sets_kpt = kpt.rr_sets_generated;
@@ -150,7 +145,6 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
       KptRefinement refinement =
           RefineKpt(*source, *kpt.last_iteration_rr, options.k, kpt.kpt_star,
                     eps_prime, ell);
-      TIMPP_RETURN_NOT_OK(source->engine().status());
       stats.seconds_kpt_refinement = phase_timer.ElapsedSeconds();
       stats.kpt_plus = refinement.kpt_plus;
       stats.theta_prime = refinement.theta_prime;
@@ -193,7 +187,6 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
   NodeSelection selection =
       SelectNodes(*source, options.k, stats.theta,
                   options.memory_budget_bytes, spill ? &*spill : nullptr);
-  TIMPP_RETURN_NOT_OK(source->engine().status());
   stats.seconds_node_selection = phase_timer.ElapsedSeconds();
 
   stats.estimated_spread =
@@ -202,7 +195,6 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
   stats.rr_data_bytes = selection.rr_data_bytes;
   static_cast<RrRunStats&>(stats) = selection;  // budget + spill counters
   stats.edges_examined += selection.edges_examined;
-  stats.backend = source->engine().backend_stats() - backend_before;
   stats.seconds_total = total_timer.ElapsedSeconds();
 
   result->seeds = std::move(selection.seeds);

@@ -24,7 +24,7 @@ namespace timpp {
 /// Configuration of a TIM/TIM+ run. The RunOptions base holds the run
 /// knobs (engine/run_options.h): all three phases draw from one
 /// SamplingEngine built from it, so results are bit-reproducible in the
-/// stream key alone — independent of num_threads, backend and spill dir.
+/// stream key alone — independent of num_threads and spill dir.
 /// A memory budget caps the node-selection collection only; KPT
 /// estimation and refinement keep small collections.
 struct TimOptions : RunOptions {
@@ -45,7 +45,7 @@ struct TimOptions : RunOptions {
 };
 
 /// Everything measured during a run — feeds Figures 4, 5, and 12. The
-/// RrRunStats base holds the budget, spill and backend counters.
+/// RrRunStats base holds the budget and spill counters.
 struct TimStats : RrRunStats {
   double lambda = 0.0;        // Equation 4
   double kpt_star = 0.0;      // Algorithm 2 output

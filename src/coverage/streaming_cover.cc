@@ -261,7 +261,6 @@ SpillFillResult SpillFillTo(SampleSource& source, RRSpillStore& spill,
     result.batch.sets_added += batch.sets_added;
     result.batch.edges_examined += batch.edges_examined;
     result.batch.traversal_cost += batch.traversal_cost;
-    if (batch.sets_added == 0) break;  // failed backend; engine latched
     if (!spill
              .SpillRange(scratch, scratch_edges, 0, scratch.num_sets(), pos)
              .ok()) {
@@ -272,7 +271,7 @@ SpillFillResult SpillFillTo(SampleSource& source, RRSpillStore& spill,
     result.sets_spilled += scratch.num_sets();
   }
   // Land later phases on the same stream indices as a budget-off run even
-  // when sampling or spilling stopped short.
+  // when spilling stopped short.
   source.Seek(target_index);
   return result;
 }

@@ -25,11 +25,10 @@ double Count(uint64_t value) { return static_cast<double>(value); }
 double Flag(bool value) { return value ? 1.0 : 0.0; }
 
 // The one metric layout of every RR-set solver: its own head metrics, the
-// budget triple, its tail, then the spill and backend counters — each
-// group only when it fired. Healthy, unspilled runs (every local run, and
-// distributed runs with no recovery activity) therefore keep the exact
-// metric list they had before either tier existed, which is what
-// stat-for-stat sweeps (local vs procs, budgeted vs not) rely on.
+// budget triple, its tail, then the spill counters — only when the spill
+// tier ran. Unspilled runs therefore keep the exact metric list they had
+// before the tier existed, which is what stat-for-stat sweeps (budgeted
+// vs not) rely on.
 Metrics RrMetrics(Metrics head, const RrRunStats& run, const Metrics& tail) {
   head.insert(head.end(),
               {{"hit_memory_budget", Flag(run.hit_memory_budget)},
@@ -42,19 +41,6 @@ Metrics RrMetrics(Metrics head, const RrRunStats& run, const Metrics& tail) {
                 {{"rr_sets_spilled", Count(run.rr_sets_spilled)},
                  {"sets_spill_read", Count(run.sets_spill_read)},
                  {"spill_bytes_written", Count(run.spill_bytes_written)}});
-  }
-  const BackendStats& b = run.backend;
-  if (b.any()) {
-    head.insert(
-        head.end(),
-        {{"backend_shard_retries", Count(b.shard_retries)},
-         {"backend_worker_respawns", Count(b.worker_respawns)},
-         {"backend_shard_timeouts", Count(b.shard_timeouts)},
-         {"backend_worker_crashes", Count(b.worker_crashes)},
-         {"backend_corrupt_frames", Count(b.corrupt_frames)},
-         {"backend_quarantined_workers", Count(b.quarantined_workers)},
-         {"backend_fallback_shards", Count(b.fallback_shards)},
-         {"backend_fallback_sets", Count(b.fallback_sets)}});
   }
   return head;
 }

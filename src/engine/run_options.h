@@ -2,10 +2,11 @@
 //
 // TIM, TIM+, IMM and RIS draw every phase from one RR stream, and set i of
 // that stream is a pure function of the stream's identity and i (see
-// SampleIndexRng). The knobs layer by what they are allowed to change:
+// SampleIndexRng in engine/sampling_engine.h). The knobs layer by what
+// they are allowed to change:
 //
 //   StreamKey       decides set content — equal keys, equal streams.
-//   SamplingConfig  adds where and how fast sampling runs; never content.
+//   SamplingConfig  adds how fast sampling runs; never content.
 //   RunOptions      adds the memory budget and the spill tier; never
 //                   seeds, θ or LB (only resident bytes and extra passes).
 //
@@ -21,15 +22,14 @@
 #include <string>
 
 #include "diffusion/triggering.h"
-#include "engine/sample_backend.h"
 #include "util/types.h"
 
 namespace timpp {
 
 /// The facets that select a distinct RR stream. Serving caches and phase
 /// memos key on exactly these fields: content is invariant to everything
-/// the derived structs add, so one cache serves any thread count, backend
-/// or budget.
+/// the derived structs add, so one cache serves any thread count or
+/// budget.
 struct StreamKey {
   /// Diffusion model; kTriggering requires `custom_model`.
   DiffusionModel model = DiffusionModel::kIC;
@@ -57,16 +57,10 @@ struct StreamKey {
 /// across every value of these fields.
 struct SamplingConfig : StreamKey {
   /// Total sampling parallelism (calling thread included); 1 =
-  /// sequential. Process-shard backends sample in their workers instead
-  /// (see SampleBackendSpec::worker_threads).
+  /// sequential.
   unsigned num_threads = 1;
   /// Pin sampling worker threads to CPUs (util/ThreadPool affinity).
   bool pin_threads = false;
-  /// Where sample production runs: in-process threads (default) or
-  /// worker subprocesses coordinated over pipes (engine/sample_backend.h;
-  /// `im_cli --backend=procs:N`). Only throughput and failure modes
-  /// differ.
-  SampleBackendSpec sample_backend;
 };
 
 /// Everything an RR-set solve needs beyond its algorithm parameters.
@@ -87,7 +81,7 @@ struct RunOptions : SamplingConfig {
   std::string spill_dir;
 };
 
-/// Budget, spill and backend counters of one RR-set solve.
+/// Budget and spill counters of one RR-set solve.
 struct RrRunStats {
   /// memory_budget_bytes forced streaming selection (in any phase).
   bool hit_memory_budget = false;
@@ -102,11 +96,6 @@ struct RrRunStats {
   uint64_t rr_sets_spilled = 0;
   uint64_t sets_spill_read = 0;
   uint64_t spill_bytes_written = 0;
-  /// Backend fault-tolerance activity during this run (retries, respawns,
-  /// fallbacks — see BackendStats). All zero for local backends and
-  /// healthy distributed runs. Under a shared serving stream the delta can
-  /// include recovery work triggered by concurrent requests.
-  BackendStats backend;
 };
 
 }  // namespace timpp

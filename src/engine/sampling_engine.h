@@ -5,41 +5,35 @@
 // progressive x_i batches, Borgs et al.'s cost-threshold loop) consumes
 // i.i.d. random RR sets, so they all parallelize the same way. The engine
 // owns the global index stream and exposes batch primitives that fill an
-// RRCollection; the physical production of each index range is delegated
-// to a pluggable SampleBackend (engine/sample_backend.h): in-process
-// worker threads by default, coordinated worker subprocesses under
-// `--backend=procs:N`. No phase implements its own sampling loop.
+// RRCollection. A persistent thread pool fills private per-thread shard
+// collections by claiming fixed-size index chunks off an atomic counter
+// (dynamic load balancing for heavy-tailed RR-set sizes), and a chunk
+// table restores global index order for the merge. No phase implements
+// its own sampling loop.
 //
-// Determinism contract (bit-reproducibility independent of thread count,
-// worker count, and backend): the engine numbers RR sets with a monotone
-// global index and every backend derives set i's RNG stream from
-// (config.seed, i) alone — SampleIndexRng — so a set's content does not
-// depend on which worker (thread OR process) produced it. Backends return
-// fills as chunks ordered by global index, and the engine merges them in
-// that order via RRCollection::AppendRange. The resulting collection is
-// therefore byte-identical for every value of config.num_threads
-// (including 1), every worker count, and across backends. Batch
-// boundaries (kSetsPerBatch / kSetsPerCostBatch) are fixed constants so
-// early-stop checks (memory budget, cost threshold) fire at the same set
-// index regardless of parallelism.
+// Determinism contract (bit-reproducibility independent of thread count):
+// the engine numbers RR sets with a monotone global index and derives set
+// i's RNG stream from (config.seed, i) alone — SampleIndexRng — so a set's
+// content does not depend on which thread produced it. Chunks merge in
+// global index order via RRCollection::AppendRange, so the resulting
+// collection is byte-identical for every value of config.num_threads
+// (including 1). Batch boundaries (kSetsPerBatch / kSetsPerCostBatch) are
+// fixed constants so early-stop checks (memory budget, cost threshold)
+// fire at the same set index regardless of parallelism.
 //
-// Error model: local fills cannot fail, but a process-shard fill can (a
-// worker dies mid-shard, a handshake is rejected). The engine latches the
-// first backend error in status() and stops producing sets — callers get
-// a short batch plus a non-OK status, never silently truncated results.
+// Error model: fills cannot fail. A batch call stops short only at the
+// output's memory budget or a cost threshold, and its SampleBatch says so.
 #ifndef TIMPP_ENGINE_SAMPLING_ENGINE_H_
 #define TIMPP_ENGINE_SAMPLING_ENGINE_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "engine/run_options.h"
-#include "engine/sample_backend.h"
 #include "graph/graph.h"
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
@@ -49,6 +43,17 @@
 #include "util/types.h"
 
 namespace timpp {
+
+class ThreadPool;
+
+/// RNG stream of global set index `i`: a splitmix64 hash of (seed, i)
+/// seeding an xoshiro stream. THE determinism contract — every fill
+/// derives set content from this and nothing else, which is why shards
+/// merge bit-identically no matter which thread produced them.
+inline Rng SampleIndexRng(uint64_t seed, uint64_t index) {
+  uint64_t state = seed + (index + 1) * 0x9e3779b97f4a7c15ULL;
+  return Rng(SplitMix64(state));
+}
 
 /// Borgs et al.'s cost-threshold admission rule — the ONE definition of
 /// "sample until the cumulative traversal cost reaches τ" shared by every
@@ -109,7 +114,8 @@ class SamplingEngine {
   /// `config` is copied (sliced, when a solver passes its options); its
   /// borrowed pointers must outlive the engine. `root_distribution`
   /// (borrowed; nullptr = uniform roots, Definition 2) draws roots ∝ node
-  /// weight for node-weighted influence — local backends only.
+  /// weight for node-weighted influence. `config.num_threads` fixes the
+  /// pool size (1 = sequential).
   SamplingEngine(const Graph& graph, const SamplingConfig& config,
                  const AliasTable* root_distribution = nullptr);
   ~SamplingEngine();
@@ -121,26 +127,10 @@ class SamplingEngine {
   const SamplingConfig& config() const { return config_; }
   unsigned num_threads() const { return config_.num_threads; }
 
-  /// The backend producing this engine's samples (diagnostics and test
-  /// fault injection; never needed on the solve paths).
-  SampleBackend& backend() { return *backend_; }
-
-  /// Snapshot of the backend's fault-tolerance counters (all zero for the
-  /// local backend and for healthy distributed runs). Safe to call
-  /// concurrently with sampling — solvers take before/after snapshots to
-  /// report per-run deltas.
-  BackendStats backend_stats() const { return backend_->stats(); }
-
-  /// First backend error, if any. Once non-OK, every further batch call
-  /// returns immediately with zero sets; callers that observed a short
-  /// batch must check this before trusting downstream results. Local
-  /// fills never fail; process-shard fills fail on worker crashes,
-  /// handshake rejections (graph hash mismatch), or protocol errors.
-  /// The first error wins and is latched atomically, so concurrent
-  /// readers (serving requests sharing a cache engine) observe either OK
-  /// or that first error — never a torn write. Returns by value for the
-  /// same reason.
-  Status status() const;
+  /// Always OK: fills cannot fail. Kept only because the end-to-end
+  /// benchmark's replay (e2ebench/replay.cc) calls it after every phase;
+  /// it goes once that replay stops calling it.
+  Status status() const { return Status::OK(); }
 
   /// Total RR sets generated by this engine so far (== the next global set
   /// index). Successive batch calls consume disjoint index ranges, so a
@@ -149,7 +139,7 @@ class SamplingEngine {
 
   /// Appends `count` fresh random RR sets to `*out`. Stops early only if
   /// `out` goes over its memory budget (checked at fixed batch
-  /// boundaries) or the backend fails (see status()). Returns accounting
+  /// boundaries). Returns accounting
   /// for the appended sets. `per_set_edges` (optional) receives each
   /// appended set's edges_examined in set order — consumers that replay
   /// subranges later (the serving layer's shared prefix cache) need the
@@ -169,14 +159,13 @@ class SamplingEngine {
   /// Per-index filter and visitor for VisitSamples. The visitor receives
   /// the global set index and the set's members (the span is only valid
   /// for the duration of the call). The filter runs CONCURRENTLY on the
-  /// backend's workers while a chunk fills, so it must be safe to invoke
+  /// engine's threads while a chunk fills, so it must be safe to invoke
   /// from multiple threads and must not read state the visitor mutates
   /// except between chunks — the visitor itself runs sequentially on the
   /// calling thread after each chunk's fill completes, which is why a
   /// visitor may safely update state (e.g. dead-set bits) the next
-  /// chunk's filter reads. (Process-shard backends evaluate the filter on
-  /// the coordinator before dispatch, which satisfies the same contract.)
-  using SampleFilter = ::timpp::SampleFilter;
+  /// chunk's filter reads.
+  using SampleFilter = std::function<bool(uint64_t index)>;
   using SampleVisitor =
       std::function<void(uint64_t index, std::span<const NodeId> nodes)>;
 
@@ -187,7 +176,7 @@ class SamplingEngine {
   /// exactly and "generates" future ones identically to a later
   /// SampleInto; next_index_ is untouched (pair with SkipTo when the
   /// visited range should count as consumed). Regeneration runs on the
-  /// backend in fixed-size chunks; only one chunk of sets is ever
+  /// engine's threads in fixed-size chunks; only one chunk of sets is ever
   /// resident. `filter` (optional) skips the traversal of indices it
   /// rejects entirely — used to avoid regenerating RR sets already known
   /// dead to a coverage pass. Returns accounting for the visited sets.
@@ -203,23 +192,40 @@ class SamplingEngine {
   void SkipTo(uint64_t index);
 
  private:
-  /// Fills [base, base + count) through the backend, latching errors into
-  /// status_. Returns false when sampling must stop.
-  bool FillOk(uint64_t base, uint64_t count, const SampleFilter* filter);
+  /// Per-thread state: a private sampler plus shard buffers refilled each
+  /// fill. Samplers persist across fills so traversal scratch
+  /// (VisitMarker, BFS queue) is allocated once per engine.
+  struct Shard;
 
-  /// Latches `st` as the engine error if none is set yet (first wins).
-  void LatchError(Status st);
+  /// One claimed slice of a fill's output: shard `shard`'s sets
+  /// [begin, end). chunks_ lists them in global index order, so walking
+  /// them walks the filled range exactly as a sequential loop would.
+  struct Chunk {
+    unsigned shard = 0;
+    size_t begin = 0;
+    size_t end = 0;
+  };
+
+  /// Produces the RR sets of global indices [base, base + count) into the
+  /// shards, skipping indices `filter` (optional) rejects, and rebuilds
+  /// chunks_. Results stay valid until the next Fill.
+  void Fill(uint64_t base, uint64_t count, const SampleFilter* filter);
+
+  /// Samples global indices [begin, end) into shard `w`'s buffers,
+  /// skipping indices rejected by `filter` (may be null).
+  void SampleRange(unsigned w, uint64_t begin, uint64_t end,
+                   const SampleFilter* filter);
+
+  /// The 1-thread SampleInto path: appends sets [base, base + count)
+  /// straight into `*out`, no shard copy, accumulating into `*total`.
+  void AppendDirect(uint64_t base, uint64_t count, RRCollection* out,
+                    SampleBatch* total, std::vector<uint64_t>* per_set_edges);
 
   const Graph& graph_;
   SamplingConfig config_;
-  std::unique_ptr<SampleBackend> backend_;
-  // Error latch: `failed_` is the lock-free fast path (release-stored
-  // after the Status is in place, acquire-loaded by readers), the Status
-  // itself lives behind `status_mu_` so concurrent status() calls never
-  // race a writer mid-assignment.
-  std::atomic<bool> failed_{false};
-  mutable std::mutex status_mu_;
-  Status first_error_;  // guarded by status_mu_
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Chunk> chunks_;         // rebuilt by every Fill
+  std::unique_ptr<ThreadPool> pool_;  // nullptr when num_threads == 1
   uint64_t next_index_ = 0;
 };
 

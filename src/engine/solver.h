@@ -3,7 +3,7 @@
 //
 // A solver binds a graph at construction (via SolverRegistry::Create) and
 // executes with one options struct shared by all algorithms: the shared
-// run knobs (RunOptions: model, seed, threads, backend, budget, ...), the
+// run knobs (RunOptions: model, seed, threads, budget, spill, ...), the
 // common parameters (k, ε, ℓ), plus a handful of family-specific knobs
 // that solvers outside the family ignore. Stats come
 // back as a uniform name → value list so callers (CLI, benches, serving

@@ -143,12 +143,11 @@ class Graph {
   /// both adjacency directions (arc targets AND probability bits), and the
   /// constant-probability run metadata. Two Graphs hash equal iff a
   /// sampler walking them makes identical decisions, which is exactly the
-  /// identity the distributed worker handshake must verify — a worker that
-  /// reloaded the "same" edge list under a different weight model, edge
-  /// order, or undirected flag hashes differently and is rejected instead
-  /// of silently diverging from the coordinator's RR streams. The digest
-  /// is a function of the view alone, so resident and mmap backends of the
-  /// same graph hash identically. O(n + m).
+  /// identity a reopened graph image must prove — the same edge list
+  /// loaded under a different weight model, edge order, or undirected
+  /// flag hashes differently. The digest is a function of the view alone,
+  /// so resident and mmap backends of the same graph hash identically.
+  /// O(n + m).
   uint64_t ContentHash() const;
 
   /// Heap bytes the storage backend holds resident (Figure 12 accounting —

@@ -309,14 +309,14 @@ Status ReadBinary(const std::string& path, Graph* graph) {
 
 namespace {
 
-// Image format of the in-memory transport. This is NOT the edge-triple
+// Payload format of the graph image. This is NOT the edge-triple
 // container above: the triple walk canonicalizes through GraphBuilder,
 // which preserves each direction's arc multiset but can permute IN-arc
 // order (in-lists follow builder insertion order, and a CSR walk reorders
-// the insertions). Reverse traversals consume in-arc order, so the
-// distributed handshake needs the exact adjacency image — both CSR
-// directions verbatim; run metadata re-derived (a pure function of the
-// arcs, via the shared ComputeProbabilityRuns).
+// the insertions). Reverse traversals consume in-arc order, so a reopened
+// image needs the exact adjacency — both CSR directions verbatim; run
+// metadata re-derived (a pure function of the arcs, via the shared
+// ComputeProbabilityRuns).
 constexpr char kImageMagic[4] = {'T', 'I', 'M', 'I'};
 constexpr uint32_t kImageVersion = 1;
 
@@ -325,19 +325,6 @@ void AppendSpan(std::string* out, std::span<const T> v) {
   const uint64_t count = v.size();
   out->append(reinterpret_cast<const char*>(&count), sizeof(count));
   out->append(reinterpret_cast<const char*>(v.data()), count * sizeof(T));
-}
-
-template <typename T>
-bool TakeVector(std::string_view* in, uint64_t max_count, std::vector<T>* v) {
-  uint64_t count = 0;
-  if (in->size() < sizeof(count)) return false;
-  std::memcpy(&count, in->data(), sizeof(count));
-  in->remove_prefix(sizeof(count));
-  if (count > max_count || in->size() < count * sizeof(T)) return false;
-  v->resize(count);
-  std::memcpy(v->data(), in->data(), count * sizeof(T));
-  in->remove_prefix(count * sizeof(T));
-  return true;
 }
 
 // CSR sanity: offsets are a monotone [0..m] ramp of size n+1 and every
@@ -370,46 +357,6 @@ void SerializeGraph(const Graph& graph, std::string* out) {
   AppendSpan(out, v.out_arcs);
   AppendSpan(out, v.in_offsets);
   AppendSpan(out, v.in_arcs);
-}
-
-Status DeserializeGraph(std::string_view bytes, Graph* graph) {
-  const Status corrupt = Status::Corruption("inline graph: malformed image");
-  if (bytes.size() < sizeof(kImageMagic) + sizeof(uint32_t) +
-                         sizeof(uint64_t) ||
-      std::memcmp(bytes.data(), kImageMagic, sizeof(kImageMagic)) != 0) {
-    return Status::Corruption("inline graph: bad magic");
-  }
-  bytes.remove_prefix(sizeof(kImageMagic));
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data(), sizeof(version));
-  bytes.remove_prefix(sizeof(version));
-  if (version != kImageVersion) {
-    return Status::Corruption("inline graph: unsupported version " +
-                              std::to_string(version));
-  }
-  uint64_t n = 0;
-  std::memcpy(&n, bytes.data(), sizeof(n));
-  bytes.remove_prefix(sizeof(n));
-  if (n > std::numeric_limits<NodeId>::max()) return corrupt;
-
-  GraphArrays a;
-  a.num_nodes = static_cast<NodeId>(n);
-  const uint64_t max_entries = bytes.size();  // tighter than any real bound
-  if (!TakeVector(&bytes, max_entries, &a.out_offsets) ||
-      !TakeVector(&bytes, max_entries, &a.out_arcs) ||
-      !TakeVector(&bytes, max_entries, &a.in_offsets) ||
-      !TakeVector(&bytes, max_entries, &a.in_arcs) ||
-      !bytes.empty()) {
-    return corrupt;
-  }
-  const uint64_t m = a.out_arcs.size();
-  if (!ValidCsr(a.num_nodes, m, a.out_offsets, a.out_arcs) ||
-      !ValidCsr(a.num_nodes, m, a.in_offsets, a.in_arcs)) {
-    return corrupt;
-  }
-  a.DeriveRuns();
-  *graph = Graph(std::make_shared<OwnedGraphStorage>(std::move(a)));
-  return Status::OK();
 }
 
 // ------------------------------------------------------ on-disk image --

@@ -4,7 +4,6 @@
 #define TIMPP_GRAPH_GRAPH_IO_H_
 
 #include <string>
-#include <string_view>
 
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
@@ -56,17 +55,15 @@ Status WriteEdgeList(const Graph& graph, const std::string& path);
 Status WriteBinary(const Graph& graph, const std::string& path);
 Status ReadBinary(const std::string& path, Graph* graph);
 
-/// Exact in-memory image — the transport the distributed sampling
-/// handshake uses to ship a coordinator's graph to worker processes.
-/// Unlike the edge-triple container above (which rebuilds through
-/// GraphBuilder and may permute IN-arc order, since in-lists follow
-/// builder insertion order), the image preserves both CSR directions
-/// verbatim: DeserializeGraph restores a ContentHash-identical Graph, so
-/// reverse traversals — and with them every RR set — replay bit-exactly
-/// on the worker. Run metadata is re-derived from the arcs (pure
-/// function, shared ComputeProbabilityRuns).
+/// Exact in-memory image — the payload of WriteGraphImage below. Unlike
+/// the edge-triple container above (which rebuilds through GraphBuilder
+/// and may permute IN-arc order, since in-lists follow builder insertion
+/// order), the image preserves both CSR directions verbatim:
+/// OpenGraphImage restores a ContentHash-identical Graph, so reverse
+/// traversals — and with them every RR set — replay bit-exactly. Run
+/// metadata is re-derived from the arcs (pure function, shared
+/// ComputeProbabilityRuns).
 void SerializeGraph(const Graph& graph, std::string* out);
-Status DeserializeGraph(std::string_view bytes, Graph* graph);
 
 /// On-disk CSR image: a 32-byte file header (magic "TIMPPIMG", format
 /// version, payload size, Graph::ContentHash) followed by the exact

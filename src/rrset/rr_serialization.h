@@ -1,17 +1,17 @@
-// Compact binary wire format for RR-set shards — how worker processes ship
-// sampled ranges back to the distributed coordinator.
+// Compact binary format for RR-set shards — the spill tier's chunk format
+// (rrset/rr_spill.h), written and read back by the same process.
 //
 // A shard is a contiguous run of RR sets from one engine's global index
 // stream, together with each set's width w(R) and edges-examined count, so
-// the receiving side can merge it with RRCollection::AppendRange and report
-// the same accounting (edges_examined, traversal_cost, TotalWidth) a local
-// fill of the same indices would have produced. The format is versioned and
-// self-validating: a truncated buffer, an inconsistent total, or a node id
-// outside the graph fails with a clear Status instead of poisoning the
-// collection.
+// the reader can merge it with RRCollection::AppendRange and report the
+// same accounting (edges_examined, traversal_cost, TotalWidth) a fresh
+// fill of the same indices would have produced. The format is versioned
+// and self-validating: a truncated buffer, an inconsistent total, or a
+// node id outside the graph fails with a clear Status instead of poisoning
+// the collection.
 //
-// Layout (all integers native-endian; shards travel between processes on
-// one host, never across architectures):
+// Layout (all integers native-endian; chunk files are scratch written and
+// read on one host, never across architectures):
 //   u32 magic 'RRSH' | u16 version | u16 flags(0)
 //   u64 num_sets | u64 total_nodes | u64 total_edges
 //   u64 node_count[num_sets]

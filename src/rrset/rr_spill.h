@@ -133,8 +133,8 @@ class RRSpillStore {
   using Visitor =
       std::function<void(uint64_t index, std::span<const NodeId> nodes)>;
 
-  /// `num_graph_nodes` validates reloaded shard node ids (same check the
-  /// distributed merge applies).
+  /// `num_graph_nodes` validates reloaded shard node ids (a corrupt chunk
+  /// fails its read instead of poisoning the collection).
   RRSpillStore(NodeId num_graph_nodes, RRSpillOptions options);
   ~RRSpillStore();
 

@@ -6,11 +6,10 @@
 namespace timpp {
 
 GraphContext::GraphContext(Graph graph, unsigned num_threads,
-                           SampleBackendSpec backend, bool pin_threads)
+                           bool pin_threads)
     : graph_(std::move(graph)) {
   sampling_.num_threads = std::max(1u, num_threads);
   sampling_.pin_threads = pin_threads;
-  sampling_.sample_backend = std::move(backend);
 }
 
 std::shared_ptr<SharedRRCache> GraphContext::AcquireStream(

@@ -3,7 +3,7 @@
 //
 // A context owns the Graph, one SharedRRCache per StreamKey ever requested
 // (engine/run_options.h: different keys are different RR streams and share
-// nothing; thread count and backend are not part of the key), and a
+// nothing; thread count is not part of the key), and a
 // PhaseCache memoizing TIM's KPT estimation and IMM's LB search. Per the
 // engine's per-index RNG contract, a request that needs the stream prefix
 // [0, θ′) consumes exactly the bytes it would have generated standalone —
@@ -56,12 +56,10 @@ namespace timpp {
 class GraphContext {
  public:
   /// Takes ownership of `graph`. `num_threads` is the sampling
-  /// parallelism every cache engine of this context is built with,
-  /// `backend` is where that sampling runs (local threads or process
-  /// shards — responses are identical either way), and `pin_threads`
-  /// pins those sampling workers to CPUs.
+  /// parallelism every cache engine of this context is built with
+  /// (responses are identical at any value), and `pin_threads` pins those
+  /// sampling workers to CPUs.
   explicit GraphContext(Graph graph, unsigned num_threads = 1,
-                        SampleBackendSpec backend = {},
                         bool pin_threads = false);
 
   GraphContext(const GraphContext&) = delete;

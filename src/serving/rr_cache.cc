@@ -56,12 +56,10 @@ void SharedRRCache::EnsurePrefix(uint64_t count) {
     if (added == 0) {
       const SampleBatch batch =
           engine_.SampleInto(&chunk->sets, count - have, &chunk->edges);
-      // A failed backend delivers fewer; account what actually arrived.
       total_sets_sampled_.fetch_add(batch.sets_added,
                                     std::memory_order_relaxed);
       added = batch.sets_added;
     }
-    if (added == 0) return;  // nothing to publish
     // A published chunk never grows again: drop its growth slack so the
     // context's byte budget, which evicts by MemoryBytes, prices data and
     // not allocator headroom.
@@ -134,13 +132,6 @@ SampleBatch SharedRRCache::Read(uint64_t first, uint64_t count,
   SampleBatch batch;
   const uint64_t cached_before = cached_sets();
   if (first + count > cached_before) EnsurePrefix(first + count);
-  // A failed engine (dead sample backend) leaves the prefix short; clamp
-  // the read so accounting stays in bounds — the caller observes the
-  // short batch and the engine's latched status.
-  const uint64_t avail = cached_sets();
-  if (first + count > avail) {
-    count = avail > first ? avail - first : 0;
-  }
   const uint64_t end = first + count;
   uint64_t nodes_appended = 0;
   for (uint64_t i = first; i < end;) {
@@ -179,12 +170,7 @@ SampleBatch SharedRRCache::ReadUntilCost(uint64_t first, double cost_threshold,
   const Chunk* chunk = nullptr;
   uint64_t i = first;
   while (rule.WantsMore()) {
-    if (i >= cached_sets()) {
-      EnsurePrefix(i + kCostGrowBatch);
-      // The engine refused to grow (failed backend): stop instead of
-      // spinning — the caller sees the engine's latched status.
-      if (i >= cached_sets()) break;
-    }
+    if (i >= cached_sets()) EnsurePrefix(i + kCostGrowBatch);
     // Chunks are immutable, so a cached chunk pointer stays valid and its
     // set count final — advance to the next chunk only when walking off
     // this one's end.

@@ -77,9 +77,9 @@ class SharedRRCache {
   SharedRRCache& operator=(const SharedRRCache&) = delete;
 
   const Graph& graph() const { return engine_.graph(); }
-  /// The shared engine. Safe concurrent uses are status() (atomic latch)
-  /// and the config accessors; batch calls go through the cache, which
-  /// serializes them under its grow lock.
+  /// The shared engine. Only its config accessors are safe to call
+  /// concurrently; batch calls go through the cache, which serializes
+  /// them under its grow lock.
   SamplingEngine& engine() { return engine_; }
 
   /// Sets currently published (readable without touching the grow lock).

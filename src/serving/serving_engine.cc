@@ -37,8 +37,7 @@ Status ServingEngine::RegisterGraph(const std::string& name, Graph graph) {
     return Status::InvalidArgument("graph already registered: " + name);
   }
   auto context = std::make_unique<GraphContext>(
-      std::move(graph), options_.num_threads, options_.sample_backend,
-      options_.pin_threads);
+      std::move(graph), options_.num_threads, options_.pin_threads);
   context->set_cache_budget_bytes(options_.shared_cache_budget_bytes);
   context->set_spill_dir(options_.spill_dir);
   context->set_spill_tuning(options_.spill_tuning);
@@ -89,9 +88,8 @@ ImResponse ServingEngine::SolveOnContext(GraphContext& context,
   SolverOptions options = request;
   options.num_threads = options_.num_threads;
   options.pin_threads = options_.pin_threads;
-  // Standalone-path requests (budgeted, non-RR, custom-model) still run
-  // their sampling on the engine-wide backend and spill dir.
-  options.sample_backend = options_.sample_backend;
+  // Standalone-path requests (budgeted, non-RR, custom-model) still
+  // spill to the engine-wide spill dir.
   options.spill_dir = options_.spill_dir;
 
   // The shared stream only helps RR-set solvers; a per-request memory

@@ -48,10 +48,6 @@ struct ServingOptions {
   /// Sampling worker threads inside each request (results are invariant
   /// to this value; it is pure throughput).
   unsigned num_threads = 1;
-  /// Where each context's sampling runs (local threads or process
-  /// shards; engine/sample_backend.h). Responses are invariant to the
-  /// backend — the shared stream caches are keyed without it.
-  SampleBackendSpec sample_backend;
   /// Byte cap (0 = unlimited) on each graph context's shared RR
   /// collections, enforced after every request by LRU eviction of whole
   /// streams (GraphContext::EnforceCacheBudget). A capped engine returns
@@ -85,9 +81,9 @@ struct ServingOptions {
 
 /// One influence-maximization request: SolverOptions plus routing.
 ///
-/// The run knobs num_threads, pin_threads, sample_backend and spill_dir
-/// are engine-wide: ServingEngine overwrites them from ServingOptions, so
-/// setting them here has no effect. A request with a memory budget runs
+/// The run knobs num_threads, pin_threads and spill_dir are engine-wide:
+/// ServingEngine overwrites them from ServingOptions, so setting them
+/// here has no effect. A request with a memory budget runs
 /// standalone (no shared-collection reuse): the budget caps THIS request's
 /// resident bytes, which a shared collection would make meaningless. So
 /// does one with a custom_model (borrowed; must outlive the request), so

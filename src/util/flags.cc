@@ -24,6 +24,13 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
+std::vector<std::string> Flags::names() const {
+  std::vector<std::string> names;
+  names.reserve(values_.size());
+  for (const auto& [name, value] : values_) names.push_back(name);
+  return names;
+}
+
 bool Flags::Has(const std::string& name) const {
   return values_.count(name) > 0;
 }

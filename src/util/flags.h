@@ -31,6 +31,10 @@ class Flags {
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Every --name given, sorted — lets a binary reject names it never
+  /// reads instead of running at their defaults.
+  std::vector<std::string> names() const;
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;

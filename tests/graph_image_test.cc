@@ -2,11 +2,10 @@
 // WriteGraphImage/OpenGraphImage + graph/graph_storage.h MmapGraphImage):
 // a mapped graph must be indistinguishable from the resident graph it was
 // written from — same ContentHash, same adjacency, byte-identical RR
-// streams, locally and through procs:N workers loading the image via a
-// `format=image` GraphSpec — and every corruption class (truncated
-// header, bad magic, bad version, truncated or malformed payload, flipped
-// payload bit, wrong node count) must come back as a named Status that
-// leaves the output Graph untouched, never as a half-built graph.
+// streams — and every corruption class (truncated header, bad magic, bad
+// version, truncated or malformed payload, flipped payload bit, wrong
+// node count) must come back as a named Status that leaves the output
+// Graph untouched, never as a half-built graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "distributed/graph_spec.h"
 #include "engine/sampling_engine.h"
 #include "graph/graph_io.h"
 #include "rrset/rr_collection.h"
@@ -109,45 +107,19 @@ TEST(GraphImageTest, MappedGraphProducesByteIdenticalRRStreams) {
     config.model = model;
     config.seed = 77;
     SamplingEngine resident_engine(resident, config);
-    SamplingEngine mapped_engine(mapped, config);
     RRCollection resident_rr(resident.num_nodes());
-    RRCollection mapped_rr(mapped.num_nodes());
     const SampleBatch a = resident_engine.SampleInto(&resident_rr, 2000);
-    const SampleBatch b = mapped_engine.SampleInto(&mapped_rr, 2000);
-    EXPECT_EQ(a.edges_examined, b.edges_examined);
-    ExpectEqualCollections(resident_rr, mapped_rr);
+    // At 4 threads every sampling thread reads the mapping at once.
+    for (unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(threads);
+      config.num_threads = threads;
+      SamplingEngine mapped_engine(mapped, config);
+      RRCollection mapped_rr(mapped.num_nodes());
+      const SampleBatch b = mapped_engine.SampleInto(&mapped_rr, 2000);
+      EXPECT_EQ(a.edges_examined, b.edges_examined);
+      ExpectEqualCollections(resident_rr, mapped_rr);
+    }
   }
-}
-
-TEST(GraphImageTest, ProcsWorkersLoadTheImageBitIdentically) {
-  // Workers reconstruct the coordinator's graph from a `format=image`
-  // spec: they mmap the image file, the handshake verifies ContentHash,
-  // and the combined stream must be byte-identical to local sampling over
-  // the resident original.
-  const Graph resident = MakeWcPowerLaw(200, 3, 9);
-  TempImage image;
-  ASSERT_TRUE(WriteGraphImage(resident, image.path()).ok());
-  Graph mapped;
-  ASSERT_TRUE(OpenGraphImage(image.path(), &mapped).ok());
-
-  SamplingConfig local_config;
-  local_config.model = DiffusionModel::kIC;
-  local_config.seed = 42;
-  SamplingEngine local(resident, local_config);
-  RRCollection local_rr(resident.num_nodes());
-  local.SampleInto(&local_rr, 1500);
-
-  SamplingConfig procs_config = local_config;
-  procs_config.sample_backend.kind = SampleBackendKind::kProcessShards;
-  procs_config.sample_backend.num_workers = 2;
-  procs_config.sample_backend.graph_source =
-      "format=image;path=" + image.path();
-  SamplingEngine procs(mapped, procs_config);
-  RRCollection procs_rr(mapped.num_nodes());
-  procs.SampleInto(&procs_rr, 1500);
-  ASSERT_TRUE(procs.status().ok()) << procs.status().ToString();
-
-  ExpectEqualCollections(local_rr, procs_rr);
 }
 
 // ---- corruption rejection ---------------------------------------------

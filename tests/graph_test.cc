@@ -248,5 +248,22 @@ TEST(GraphTest, ArcOrderFollowsInsertionWithinSource) {
   EXPECT_EQ(arcs[2].node, 2u);
 }
 
+TEST(GraphContentHashTest, SensitiveToWeightsOrderAndDirection) {
+  const auto build = [](float p01, float p12, bool extra) {
+    GraphBuilder b;
+    b.AddEdge(0, 1, p01);
+    b.AddEdge(1, 2, p12);
+    if (extra) b.AddEdge(2, 0, 0.5f);
+    Graph g;
+    EXPECT_TRUE(b.Build(&g).ok());
+    return g;
+  };
+  const Graph base = build(0.3f, 0.7f, false);
+  EXPECT_EQ(base.ContentHash(), build(0.3f, 0.7f, false).ContentHash());
+  EXPECT_NE(base.ContentHash(), build(0.31f, 0.7f, false).ContentHash());
+  EXPECT_NE(base.ContentHash(), build(0.7f, 0.3f, false).ContentHash());
+  EXPECT_NE(base.ContentHash(), build(0.3f, 0.7f, true).ContentHash());
+}
+
 }  // namespace
 }  // namespace timpp

@@ -9,11 +9,12 @@
 //     prefetch counters moving, and injected failing/slow readers (via
 //     RRSpillOptions::reader_factory) degrade to synchronous reads with
 //     the same bytes;
-//   - the solver sweep: TIM/TIM+/IMM/RIS at budgets {tiny, mid, ∞} ×
-//     backends {local, procs:2} must produce bit-identical seeds and
-//     stats to the unbudgeted local run, with regeneration_passes == 0
-//     (disk replay, not resampling) whenever the spill tier is on and the
-//     budget actually trips;
+//   - the solver sweep: TIM/TIM+/IMM/RIS at budgets {tiny, mid, ∞} must
+//     produce bit-identical seeds and stats to the unbudgeted run, with
+//     regeneration_passes == 0 (disk replay, not resampling) whenever the
+//     spill tier is on and the budget actually trips;
+//   - the metric contract: every RR solver's metric names and order,
+//     plain, budgeted and spilled;
 //   - serving: a budget-evicted shared stream spills its prefix and the
 //     re-created stream preloads it from disk instead of resampling.
 #include <gtest/gtest.h>
@@ -520,18 +521,10 @@ TEST(RRSpillStoreTest, EmptyEdgeSpanRecordsZeros) {
   EXPECT_EQ(out_edges, std::vector<uint64_t>(10, 0));
 }
 
-// ---- solver sweep: budgets × backends, spill on -----------------------
-
-SampleBackendSpec Procs(unsigned workers) {
-  SampleBackendSpec spec;
-  spec.kind = SampleBackendKind::kProcessShards;
-  spec.num_workers = workers;
-  return spec;
-}
+// ---- solver sweep: budgets, spill on -----------------------------------
 
 SolverResult RunRegistry(const Graph& graph, const std::string& algo,
-                         size_t memory_budget, const std::string& spill_dir,
-                         const SampleBackendSpec& backend) {
+                         size_t memory_budget, const std::string& spill_dir) {
   std::unique_ptr<InfluenceSolver> solver;
   Status s = SolverRegistry::Global().Create(algo, graph, &solver);
   EXPECT_TRUE(s.ok()) << s.ToString();
@@ -543,7 +536,6 @@ SolverResult RunRegistry(const Graph& graph, const std::string& algo,
   options.spill_dir = spill_dir;
   options.ris_tau_scale = 0.05;
   options.ris_max_sets = 200000;
-  options.sample_backend = backend;
   SolverResult result;
   s = solver->Run(options, &result);
   EXPECT_TRUE(s.ok()) << algo << ": " << s.ToString();
@@ -556,8 +548,8 @@ TEST(SpillSolverSweepTest, BudgetedSpilledRunsAreBitIdenticalEverywhere) {
 
   for (const char* algo : {"tim", "tim+", "imm", "ris"}) {
     SCOPED_TRACE(algo);
-    // Ground truth: unbudgeted, local, no spill.
-    const SolverResult baseline = RunRegistry(graph, algo, 0, "", {});
+    // Ground truth: unbudgeted, no spill.
+    const SolverResult baseline = RunRegistry(graph, algo, 0, "");
     // RIS reports no rr_data_bytes (its collection is transient under the
     // cost loop); a fixed basis still trips its budget at /8 and /2.
     const auto data_bytes = static_cast<size_t>(
@@ -567,34 +559,110 @@ TEST(SpillSolverSweepTest, BudgetedSpilledRunsAreBitIdenticalEverywhere) {
     // tiny and mid budgets trip; ∞ (0) must leave the spill tier idle.
     for (size_t budget : {data_bytes / 8, data_bytes / 2, size_t{0}}) {
       SCOPED_TRACE(budget);
-      for (bool procs : {false, true}) {
-        SCOPED_TRACE(procs ? "procs:2" : "local");
-        const SolverResult run = RunRegistry(
-            graph, algo, budget, dir.path(),
-            procs ? Procs(2) : SampleBackendSpec{});
-        EXPECT_EQ(run.seeds, baseline.seeds);
-        EXPECT_EQ(run.estimated_spread, baseline.estimated_spread);
-        for (const auto& [name, value] : baseline.metrics) {
-          if (name == "rr_memory_bytes" || name.rfind("seconds", 0) == 0 ||
-              name == "hit_memory_budget" || name == "rr_sets_retained" ||
-              name == "rr_data_bytes" || name == "regeneration_passes") {
-            continue;  // legitimately budget-dependent
-          }
-          EXPECT_EQ(value, run.Metric(name, -1.0)) << name;
+      const SolverResult run = RunRegistry(graph, algo, budget, dir.path());
+      EXPECT_EQ(run.seeds, baseline.seeds);
+      EXPECT_EQ(run.estimated_spread, baseline.estimated_spread);
+      for (const auto& [name, value] : baseline.metrics) {
+        if (name == "rr_memory_bytes" || name.rfind("seconds", 0) == 0 ||
+            name == "hit_memory_budget" || name == "rr_sets_retained" ||
+            name == "rr_data_bytes" || name == "regeneration_passes") {
+          continue;  // legitimately budget-dependent
         }
-        if (budget != 0 && run.Metric("hit_memory_budget") != 0.0) {
-          // The whole point of the spill tier: replay beats regeneration.
-          EXPECT_EQ(run.Metric("regeneration_passes"), 0.0);
-          EXPECT_GT(run.Metric("rr_sets_spilled"), 0.0);
-          EXPECT_GT(run.Metric("sets_spill_read"), 0.0);
-          EXPECT_GT(run.Metric("spill_bytes_written"), 0.0);
-        }
-        if (budget == 0) {
-          EXPECT_EQ(run.Metric("hit_memory_budget"), 0.0);
-          EXPECT_EQ(run.Metric("rr_sets_spilled"), 0.0);
-        }
+        EXPECT_EQ(value, run.Metric(name, -1.0)) << name;
+      }
+      if (budget != 0 && run.Metric("hit_memory_budget") != 0.0) {
+        // The whole point of the spill tier: replay beats regeneration.
+        EXPECT_EQ(run.Metric("regeneration_passes"), 0.0);
+        EXPECT_GT(run.Metric("rr_sets_spilled"), 0.0);
+        EXPECT_GT(run.Metric("sets_spill_read"), 0.0);
+        EXPECT_GT(run.Metric("spill_bytes_written"), 0.0);
+      }
+      if (budget == 0) {
+        EXPECT_EQ(run.Metric("hit_memory_budget"), 0.0);
+        EXPECT_EQ(run.Metric("rr_sets_spilled"), 0.0);
       }
     }
+  }
+}
+
+// ---- metric contract ---------------------------------------------------
+
+// The registry's metric names AND their order are a contract: im_cli prints
+// them in emission order, and the budget / spill sweeps compare runs stat
+// for stat. Spill counters appear only when the spill tier ran, so a plain
+// run keeps the exact list it always had.
+TEST(SolverMetricContractTest, NamesAndOrderArePinnedPerAlgorithm) {
+  const Graph graph = MakeWcPowerLaw(250, 3, 17);
+  TempSpillDir dir;
+
+  const std::vector<std::string> budget = {
+      "hit_memory_budget", "rr_sets_retained", "regeneration_passes"};
+  const std::vector<std::string> spill = {
+      "rr_sets_spilled", "sets_spill_read", "spill_bytes_written"};
+  const auto concat = [](std::vector<std::vector<std::string>> parts) {
+    std::vector<std::string> out;
+    for (const auto& part : parts) {
+      out.insert(out.end(), part.begin(), part.end());
+    }
+    return out;
+  };
+  const std::vector<std::string> tim_head = {
+      "theta",       "theta_prime",    "kpt_star",        "kpt_plus",
+      "rr_sets_kpt", "edges_examined", "rr_memory_bytes", "rr_data_bytes"};
+  const std::vector<std::string> tim_tail = {"seconds_node_selection",
+                                             "kpt_cache_hit"};
+  const std::vector<std::string> imm_head = {
+      "theta",           "lb",           "rr_sets_sampling",
+      "sampling_iterations", "rr_memory_bytes", "rr_data_bytes"};
+  const std::vector<std::string> imm_tail = {"lb_cache_hit"};
+  const std::vector<std::string> ris_head = {"tau", "rr_sets_generated",
+                                             "cost_examined", "hit_set_cap"};
+  struct AlgoNames {
+    const char* algo;
+    std::vector<std::string> plain;
+  };
+  const AlgoNames algos[] = {
+      {"tim", concat({tim_head, budget, tim_tail})},
+      {"tim+", concat({tim_head, budget, tim_tail})},
+      {"imm", concat({imm_head, budget, imm_tail})},
+      {"ris", concat({ris_head, budget})},
+  };
+
+  const auto names_of = [](const SolverResult& result) {
+    std::vector<std::string> names;
+    for (const auto& [name, value] : result.metrics) names.push_back(name);
+    return names;
+  };
+  for (const AlgoNames& expected : algos) {
+    SCOPED_TRACE(expected.algo);
+    std::unique_ptr<InfluenceSolver> solver;
+    ASSERT_TRUE(
+        SolverRegistry::Global().Create(expected.algo, graph, &solver).ok());
+    SolverOptions options;
+    options.k = 4;
+    options.epsilon = 0.3;
+    options.seed = 1234;
+    options.ris_tau_scale = 0.05;
+    options.ris_max_sets = 200000;
+
+    SolverResult plain;
+    ASSERT_TRUE(solver->Run(options, &plain).ok());
+    EXPECT_EQ(names_of(plain), expected.plain);
+
+    // A 1 KiB budget trips every RR solver on this graph: regeneration
+    // without a spill dir, disk replay with one.
+    options.memory_budget_bytes = 1024;
+    SolverResult regenerated;
+    ASSERT_TRUE(solver->Run(options, &regenerated).ok());
+    EXPECT_EQ(regenerated.Metric("hit_memory_budget"), 1.0);
+    EXPECT_GT(regenerated.Metric("regeneration_passes"), 0.0);
+    EXPECT_EQ(names_of(regenerated), expected.plain);
+
+    options.spill_dir = dir.path();
+    SolverResult spilled;
+    ASSERT_TRUE(solver->Run(options, &spilled).ok());
+    EXPECT_GT(spilled.Metric("rr_sets_spilled"), 0.0);
+    EXPECT_EQ(names_of(spilled), concat({expected.plain, spill}));
   }
 }
 

@@ -1,12 +1,12 @@
 // Concurrency tests of the serving layer: requests racing through one
 // GraphContext must return bit-identical results to the serialized PR-4
 // batch path at every concurrency level — including while the cache
-// budget evicts streams under live readers and with the process-shard
-// sampling backend — the admission queue must shed overload as
-// Unavailable without corrupting admitted requests, the PhaseCache must
-// compute each key exactly once no matter how many requests race for it,
-// and concurrent SharedRRCache readers must see byte-identical sets while
-// a writer grows the stream. Run under TSan in CI (the blocking job).
+// budget evicts streams under live readers — the admission queue must
+// shed overload as Unavailable without corrupting admitted requests, the
+// PhaseCache must compute each key exactly once no matter how many
+// requests race for it, and concurrent SharedRRCache readers must see
+// byte-identical sets while a writer grows the stream. Run under TSan in
+// CI (the blocking job).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -214,27 +214,6 @@ TEST(ConcurrentServingTest, EvictionUnderConcurrencyKeepsResultsIdentical) {
       << "budget was too large to exercise eviction under readers";
 }
 
-TEST(ConcurrentServingTest, ProcsBackendMatchesSerialLocal) {
-  Graph g = MakeWcPowerLaw(200, 3, 77);
-  std::vector<ImRequest> requests = ConcurrencyBatch("g");
-  requests.resize(7);  // one seed's worth: keep the subprocess bill small
-  const std::vector<ImResponse> reference =
-      SerialReference(g, requests, /*num_threads=*/1);
-
-  ServingOptions options;
-  options.num_threads = 1;
-  options.submit_workers = 4;
-  options.max_pending_requests = 0;
-  options.sample_backend.kind = SampleBackendKind::kProcessShards;
-  options.sample_backend.num_workers = 2;
-  ServingEngine engine(options);
-  ASSERT_TRUE(engine.RegisterGraph("g", g).ok());
-
-  const std::vector<ImResponse> responses =
-      SubmitFromThreads(engine, requests, /*submitters=*/2);
-  ExpectSameResults(reference, responses);
-}
-
 // ------------------------------------ admission control -----------------
 
 TEST(ConcurrentServingTest, AdmissionQueueShedsOverloadAsUnavailable) {
@@ -423,27 +402,6 @@ TEST(ConcurrentServingTest, EvictionUnderLiveReadersServesByteIdenticalSets) {
   context.EnforceCacheBudget();
   EXPECT_GT(context.StreamsEvicted(), 0u)
       << "budget was too large to exercise eviction";
-}
-
-TEST(ConcurrentServingTest, EngineStatusLatchesTheFirstError) {
-  // The status latch itself is exercised for data races by every
-  // concurrent test above (TSan); here, the functional contract — an
-  // engine that has not failed reports OK from any thread.
-  const Graph g = MakeTwoCommunities(0.35f);
-  SamplingEngine engine(g, IcSampling(5, 2));
-  RRCollection out(g.num_nodes());
-  engine.SampleInto(&out, 500);
-  std::vector<std::thread> threads;
-  std::atomic<int> not_ok{0};
-  for (unsigned t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 100; ++i) {
-        if (!engine.status().ok()) not_ok.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(not_ok.load(), 0);
 }
 
 }  // namespace

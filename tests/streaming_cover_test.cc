@@ -240,14 +240,24 @@ TEST(SamplingEngineStreamTest, VisitSamplesReplaysTheSampleStreamExactly) {
         << "VisitSamples must not consume stream position";
   }
 
-  // Filtered replay visits exactly the accepted indices, in order.
-  SamplingEngine engine_c(g, IcSampling(5, 4));
-  std::vector<uint64_t> seen;
-  engine_c.VisitSamples(
-      0, 1000, [](uint64_t index) { return index % 3 == 0; },
-      [&](uint64_t index, std::span<const NodeId>) { seen.push_back(index); });
-  ASSERT_EQ(seen.size(), 334u);
-  for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], 3 * i);
+  // Filtered replay visits exactly the accepted indices, in order, each
+  // with the members the unfiltered stream gives it, at any thread count.
+  for (unsigned threads : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE(threads);
+    SamplingEngine engine_c(g, IcSampling(5, threads));
+    std::vector<uint64_t> seen;
+    engine_c.VisitSamples(
+        0, 1000, [](uint64_t index) { return index % 3 == 0; },
+        [&](uint64_t index, std::span<const NodeId> nodes) {
+          seen.push_back(index);
+          const auto want = retained.Set(static_cast<RRSetId>(index));
+          ASSERT_EQ(std::vector<NodeId>(nodes.begin(), nodes.end()),
+                    std::vector<NodeId>(want.begin(), want.end()))
+              << "index " << index;
+        });
+    ASSERT_EQ(seen.size(), 334u);
+    for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], 3 * i);
+  }
 
   // SkipTo fast-forwards the stream: the next SampleInto produces the
   // same sets a longer straight run would have at those indices.

@@ -394,6 +394,14 @@ TEST(FlagsTest, PositionalArguments) {
   EXPECT_EQ(flags.positional()[1], "out.txt");
 }
 
+TEST(FlagsTest, NamesListsEveryFlagGivenSorted) {
+  std::vector<std::string> args = {"prog", "in.txt", "--k=3", "--eps", "0.2",
+                                   "--verbose"};
+  auto argv = MakeArgv(args);
+  Flags flags(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(flags.names(), (std::vector<std::string>{"eps", "k", "verbose"}));
+}
+
 // ----------------------------------------------------------------- Timer --
 
 TEST(TimerTest, ElapsedIsNonNegativeAndMonotonic) {

@@ -181,20 +181,6 @@ TEST(WeightedImmTest, ValidatesWeights) {
   EXPECT_TRUE(RunImm(g, options, &result).IsInvalidArgument());
 }
 
-TEST(WeightedImmTest, ProcessShardsRejectTheRootDistribution) {
-  // Workers cannot sample weighted roots; a procs run must fail loudly
-  // instead of silently drawing uniform roots (no worker is spawned).
-  Graph g = MakeChain(4, 0.5f);
-  std::vector<double> weights = {1.0, 2.0, 3.0, 4.0};
-  ImmOptions options;
-  options.k = 1;
-  options.epsilon = 0.3;
-  options.node_weights = &weights;
-  options.sample_backend.kind = SampleBackendKind::kProcessShards;
-  ImmResult result;
-  EXPECT_TRUE(RunImm(g, options, &result).IsUnimplemented());
-}
-
 TEST(WeightedImmTest, WeightsRedirectTheChoice) {
   // Two separate deterministic chains: A = 0->1->2, B = 3->4->5. The
   // weight mass sits on nodes 4 AND 5, so the head of chain B captures
