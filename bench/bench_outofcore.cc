@@ -15,11 +15,10 @@
 //     regeneration_passes == 0.
 //
 //  3. Cold chunk replay — with the page cache dropped from the chunk
-//     files (posix_fadvise DONTNEED), how does prefetched sequential
-//     replay (readahead on, SLRU cache; the serving preload's path)
-//     compare to fully synchronous reads? Replay checksums are asserted
-//     identical to the in-memory truth (fatal) before any timing is
-//     reported.
+//     files (posix_fadvise DONTNEED), how fast does a sequential replay
+//     (the serving preload's synchronous read path) stream sets back?
+//     The replay checksum is asserted identical to the in-memory truth
+//     (fatal) before any timing is reported.
 //
 //  4. Parallel greedy replay — the streaming greedy over a fully spilled
 //     θ range on 1 vs 4 threads. Both runs are asserted seed-identical
@@ -253,20 +252,16 @@ void Run(int argc, char** argv) {
   bench::RecordMetric("mmap_sample_sets_per_sec", mapped_rate);
   bench::RecordMetric("mmap_vs_resident_ratio", mapped_rate / resident_rate);
 
-  // ---- cold chunk replay: prefetch on vs off -------------------------
-  // Identical data in two stores; page cache dropped before each pass so
-  // the chunk reads hit storage. Checksums are the gate: both replays
-  // must match the in-memory sets exactly before any rate is reported.
-  RRSpillOptions sync_spill;
-  sync_spill.dir = tmp + "/replay";
-  sync_spill.sets_per_chunk = 1024;
-  sync_spill.tuning.readahead_chunks = 0;
-  RRSpillOptions pre_spill = sync_spill;
-  pre_spill.tuning.readahead_chunks = 4;
-  RRSpillStore sync_store(resident.num_nodes(), sync_spill);
-  RRSpillStore pre_store(resident.num_nodes(), pre_spill);
-  for (RRSpillStore* store : {&sync_store, &pre_store}) {
-    Status status = store->SpillRange(resident_rr, {}, 0, sets, 0);
+  // ---- cold chunk replay ---------------------------------------------
+  // Page cache dropped before the pass so the chunk reads hit storage.
+  // The checksum is the gate: the replay must match the in-memory sets
+  // exactly before any rate is reported.
+  RRSpillOptions spill;
+  spill.dir = tmp + "/replay";
+  spill.sets_per_chunk = 1024;
+  RRSpillStore store(resident.num_nodes(), spill);
+  {
+    Status status = store.SpillRange(resident_rr, {}, 0, sets, 0);
     if (!status.ok()) {
       std::fprintf(stderr, "spill: %s\n", status.ToString().c_str());
       std::exit(1);
@@ -279,30 +274,15 @@ void Run(int argc, char** argv) {
       truth.Mix(node);
     }
   }
-  uint64_t sync_sum = 0, pre_sum = 0;
-  const double sync_rate = TimeColdReplay(&sync_store, sets, &sync_sum);
-  const double pre_rate = TimeColdReplay(&pre_store, sets, &pre_sum);
-  if (sync_sum != truth.value || pre_sum != truth.value) {
+  uint64_t sum = 0;
+  const double sync_rate = TimeColdReplay(&store, sets, &sum);
+  if (sum != truth.value) {
     std::fprintf(stderr, "FATAL: cold replay diverged from in-memory sets\n");
     std::exit(1);
   }
-  const RRSpillStats pre_stats = pre_store.stats();
-  std::printf(
-      "cold replay %llu sets: sync %.0f sets/s   prefetch[%s, depth 4] "
-      "%.0f sets/s (%.2fx, checksums identical; %llu issued, %llu "
-      "consumed)\n",
-      static_cast<unsigned long long>(sets), sync_rate,
-      pre_store.io_backend_name().c_str(), pre_rate, pre_rate / sync_rate,
-      static_cast<unsigned long long>(pre_stats.prefetch_issued),
-      static_cast<unsigned long long>(pre_stats.prefetch_hits));
+  std::printf("cold replay %llu sets: %.0f sets/s (checksum identical)\n",
+              static_cast<unsigned long long>(sets), sync_rate);
   bench::RecordMetric("cold_replay_sync_sets_per_sec", sync_rate);
-  bench::RecordMetric("cold_replay_prefetch_sets_per_sec", pre_rate);
-  bench::RecordMetric("cold_replay_prefetch_speedup_vs_sync",
-                      pre_rate / sync_rate);
-  bench::RecordMetric("cold_replay_prefetch_issued",
-                      static_cast<double>(pre_stats.prefetch_issued));
-  bench::RecordMetric("cold_replay_prefetch_hits",
-                      static_cast<double>(pre_stats.prefetch_hits));
 
   // ---- spill tier vs regeneration under a budget ---------------------
   const SolverResult unbudgeted =
@@ -359,7 +339,7 @@ void Run(int argc, char** argv) {
       SamplingEngine engine(resident, replay_config);
       Timer timer;
       const StreamingCoverResult replayed =
-          StreamingGreedyMaxCover(engine, none, 0, sets, k, &sync_store);
+          StreamingGreedyMaxCover(engine, none, 0, sets, k, &store);
       if (timed) {
         replay_seconds[i] = timer.ElapsedSeconds();
         continue;
@@ -395,7 +375,7 @@ void Run(int argc, char** argv) {
   std::filesystem::remove_all(tmp);
   std::printf(
       "\nidentity checks: mmap fill byte-equal to resident; cold replay "
-      "(sync and prefetch) checksums equal to in-memory sets; budgeted "
+      "checksum equal to in-memory sets; budgeted "
       "(regen, spill) seeds equal to unbudgeted; 1- and 4-thread greedy "
       "replay seeds equal to GreedyMaxCover\n");
 }

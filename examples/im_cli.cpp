@@ -28,13 +28,6 @@
 //                     geometric skip sampling over constant-probability
 //                     arc runs (fast on wc/uniform graphs) vs one coin
 //                     per arc; auto picks per graph
-//   --mc-batch=scalar scalar | bitmap64 — Monte-Carlo cascade batching
-//                     for the greedy/CELF family, IRIE's AP estimation and
-//                     the final spread report: bitmap64 runs 64 IC
-//                     cascades per graph traversal (per-vertex uint64_t
-//                     lane bitmaps, OR-propagation; same distribution as
-//                     scalar, faster only on small tree-like graphs).
-//                     LT/triggering estimates stay scalar
 //   --cache-budget=0  batch mode: byte cap on the shared RR collections
 //                     (LRU stream eviction; identical results, bounded
 //                     memory)
@@ -69,20 +62,6 @@
 //                     Batch mode also spills LRU-evicted shared streams
 //                     there and preloads them on re-acquisition
 //   --spill           shorthand for --spill-dir=<system temp>/im_spill
-//   --spill-readahead=N
-//                     batch mode: chunks the serving preload of an
-//                     evicted stream reads ahead (default 2; 0 =
-//                     synchronous reads). Timing only — seeds never
-//                     depend on it. Budgeted solves replay their spill
-//                     on --threads workers and take no tuning
-//   --spill-hot-fraction=F
-//                     batch mode: share of the serving preload's
-//                     pinned-chunk capacity reserved for the SLRU hot
-//                     section (default 0.5)
-//   --spill-io=auto|uring|threads
-//                     batch mode: async backend of the serving preload's
-//                     readahead: auto probes io_uring and falls back to
-//                     the pread thread pool
 //   --ris_tau_scale / --ris_max_sets
 //                     RIS cost-threshold and out-of-memory knobs
 //   --undirected      treat each input line as an undirected edge
@@ -92,16 +71,20 @@
 //                     request standalone). One request per line:
 //                       algo  k  epsilon  [key=value ...]
 //                     where key ∈ {seed, model, ell, hops, sampler,
-//                     budget, mc, mc_batch, tau_scale, max_sets}; '#'
-//                     starts a comment. Unset keys inherit the CLI flags. Prints a
+//                     budget, mc, tau_scale, max_sets}; '#' starts a
+//                     comment. Unset keys inherit the CLI flags. Prints a
 //                     per-request line plus a reuse summary.
 //
 // Any other --flag is an error (exit 2), so a misspelt flag never runs
-// silently at its default.
+// silently at its default. So is an integer flag or batch field (every
+// one but the seed, where any 64-bit pattern is valid) whose value is not
+// a whole base-10 integer that fits its field: --k=4294967301 or
+// --threads=-1 exit 2 instead of wrapping.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -130,17 +113,6 @@ void PrintAlgos() {
   std::printf("\n");
 }
 
-bool ParseMcBatchMode(const std::string& name, timpp::McBatchMode* mode) {
-  if (name == "scalar") {
-    *mode = timpp::McBatchMode::kScalar;
-  } else if (name == "bitmap64") {
-    *mode = timpp::McBatchMode::kBitmap64;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool ParseSamplerMode(const std::string& name, timpp::SamplerMode* mode) {
   if (name == "auto") {
     *mode = timpp::SamplerMode::kAuto;
@@ -160,13 +132,17 @@ bool ParseSamplerMode(const std::string& name, timpp::SamplerMode* mode) {
 bool ParseBatchLine(const std::string& line, int line_number,
                     timpp::ImRequest* request) {
   std::istringstream in(line);
-  int64_t k = 0;
+  std::string k;
   if (!(in >> request->algo >> k >> request->epsilon)) {
     std::fprintf(stderr, "batch line %d: expected 'algo k epsilon ...'\n",
                  line_number);
     return false;
   }
-  request->k = static_cast<int>(k);
+  if (!timpp::ParseInteger(k, &request->k)) {
+    std::fprintf(stderr, "batch line %d: bad k '%s'\n", line_number,
+                 k.c_str());
+    return false;
+  }
   std::string token;
   while (in >> token) {
     const size_t eq = token.find('=');
@@ -177,6 +153,7 @@ bool ParseBatchLine(const std::string& line, int line_number,
     }
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
+    bool valid = true;
     try {
       if (key == "seed") {
         request->seed = std::stoull(value);
@@ -193,7 +170,7 @@ bool ParseBatchLine(const std::string& line, int line_number,
       } else if (key == "ell") {
         request->ell = std::stod(value);
       } else if (key == "hops") {
-        request->max_hops = static_cast<uint32_t>(std::stoul(value));
+        valid = timpp::ParseInteger(value, &request->max_hops);
       } else if (key == "sampler") {
         if (!ParseSamplerMode(value, &request->sampler_mode)) {
           std::fprintf(stderr, "batch line %d: unknown sampler '%s'\n",
@@ -201,27 +178,22 @@ bool ParseBatchLine(const std::string& line, int line_number,
           return false;
         }
       } else if (key == "budget") {
-        request->memory_budget_bytes = std::stoull(value);
+        valid = timpp::ParseInteger(value, &request->memory_budget_bytes);
       } else if (key == "mc") {
-        request->mc_samples = std::stoull(value);
-      } else if (key == "mc_batch") {
-        if (!ParseMcBatchMode(value, &request->mc_batch)) {
-          std::fprintf(stderr,
-                       "batch line %d: unknown mc_batch '%s' "
-                       "(scalar|bitmap64)\n",
-                       line_number, value.c_str());
-          return false;
-        }
+        valid = timpp::ParseInteger(value, &request->mc_samples);
       } else if (key == "tau_scale") {
         request->ris_tau_scale = std::stod(value);
       } else if (key == "max_sets") {
-        request->ris_max_sets = std::stoull(value);
+        valid = timpp::ParseInteger(value, &request->ris_max_sets);
       } else {
         std::fprintf(stderr, "batch line %d: unknown key '%s'\n",
                      line_number, key.c_str());
         return false;
       }
     } catch (const std::exception&) {
+      valid = false;
+    }
+    if (!valid) {
       std::fprintf(stderr, "batch line %d: bad value in '%s'\n", line_number,
                    token.c_str());
       return false;
@@ -333,10 +305,9 @@ int main(int argc, char** argv) {
   static const std::set<std::string> kKnownFlags = {
       "algo", "batch", "cache-budget", "celf_r", "concurrency", "ell",
       "eps", "graph-image", "k", "list_algos", "max-pending", "max_hops",
-      "mc", "mc-batch", "memory-budget", "memory_budget", "model",
-      "pin-threads", "ris_max_sets", "ris_tau_scale", "sampler", "seed",
-      "spill", "spill-dir", "spill-hot-fraction", "spill-io",
-      "spill-readahead", "threads", "undirected", "weights"};
+      "mc", "memory-budget", "memory_budget", "model", "pin-threads",
+      "ris_max_sets", "ris_tau_scale", "sampler", "seed", "spill",
+      "spill-dir", "threads", "undirected", "weights"};
   bool unknown = false;
   for (const std::string& name : flags.names()) {
     if (kKnownFlags.count(name) == 0) {
@@ -361,16 +332,42 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Every integer flag but --seed is checked up front, before the graph
+  // loads: a value that is not a whole integer fitting its field exits 2.
+  bool bad_int = false;
+  const auto int_flag = [&]<typename T>(const char* name, T def) {
+    T value = def;
+    if (!flags.GetCheckedInt(name, def, &value)) {
+      std::fprintf(stderr, "invalid --%s=%s: expected an integer in [%s, %s]\n",
+                   name, flags.GetString(name, "").c_str(),
+                   std::to_string(std::numeric_limits<T>::min()).c_str(),
+                   std::to_string(std::numeric_limits<T>::max()).c_str());
+      bad_int = true;
+    }
+    return value;
+  };
+  // --celf_r is the pre-registry spelling of the greedy family's sample
+  // count; honor it as an alias so old command lines keep their meaning.
+  const uint64_t mc = flags.Has("celf_r") ? int_flag("celf_r", uint64_t{10000})
+                                          : int_flag("mc", uint64_t{10000});
+  const int k = int_flag("k", 50);
+  const uint32_t max_hops = int_flag("max_hops", uint32_t{0});
+  const unsigned num_threads = int_flag("threads", 1u);
+  const uint64_t ris_max_sets = int_flag("ris_max_sets", uint64_t{10000000});
+  // --memory_budget is accepted as a spelling variant.
+  const size_t memory_budget =
+      int_flag(flags.Has("memory-budget") ? "memory-budget" : "memory_budget",
+               size_t{0});
+  const size_t cache_budget = int_flag("cache-budget", size_t{0});
+  const unsigned concurrency = std::max(1u, int_flag("concurrency", 1u));
+  const size_t max_pending = int_flag("max-pending", size_t{0});
+  if (bad_int) return 2;
+
   const std::string path =
       flags.positional().empty() ? std::string() : flags.positional()[0];
   const std::string algo = flags.GetString("algo", "tim+");
   const std::string model_name = flags.GetString("model", "ic");
   const uint64_t seed = flags.GetInt("seed", 7);
-  // --celf_r is the pre-registry spelling of the greedy family's sample
-  // count; honor it as an alias so old command lines keep their meaning.
-  const uint64_t mc =
-      flags.Has("celf_r") ? flags.GetInt("celf_r", 10000)
-                          : flags.GetInt("mc", 10000);
 
   const timpp::DiffusionModel model = model_name == "lt"
                                           ? timpp::DiffusionModel::kLT
@@ -437,17 +434,6 @@ int main(int argc, char** argv) {
                  sampler.c_str());
     return 2;
   }
-  const unsigned num_threads =
-      static_cast<unsigned>(flags.GetInt("threads", 1));
-
-  const std::string mc_batch_name = flags.GetString("mc-batch", "scalar");
-  timpp::McBatchMode mc_batch;
-  if (!ParseMcBatchMode(mc_batch_name, &mc_batch)) {
-    std::fprintf(stderr,
-                 "unknown --mc-batch=%s (scalar|bitmap64)\n",
-                 mc_batch_name.c_str());
-    return 2;
-  }
 
   // ---- spill tier ---------------------------------------------------
   std::string spill_dir = flags.GetString("spill-dir", "");
@@ -455,37 +441,22 @@ int main(int argc, char** argv) {
     spill_dir =
         (std::filesystem::temp_directory_path() / "im_spill").string();
   }
-  timpp::RRSpillTuning spill_tuning;
-  spill_tuning.readahead_chunks = static_cast<size_t>(
-      std::max<int64_t>(0, flags.GetInt("spill-readahead", 2)));
-  spill_tuning.hot_fraction = flags.GetDouble("spill-hot-fraction", 0.5);
-  const std::string spill_io = flags.GetString("spill-io", "auto");
-  if (!timpp::ParseAsyncIoBackend(spill_io, &spill_tuning.io_backend)) {
-    std::fprintf(stderr,
-                 "unknown --spill-io backend '%s' (auto|uring|threads)\n",
-                 spill_io.c_str());
-    return 2;
-  }
 
   // ---- options ------------------------------------------------------
   timpp::SolverOptions options;
-  options.k = static_cast<int>(flags.GetInt("k", 50));
+  options.k = k;
   options.sampler_mode = sampler_mode;
   options.epsilon = flags.GetDouble("eps", 0.1);
   options.ell = flags.GetDouble("ell", 1.0);
   options.model = model;
-  options.max_hops = static_cast<uint32_t>(flags.GetInt("max_hops", 0));
+  options.max_hops = max_hops;
   options.num_threads = num_threads;
   options.pin_threads = flags.GetBool("pin-threads", false);
   options.seed = seed;
   options.mc_samples = mc;
-  options.mc_batch = mc_batch;
   options.ris_tau_scale = flags.GetDouble("ris_tau_scale", 0.1);
-  options.ris_max_sets = flags.GetInt("ris_max_sets", 10000000);
-  // --memory_budget is accepted as a spelling variant.
-  options.memory_budget_bytes = static_cast<size_t>(
-      flags.Has("memory-budget") ? flags.GetInt("memory-budget", 0)
-                                 : flags.GetInt("memory_budget", 0));
+  options.ris_max_sets = ris_max_sets;
+  options.memory_budget_bytes = memory_budget;
   options.spill_dir = spill_dir;
 
   // ---- batch mode ---------------------------------------------------
@@ -497,19 +468,14 @@ int main(int argc, char** argv) {
     defaults.graph = "g";
     timpp::ServingOptions serving_options;
     serving_options.num_threads = num_threads;
-    serving_options.shared_cache_budget_bytes =
-        static_cast<size_t>(flags.GetInt("cache-budget", 0));
-    const unsigned concurrency = static_cast<unsigned>(
-        std::max<int64_t>(1, flags.GetInt("concurrency", 1)));
+    serving_options.shared_cache_budget_bytes = cache_budget;
     serving_options.submit_workers = concurrency;
     // A batch file is a finite, known workload: default to unbounded
     // admission so --concurrency never sheds requests unless the user
     // asks for a bound.
-    serving_options.max_pending_requests =
-        static_cast<size_t>(flags.GetInt("max-pending", 0));
+    serving_options.max_pending_requests = max_pending;
     serving_options.pin_threads = options.pin_threads;
     serving_options.spill_dir = spill_dir;
-    serving_options.spill_tuning = spill_tuning;
     return RunBatch(flags.GetString("batch", ""), std::move(graph), defaults,
                     serving_options, concurrency);
   }
@@ -534,15 +500,12 @@ int main(int argc, char** argv) {
   est.num_threads = options.num_threads;
   est.max_hops = options.max_hops;
   est.sampler_mode = sampler_mode;
-  est.mc_batch = mc_batch;
   timpp::SpreadEstimator estimator(graph, est);
   const double spread = estimator.Estimate(result.seeds, seed ^ 0xabc);
 
-  std::printf("\nalgorithm=%s model=%s sampler=%s mc_batch=%s k=%d "
-              "time=%.3fs\n",
+  std::printf("\nalgorithm=%s model=%s sampler=%s k=%d time=%.3fs\n",
               solver->name().c_str(), timpp::DiffusionModelName(model),
-              timpp::SamplerModeName(sampler_mode),
-              timpp::McBatchModeName(mc_batch), options.k,
+              timpp::SamplerModeName(sampler_mode), options.k,
               result.seconds_total);
   if (!result.metrics.empty()) {
     std::printf("stats:");

@@ -22,7 +22,6 @@ class SpreadOracle {
     estimator_options_.model = options.model;
     estimator_options_.custom_model = options.custom_model;
     estimator_options_.sampler_mode = options.sampler_mode;
-    estimator_options_.mc_batch = options.mc_batch;
   }
 
   double Estimate(const Graph& graph, const std::vector<NodeId>& seeds) {

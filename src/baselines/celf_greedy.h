@@ -38,12 +38,6 @@ struct CelfOptions {
   const TriggeringModel* custom_model = nullptr;
   /// Arc-decision strategy of the forward IC cascades (see SamplerMode).
   SamplerMode sampler_mode = SamplerMode::kAuto;
-  /// Cascade batching of every spread estimate: bitmap64 packs 64 IC
-  /// cascades per traversal at an identical estimator distribution. Its
-  /// speed depends on the graph — see SpreadEstimatorOptions::mc_batch
-  /// and the README's "Monte-Carlo batching" table. Ignored for
-  /// LT/triggering estimates.
-  McBatchMode mc_batch = McBatchMode::kScalar;
   uint64_t seed = 0xce1fULL;
 };
 

@@ -1,11 +1,9 @@
 #include "baselines/irie.h"
 
 #include <algorithm>
-#include <bit>
 #include <string>
 #include <vector>
 
-#include "diffusion/batched_simulator.h"
 #include "diffusion/ic_simulator.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -36,35 +34,18 @@ void SolveRanks(const Graph& graph, double alpha, int iterations,
 }
 
 // Estimates AP(u|S) — the probability node u is activated by seed set S —
-// by averaging `samples` IC cascades. With bitmap batching, 64 cascades
-// share each traversal and a node's hit count grows by the popcount of
-// its activation lane mask (plus a scalar tail for samples mod 64).
+// by averaging `samples` IC cascades.
 void EstimateActivationProbability(const Graph& graph,
                                    const std::vector<NodeId>& seeds,
                                    uint64_t samples, SamplerMode sampler_mode,
-                                   McBatchMode mc_batch, Rng& rng,
-                                   std::vector<double>* ap) {
+                                   Rng& rng, std::vector<double>* ap) {
   const NodeId n = graph.num_nodes();
   std::vector<uint32_t> hits(n, 0);
-  uint64_t remaining = samples;
-  constexpr uint64_t kLanes = BatchedIcSimulator::kMaxLanes;
-  if (mc_batch != McBatchMode::kScalar && remaining >= kLanes) {
-    BatchedIcSimulator batched(graph);
-    std::vector<LaneActivation> events;
-    for (; remaining >= kLanes; remaining -= kLanes) {
-      batched.SimulateBatchCollect(seeds, rng, &events);
-      for (const LaneActivation& e : events) {
-        hits[e.node] += static_cast<uint32_t>(std::popcount(e.lanes));
-      }
-    }
-  }
-  if (remaining > 0) {
-    IcSimulator sim(graph, sampler_mode);
-    std::vector<NodeId> activated;
-    for (uint64_t i = 0; i < remaining; ++i) {
-      sim.SimulateCollect(seeds, rng, &activated);
-      for (NodeId v : activated) ++hits[v];
-    }
+  IcSimulator sim(graph, sampler_mode);
+  std::vector<NodeId> activated;
+  for (uint64_t i = 0; i < samples; ++i) {
+    sim.SimulateCollect(seeds, rng, &activated);
+    for (NodeId v : activated) ++hits[v];
   }
   for (NodeId v = 0; v < n; ++v) {
     (*ap)[v] = static_cast<double>(hits[v]) / static_cast<double>(samples);
@@ -115,8 +96,7 @@ Status RunIrie(const Graph& graph, const IrieOptions& options, int k,
     if (round + 1 < k) {
       // IE step: refresh AP(·|S) and damp ranks for the next round.
       EstimateActivationProbability(graph, chosen, options.ap_samples,
-                                    options.sampler_mode, options.mc_batch,
-                                    rng, &ap);
+                                    options.sampler_mode, rng, &ap);
       for (NodeId v = 0; v < n; ++v) {
         damp[v] = selected[v] ? 0.0 : 1.0 - ap[v];
       }

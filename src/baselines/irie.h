@@ -35,11 +35,6 @@ struct IrieOptions {
   uint64_t ap_samples = 64;
   /// Arc-decision strategy of the AP-estimation cascades (see SamplerMode).
   SamplerMode sampler_mode = SamplerMode::kAuto;
-  /// Cascade batching of the AP estimation: bitmap64 runs the ap_samples
-  /// cascades 64 per traversal, accumulating per-node hit counts from
-  /// the activation lane masks (the default 64 samples are exactly one
-  /// batch). Scalar tail for ap_samples mod 64.
-  McBatchMode mc_batch = McBatchMode::kScalar;
   uint64_t seed = 0x121eULL;
 };
 

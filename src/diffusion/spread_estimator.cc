@@ -3,57 +3,32 @@
 #include <thread>
 #include <vector>
 
-#include "diffusion/batched_simulator.h"
 #include "diffusion/ic_simulator.h"
 #include "diffusion/lt_simulator.h"
 #include "util/rng.h"
 
 namespace timpp {
 
-namespace {
-
-/// Whether this estimate runs through the bitmap-parallel engine: only
-/// IC-model cascades have a batched simulator; LT/triggering always run
-/// scalar regardless of the knob.
-bool UseBitmapBatches(const SpreadEstimatorOptions& options) {
-  return options.mc_batch != McBatchMode::kScalar &&
-         options.model == DiffusionModel::kIC;
-}
-
-}  // namespace
-
 double SpreadEstimator::EstimateSingleThread(std::span<const NodeId> seeds,
                                              uint64_t seed,
                                              uint64_t samples) const {
   Rng rng(seed);
   if (samples == 0) return 0.0;
-  constexpr uint64_t kLanes = BatchedIcSimulator::kMaxLanes;
 
   // Weighted spread: collect activations and sum their weights, through
-  // the one simulator the model actually needs. IC has native collecting
-  // simulators (scalar and batched); LT/triggering cascade sets are
-  // recovered through the triggering adapters (distribution-identical for
-  // LT by Lemma 9) rather than duplicating the threshold level loop.
+  // the one simulator the model actually needs. IC has a native
+  // collecting simulator; LT/triggering cascade sets are recovered
+  // through the triggering adapters (distribution-identical for LT by
+  // Lemma 9) rather than duplicating the threshold level loop.
   if (options_.node_weights != nullptr) {
     const std::vector<double>& w = *options_.node_weights;
     double total_weight = 0.0;
     std::vector<NodeId> activated;
     if (options_.model == DiffusionModel::kIC) {
-      uint64_t remaining = samples;
-      if (UseBitmapBatches(options_) && remaining >= kLanes) {
-        BatchedIcSimulator batched(graph_);
-        for (; remaining >= kLanes; remaining -= kLanes) {
-          total_weight += batched.SimulateBatchWeighted(
-              seeds, rng, w, BatchedIcSimulator::kMaxLanes,
-              options_.max_hops);
-        }
-      }
-      if (remaining > 0) {
-        IcSimulator ic(graph_, options_.sampler_mode);
-        for (uint64_t i = 0; i < remaining; ++i) {
-          ic.SimulateCollect(seeds, rng, &activated, options_.max_hops);
-          for (NodeId v : activated) total_weight += w[v];
-        }
+      IcSimulator ic(graph_, options_.sampler_mode);
+      for (uint64_t i = 0; i < samples; ++i) {
+        ic.SimulateCollect(seeds, rng, &activated, options_.max_hops);
+        for (NodeId v : activated) total_weight += w[v];
       }
     } else {
       LtTriggeringModel lt_model;
@@ -76,21 +51,9 @@ double SpreadEstimator::EstimateSingleThread(std::span<const NodeId> seeds,
   uint64_t total = 0;
   switch (options_.model) {
     case DiffusionModel::kIC: {
-      uint64_t remaining = samples;
-      if (UseBitmapBatches(options_) && remaining >= kLanes) {
-        // ⌊r/64⌋ bitmap batches; the r mod 64 tail below stays scalar so
-        // a partial batch never changes the per-cascade cost model.
-        BatchedIcSimulator batched(graph_);
-        for (; remaining >= kLanes; remaining -= kLanes) {
-          total += batched.SimulateBatch(
-              seeds, rng, BatchedIcSimulator::kMaxLanes, options_.max_hops);
-        }
-      }
-      if (remaining > 0) {
-        IcSimulator sim(graph_, options_.sampler_mode);
-        for (uint64_t i = 0; i < remaining; ++i) {
-          total += sim.Simulate(seeds, rng, options_.max_hops);
-        }
+      IcSimulator sim(graph_, options_.sampler_mode);
+      for (uint64_t i = 0; i < samples; ++i) {
+        total += sim.Simulate(seeds, rng, options_.max_hops);
       }
       break;
     }

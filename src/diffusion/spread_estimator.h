@@ -31,16 +31,6 @@ struct SpreadEstimatorOptions {
   /// Arc-decision strategy for the forward IC cascades (see SamplerMode).
   /// LT and triggering simulation never flip per-arc coins and ignore it.
   SamplerMode sampler_mode = SamplerMode::kAuto;
-  /// Cascade batching: kBitmap64 runs ⌊r/64⌋ batches of 64 IC cascades
-  /// per traversal through BatchedIcSimulator (plus a scalar tail for
-  /// r mod 64) instead of r scalar traversals, at an identical estimator
-  /// distribution. It pays off on small, tree-like graphs where lanes
-  /// stay coincident and runs slower than scalar on larger ones (README
-  /// "Monte-Carlo batching" has the ratios). IC-model estimates only;
-  /// LT and triggering estimation ignore it. Estimates stay deterministic
-  /// in (seed, num_threads) for both modes, but the modes consume
-  /// randomness differently, so their values differ within MC noise.
-  McBatchMode mc_batch = McBatchMode::kScalar;
   /// Optional per-node weights (borrowed; size n). When set, Estimate()
   /// returns the expected *weighted* spread Σ w(v)·P[v activated] instead
   /// of the expected activation count.
@@ -66,8 +56,7 @@ class SpreadEstimator {
 };
 
 /// Configuration for VerifySpread; the defaults are the quality-check
-/// sweet spot (10^4 cascades, single-threaded determinism). Every
-/// estimate runs scalar cascades.
+/// sweet spot (10^4 cascades, single-threaded determinism).
 struct VerifySpreadOptions {
   uint64_t num_samples = 10000;
   unsigned num_threads = 1;
@@ -80,11 +69,11 @@ struct VerifySpreadOptions {
   const std::vector<double>* node_weights = nullptr;
 };
 
-/// Scores a seed set's expected spread with scalar Monte-Carlo cascades —
-/// the spread-verification instrument for tests, benches and the
-/// end-to-end benchmark. Equivalent to SpreadEstimator::Estimate with
-/// mc_batch = kScalar and the same samples, threads and seed: unbiased,
-/// and deterministic in (options.seed, options.num_threads).
+/// Scores a seed set's expected spread with Monte-Carlo cascades — the
+/// spread-verification instrument for tests, benches and the end-to-end
+/// benchmark. Equivalent to SpreadEstimator::Estimate with the same
+/// samples, threads and seed: unbiased, and deterministic in
+/// (options.seed, options.num_threads).
 double VerifySpread(const Graph& graph, std::span<const NodeId> seeds,
                     const VerifySpreadOptions& options = {});
 

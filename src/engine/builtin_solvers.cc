@@ -202,7 +202,6 @@ class CelfInfluenceSolver final : public InfluenceSolver {
     celf.model = options.model;
     celf.custom_model = options.custom_model;
     celf.sampler_mode = options.sampler_mode;
-    celf.mc_batch = options.mc_batch;
     celf.seed = options.seed;
 
     CelfStats stats;
@@ -239,7 +238,6 @@ class IrieInfluenceSolver final : public InfluenceSolver {
     IrieOptions irie;
     irie.alpha = options.irie_alpha;
     irie.sampler_mode = options.sampler_mode;
-    irie.mc_batch = options.mc_batch;
     irie.seed = options.seed;
 
     IrieStats stats;

@@ -42,12 +42,6 @@ struct SolverOptions : RunOptions {
   // ---- family-specific knobs ----------------------------------------
   /// Monte-Carlo cascades per spread estimate (greedy/CELF family).
   uint64_t mc_samples = 10000;
-  /// Cascade batching of Monte-Carlo spread estimates (greedy/CELF
-  /// family and IRIE's AP estimation; `im_cli --mc-batch`). bitmap64
-  /// pays off only on small, tree-like graphs — see
-  /// SpreadEstimatorOptions::mc_batch and the README's "Monte-Carlo
-  /// batching" table. RR-set solvers ignore it.
-  McBatchMode mc_batch = McBatchMode::kScalar;
   /// Multiplier on RIS's theoretical cost threshold τ.
   double ris_tau_scale = 1.0;
   /// Cap on RIS's generated RR sets (0 = none).

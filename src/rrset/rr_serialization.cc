@@ -101,6 +101,10 @@ Status DeserializeRRShard(std::string_view bytes, NodeId num_graph_nodes,
     return Status::Corruption("RR shard: unsupported version " +
                               std::to_string(version));
   }
+  if (flags != 0) {
+    return Status::Corruption("RR shard: nonzero flags " +
+                              std::to_string(flags));
+  }
 
   RRShardInfo header;
   if (!reader.Read(&header.num_sets) || !reader.Read(&header.total_nodes) ||

@@ -20,28 +20,12 @@ namespace {
 /// spill directory.
 std::atomic<uint64_t> g_store_counter{0};
 
-/// Hard ceiling on readahead depth: bounds in-flight buffer memory at
-/// 16 × chunk bytes and stays under the async reader's queue depth.
-constexpr size_t kMaxReadahead = 16;
-
 }  // namespace
 
 RRSpillStore::RRSpillStore(NodeId num_graph_nodes, RRSpillOptions options)
     : num_graph_nodes_(num_graph_nodes), options_(std::move(options)) {}
 
 RRSpillStore::~RRSpillStore() {
-  // Prefetched buffers that were never consumed are plain waste; count
-  // them (for tests poking stats_ post-mortem) and let the reader's own
-  // destructor drain the in-flight reads before the files go away.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [ci, ticket] : inflight_) {
-      reader_->Cancel(ticket);
-      stats_.prefetch_wasted += 1;
-    }
-    inflight_.clear();
-  }
-  reader_.reset();
   // Chunk files are scratch: delete the whole per-store subdirectory.
   // Errors are swallowed — a leaked temp dir must not fail a solve that
   // already returned its (correct) seeds.
@@ -158,6 +142,11 @@ bool RRSpillStore::Covers(uint64_t first, uint64_t count) const {
 
 uint64_t RRSpillStore::CoveredEnd(uint64_t first, uint64_t limit) const {
   std::lock_guard<std::mutex> lock(mu_);
+  return CoveredEndLocked(first, limit);
+}
+
+uint64_t RRSpillStore::CoveredEndLocked(uint64_t first,
+                                        uint64_t limit) const {
   uint64_t pos = first;
   const uint64_t end = first + limit;
   size_t ci = FindChunkLocked(pos);
@@ -173,163 +162,36 @@ uint64_t RRSpillStore::end_index() const {
   return chunks_.empty() ? 0 : chunks_.back().first + chunks_.back().count;
 }
 
-size_t RRSpillStore::PinnedCapacity() const {
-  return std::max<size_t>(1, options_.max_pinned_chunks);
-}
-
-size_t RRSpillStore::HotCapacity() const {
-  const size_t cap = PinnedCapacity();
-  if (cap <= 1) return 0;  // a single slot is all probation
-  const double fraction =
-      std::clamp(options_.tuning.hot_fraction, 0.0, 1.0);
-  const size_t hot =
-      static_cast<size_t>(fraction * static_cast<double>(cap) + 0.5);
-  // Probation keeps at least one slot so fresh loads always have a home
-  // that a second touch can promote from.
-  return std::min(hot, cap - 1);
-}
-
-bool RRSpillStore::IsPinnedLocked(size_t chunk_index) const {
-  for (const Pinned& p : hot_) {
-    if (p.chunk_index == chunk_index) return true;
-  }
-  for (const Pinned& p : probation_) {
-    if (p.chunk_index == chunk_index) return true;
-  }
-  return false;
-}
-
-const RRSpillStore::Pinned* RRSpillStore::TouchLocked(size_t chunk_index) {
-  for (auto it = hot_.begin(); it != hot_.end(); ++it) {
-    if (it->chunk_index == chunk_index) {
-      hot_.splice(hot_.begin(), hot_, it);  // hot MRU
-      stats_.chunk_hits += 1;
-      stats_.hot_hits += 1;
-      return &hot_.front();
-    }
-  }
-  for (auto it = probation_.begin(); it != probation_.end(); ++it) {
-    if (it->chunk_index != chunk_index) continue;
-    stats_.chunk_hits += 1;
-    stats_.probation_hits += 1;
-    const size_t hot_cap = HotCapacity();
-    if (hot_cap == 0) {
-      probation_.splice(probation_.begin(), probation_, it);
-      return &probation_.front();
-    }
-    // Promote: a re-touched chunk moves to the hot section, shielding it
-    // from the churn of a sequential scan's first-touch stream.
-    hot_.splice(hot_.begin(), probation_, it);
-    while (hot_.size() > hot_cap) {
-      // Demote the hot LRU rather than dropping it: it outranks any
-      // never-re-touched probation entry.
-      probation_.splice(probation_.begin(), hot_, std::prev(hot_.end()));
-    }
-    return &hot_.front();
-  }
-  return nullptr;
-}
-
-const RRSpillStore::Pinned* RRSpillStore::InsertPinnedLocked(
-    Pinned&& loaded) {
-  probation_.push_front(std::move(loaded));
-  const size_t cap = PinnedCapacity();
-  while (hot_.size() + probation_.size() > cap) {
-    // Probation (never re-touched) drains first; the hot section is only
-    // tapped when probation is down to the entry just inserted.
-    if (probation_.size() > 1) {
-      probation_.pop_back();
-    } else if (!hot_.empty()) {
-      hot_.pop_back();
-    } else {
-      break;
-    }
-  }
-  return &probation_.front();
-}
-
-Status RRSpillStore::ReadChunkBytesSync(const Chunk& chunk,
-                                        std::string* bytes) const {
+Status RRSpillStore::ReadChunk(const Chunk& chunk,
+                               ChunkScratch* scratch) const {
+  scratch->sets_.Clear();
+  scratch->edges_.clear();
   std::ifstream in(chunk.path, std::ios::binary);
   if (!in) return Status::IOError("rr spill: cannot open " + chunk.path);
-  bytes->resize(static_cast<size_t>(chunk.bytes));
-  in.read(bytes->data(), static_cast<std::streamsize>(bytes->size()));
+  std::string& bytes = scratch->bytes_;
+  bytes.resize(static_cast<size_t>(chunk.bytes));
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (static_cast<uint64_t>(in.gcount()) != chunk.bytes) {
     return Status::IOError("rr spill: short read on " + chunk.path);
   }
-  return Status::OK();
-}
-
-Status RRSpillStore::DecodeChunk(const Chunk& chunk, std::string_view bytes,
-                                 RRCollection* sets,
-                                 std::vector<uint64_t>* edges) const {
-  TIMPP_RETURN_NOT_OK(
-      DeserializeRRShard(bytes, num_graph_nodes_, sets, edges));
-  if (sets->num_sets() != chunk.count) {
+  TIMPP_RETURN_NOT_OK(DeserializeRRShard(bytes, num_graph_nodes_,
+                                         &scratch->sets_, &scratch->edges_));
+  if (scratch->sets_.num_sets() != chunk.count) {
     return Status::Corruption("rr spill: chunk " + chunk.path +
                               " holds a different set count than written");
   }
   return Status::OK();
 }
 
-void RRSpillStore::PrefetchAheadLocked(size_t ci, uint64_t end) {
-  const size_t depth =
-      std::min(options_.tuning.readahead_chunks, kMaxReadahead);
-  if (depth == 0 || ci >= chunks_.size()) return;
-  uint64_t next_first = chunks_[ci].first + chunks_[ci].count;
-  for (size_t cj = ci + 1;
-       cj < chunks_.size() && cj <= ci + depth && inflight_.size() < depth;
-       ++cj) {
-    if (chunks_[cj].first != next_first || next_first >= end) break;
-    next_first += chunks_[cj].count;
-    if (IsPinnedLocked(cj) || inflight_.count(cj) != 0) continue;
-    if (reader_ == nullptr) {
-      AsyncIoOptions io;
-      io.backend = options_.tuning.io_backend;
-      io.queue_depth = static_cast<unsigned>(depth * 2);
-      reader_ = options_.reader_factory ? options_.reader_factory(io)
-                                        : AsyncFileReader::Create(io);
-      if (reader_ == nullptr) return;  // factory refused; stay synchronous
-    }
-    const AsyncFileReader::Ticket ticket =
-        reader_->Submit(chunks_[cj].path, 0, chunks_[cj].bytes);
-    if (ticket == AsyncFileReader::kInvalidTicket) continue;
-    stats_.prefetch_issued += 1;
-    inflight_.emplace(cj, ticket);
-  }
-}
-
-Status RRSpillStore::LoadChunkLocked(size_t chunk_index, const Pinned** out) {
-  if (const Pinned* hit = TouchLocked(chunk_index)) {
-    *out = hit;
+Status RRSpillStore::LoadCachedLocked(size_t chunk_index) {
+  if (cached_chunk_ == chunk_index) {
+    stats_.chunk_hits += 1;
     return Status::OK();
   }
-
-  const Chunk& chunk = chunks_[chunk_index];
-  std::string bytes;
-  bool have_bytes = false;
-  const auto it = inflight_.find(chunk_index);
-  if (it != inflight_.end()) {
-    const Status waited = reader_->Wait(it->second, &bytes);
-    inflight_.erase(it);
-    if (waited.ok()) {
-      stats_.prefetch_hits += 1;
-      have_bytes = true;
-    } else {
-      // Degrade, never fail: a broken prefetch read costs one synchronous
-      // re-read and nothing else — decode below sees identical bytes.
-      stats_.prefetch_wasted += 1;
-      stats_.sync_fallback_reads += 1;
-    }
-  }
-  if (!have_bytes) {
-    TIMPP_RETURN_NOT_OK(ReadChunkBytesSync(chunk, &bytes));
-  }
-
-  Pinned loaded{chunk_index, RRCollection(num_graph_nodes_), {}};
-  TIMPP_RETURN_NOT_OK(DecodeChunk(chunk, bytes, &loaded.sets, &loaded.edges));
+  cached_chunk_ = kNoChunk;
+  TIMPP_RETURN_NOT_OK(ReadChunk(chunks_[chunk_index], &cached_));
+  cached_chunk_ = chunk_index;
   stats_.chunk_loads += 1;
-  *out = InsertPinnedLocked(std::move(loaded));
   return Status::OK();
 }
 
@@ -344,18 +206,14 @@ Status RRSpillStore::VisitRange(uint64_t first, uint64_t count,
   while (pos < end) {
     const size_t ci = FindChunkLocked(pos);
     if (ci >= chunks_.size() || chunks_[ci].first > pos) break;  // gap
-    // Issue the readahead before the demand load: the successors' reads
-    // proceed while this chunk is read (first miss) and decoded/visited.
-    PrefetchAheadLocked(ci, end);
-    const Pinned* pinned = nullptr;
-    status = LoadChunkLocked(ci, &pinned);
+    status = LoadCachedLocked(ci);
     if (!status.ok()) break;  // caller regenerates from *stopped_at
     const Chunk& chunk = chunks_[ci];
     const uint64_t stop = std::min(end, chunk.first + chunk.count);
     for (uint64_t index = pos; index < stop; ++index) {
       if (filter && !filter(index)) continue;
       visit(index,
-            pinned->sets.Set(static_cast<RRSetId>(index - chunk.first)));
+            cached_.sets_.Set(static_cast<RRSetId>(index - chunk.first)));
       ++visited;
     }
     pos = stop;
@@ -399,11 +257,7 @@ Status RRSpillStore::VisitChunk(uint64_t first, uint64_t count,
   }
   // Read and decode outside the mutex: this is what lets workers replay
   // different chunks at once.
-  scratch->sets_.Clear();
-  scratch->edges_.clear();
-  TIMPP_RETURN_NOT_OK(ReadChunkBytesSync(chunk, &scratch->bytes_));
-  TIMPP_RETURN_NOT_OK(DecodeChunk(chunk, scratch->bytes_, &scratch->sets_,
-                                  &scratch->edges_));
+  TIMPP_RETURN_NOT_OK(ReadChunk(chunk, scratch));
   uint64_t visited = 0;
   for (uint64_t index = first; index < first + count; ++index) {
     if (filter && !filter(index)) continue;
@@ -425,19 +279,10 @@ Status RRSpillStore::ReadRange(uint64_t first, uint64_t count,
                                std::vector<uint64_t>* edges) {
   std::lock_guard<std::mutex> lock(mu_);
   // Validate coverage up front: on any failure nothing is appended.
-  {
-    uint64_t pos = first;
-    const uint64_t end = first + count;
-    size_t ci = FindChunkLocked(pos);
-    while (pos < end && ci < chunks_.size() && chunks_[ci].first <= pos) {
-      pos = std::min(end, chunks_[ci].first + chunks_[ci].count);
-      ++ci;
-    }
-    if (pos != end) {
-      return Status::NotFound("rr spill: range [" + std::to_string(first) +
-                              ", " + std::to_string(first + count) +
-                              ") not fully spilled");
-    }
+  if (CoveredEndLocked(first, count) != first + count) {
+    return Status::NotFound("rr spill: range [" + std::to_string(first) +
+                            ", " + std::to_string(first + count) +
+                            ") not fully spilled");
   }
 
   // Stage into locals so a mid-range I/O failure appends nothing.
@@ -447,16 +292,14 @@ Status RRSpillStore::ReadRange(uint64_t first, uint64_t count,
   const uint64_t end = first + count;
   while (pos < end) {
     const size_t ci = FindChunkLocked(pos);
-    PrefetchAheadLocked(ci, end);
-    const Pinned* pinned = nullptr;
-    TIMPP_RETURN_NOT_OK(LoadChunkLocked(ci, &pinned));
+    TIMPP_RETURN_NOT_OK(LoadCachedLocked(ci));
     const Chunk& chunk = chunks_[ci];
     const uint64_t stop = std::min(end, chunk.first + chunk.count);
     const size_t local = static_cast<size_t>(pos - chunk.first);
     const size_t n = static_cast<size_t>(stop - pos);
-    staged.AppendRange(pinned->sets, local, n);
-    staged_edges.insert(staged_edges.end(), pinned->edges.begin() + local,
-                        pinned->edges.begin() + local + n);
+    staged.AppendRange(cached_.sets_, local, n);
+    staged_edges.insert(staged_edges.end(), cached_.edges_.begin() + local,
+                        cached_.edges_.begin() + local + n);
     stats_.sets_read += stop - pos;
     pos = stop;
   }
@@ -477,9 +320,6 @@ std::string RRSpillStore::directory() const {
   return dir_;
 }
 
-std::string RRSpillStore::io_backend_name() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reader_ == nullptr ? "none" : reader_->backend_name();
-}
+std::string RRSpillStore::io_backend_name() const { return "sync"; }
 
 }  // namespace timpp

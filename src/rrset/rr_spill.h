@@ -18,34 +18,19 @@
 // engine regeneration at the caller (VisitRange reports how far it got,
 // ChunksOverlapping lists what is covered).
 //
-// Two read paths share the chunk files. The parallel greedy replay
-// (coverage/streaming_cover.h) lists the chunks of its range once with
-// ChunksOverlapping and hands whole chunks to its workers, each of which
-// reads, validates and decodes its own chunk through VisitChunk outside
-// the store mutex — no pinned cache, no readahead, every decode check
-// kept. The sequential paths (VisitRange, and ReadRange — the serving
-// preload) go through a small pinned-chunk cache and read ahead: while a
-// visitor drains one chunk, the store issues asynchronous reads
-// (util/async_io.h — io_uring when the kernel allows, a pread thread pool
-// otherwise) for the next `tuning.readahead_chunks` chunks in traversal
-// order. Prefetch only moves *when* bytes are read, never *what* is
-// decoded: a prefetched buffer that fails its read is discarded and the
-// chunk is re-read synchronously, so every failure class degrades to the
-// synchronous behavior with identical results.
+// Every read is synchronous and goes through one read-validate-decode
+// step. The parallel greedy replay (coverage/streaming_cover.h) lists the
+// chunks of its range once with ChunksOverlapping and hands whole chunks
+// to its workers, each of which reads and decodes its own chunk through
+// VisitChunk outside the store mutex. The sequential paths (VisitRange,
+// and ReadRange — the serving preload) keep the last chunk they decoded:
+// their only traffic is forward, a growing stream that may resume inside
+// the chunk it read last, so one cached chunk serves every re-touch.
 //
-// The pinned cache is a sectioned LRU (SLRU): a first touch lands a chunk
-// in the *probation* section, a re-touch promotes it to the *hot* section,
-// and eviction drains probation first — so one sequential replay pass
-// (all first touches) can only churn probation and can never flush a
-// re-touched hot chunk. `hot_fraction` splits the `max_pinned_chunks`
-// capacity between the sections.
-//
-// Thread-safe: a single mutex guards the chunk manifest, the pinned cache
+// Thread-safe: a single mutex guards the chunk manifest, the cached chunk
 // and the counters, and serializes spills, sequential visits and reads.
 // VisitChunk holds it only to copy one manifest entry and to add its
 // counters, so concurrent VisitChunk callers read and decode in parallel.
-// The async reader only ever holds raw undecoded buffers, never pinned
-// chunks.
 //
 // Files live in a per-store unique subdirectory of `options.dir` and are
 // deleted by the destructor.
@@ -54,51 +39,24 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "rrset/rr_collection.h"
-#include "util/async_io.h"
 #include "util/status.h"
 #include "util/types.h"
 
 namespace timpp {
 
-/// Sequential-read tuning (VisitRange/ReadRange): prefetch depth, section
-/// split, IO backend. Plumbed from ServingOptions so the CLI can steer the
-/// serving preload; the defaults are right for sequential replay.
-struct RRSpillTuning {
-  /// Chunks to read ahead of the replay cursor (0 disables prefetch and
-  /// restores fully synchronous reads). Clamped to <= 16.
-  size_t readahead_chunks = 2;
-  /// Fraction of max_pinned_chunks reserved for the hot section (clamped
-  /// so probation always keeps at least one slot when capacity > 1).
-  double hot_fraction = 0.5;
-  /// Async read backend; kAuto probes io_uring and falls back to threads.
-  AsyncIoBackend io_backend = AsyncIoBackend::kAuto;
-};
-
 struct RRSpillOptions {
   /// Parent directory for this store's chunk files (created if missing).
   std::string dir;
   /// Sets per chunk file. Chunk size bounds both the spill write batches
-  /// and the resident footprint of a pinned chunk.
+  /// and the unit of every read: one decoded chunk is what a VisitChunk
+  /// caller's scratch and the sequential paths' cached chunk hold.
   uint64_t sets_per_chunk = 4096;
-  /// Loaded chunks kept resident (SLRU across both sections). 2 covers
-  /// the common pattern of a visit range straddling one chunk boundary.
-  size_t max_pinned_chunks = 2;
-  RRSpillTuning tuning;
-  /// Test seam: builds the async reader (defaults to
-  /// AsyncFileReader::Create). Fault-injection tests substitute slow or
-  /// failing readers to prove the synchronous degradation path.
-  std::function<std::unique_ptr<AsyncFileReader>(const AsyncIoOptions&)>
-      reader_factory;
 };
 
 /// Counters for spill accounting (monotone; snapshot via stats()).
@@ -106,25 +64,18 @@ struct RRSpillStats {
   uint64_t chunks_written = 0;
   uint64_t sets_written = 0;
   uint64_t bytes_written = 0;
-  /// Chunk-file loads (cache misses) and cache hits; hits split below.
+  /// Chunk-file loads, and sequential re-touches served by the cached
+  /// chunk.
   uint64_t chunk_loads = 0;
   uint64_t chunk_hits = 0;
   /// Sets streamed back to visitors/readers (a filter-rejected set is not
   /// read).
   uint64_t sets_read = 0;
-  /// Prefetch accounting. issued = async reads submitted; hits = demand
-  /// loads served from a completed prefetch; wasted = prefetched buffers
-  /// discarded unconsumed (store teardown) or failed; sync_fallback_reads
-  /// = demand loads that fell back to a synchronous read after a prefetch
-  /// error. hits + wasted <= issued (the rest is still in flight).
+  /// Always 0: no read is prefetched. Kept until the end-to-end
+  /// benchmark stops reading them (ROADMAP item 6).
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_hits = 0;
-  uint64_t prefetch_wasted = 0;
   uint64_t sync_fallback_reads = 0;
-  /// SLRU section split of chunk_hits: hot_hits + probation_hits ==
-  /// chunk_hits.
-  uint64_t hot_hits = 0;
-  uint64_t probation_hits = 0;
 };
 
 class RRSpillStore {
@@ -170,8 +121,9 @@ class RRSpillStore {
   /// coverage gap, or the failed chunk's start on an I/O/corruption error
   /// (in which case the error Status is returned and the caller
   /// regenerates from `*stopped_at`). `sets_visited` (optional) counts
-  /// sets actually delivered to `visit`. Reads ahead of the cursor per
-  /// `tuning.readahead_chunks`.
+  /// sets actually delivered to `visit`. No library code calls it;
+  /// bench_outofcore's cold replay and the end-to-end benchmark's probe
+  /// do (ROADMAP item 6).
   Status VisitRange(uint64_t first, uint64_t count, const Filter& filter,
                     const Visitor& visit, uint64_t* stopped_at,
                     uint64_t* sets_visited = nullptr);
@@ -188,7 +140,8 @@ class RRSpillStore {
   std::vector<ChunkRange> ChunksOverlapping(uint64_t first,
                                             uint64_t count) const;
 
-  /// Decode buffers of one VisitChunk caller, reused across its calls.
+  /// Decode buffers of one chunk: one per VisitChunk caller, reused
+  /// across its calls (the store keeps one more as its cached chunk).
   class ChunkScratch {
    private:
     friend class RRSpillStore;
@@ -201,10 +154,10 @@ class RRSpillStore {
   /// one chunk, through `visit` in index order, skipping indices `filter`
   /// rejects (filter may be null). Safe to call from many threads at once:
   /// the chunk is read, validated and decoded into `scratch` outside the
-  /// store mutex, bypassing the pinned cache and readahead. On a read or
-  /// decode error nothing is visited and the error is returned; NotFound
-  /// when no single chunk holds the range. `sets_visited` (optional)
-  /// counts sets delivered to `visit`.
+  /// store mutex, bypassing the cached chunk. On a read or decode error
+  /// nothing is visited and the error is returned; NotFound when no
+  /// single chunk holds the range. `sets_visited` (optional) counts sets
+  /// delivered to `visit`.
   Status VisitChunk(uint64_t first, uint64_t count, const Filter& filter,
                     const Visitor& visit, ChunkScratch* scratch,
                     uint64_t* sets_visited = nullptr);
@@ -213,7 +166,7 @@ class RRSpillStore {
   /// their edge counts to `*edges`, if non-null) in index order. Fails
   /// with NotFound if the range is not fully covered; on any failure
   /// nothing is appended. Serving uses this to preload an evicted shared
-  /// prefix back into cache chunks. Reads ahead like VisitRange.
+  /// prefix back into cache chunks.
   Status ReadRange(uint64_t first, uint64_t count, RRCollection* out,
                    std::vector<uint64_t>* edges);
 
@@ -222,8 +175,8 @@ class RRSpillStore {
   /// The per-store chunk directory (empty until the first spill).
   std::string directory() const;
 
-  /// The async backend actually serving prefetch ("uring" | "threads"),
-  /// or "none" before the first prefetch was issued.
+  /// Always "sync". Kept until the end-to-end benchmark stops reading it
+  /// (ROADMAP item 6).
   std::string io_backend_name() const;
 
  private:
@@ -233,11 +186,7 @@ class RRSpillStore {
     std::string path;
     uint64_t bytes = 0;
   };
-  struct Pinned {
-    size_t chunk_index;
-    RRCollection sets;
-    std::vector<uint64_t> edges;
-  };
+  static constexpr size_t kNoChunk = static_cast<size_t>(-1);
 
   /// Creates the unique chunk subdirectory on first use.
   Status EnsureDirLocked();
@@ -246,41 +195,16 @@ class RRSpillStore {
   /// chunks_.size() when uncovered.
   size_t FindChunkLocked(uint64_t index) const;
 
-  /// Loads (or cache-hits) chunk `chunk_index`; on success `*out` points
-  /// at the pinned entry (valid until the next load under this mutex).
-  /// Consumes a matching in-flight prefetch when one completed cleanly;
-  /// a failed prefetch falls back to a synchronous read.
-  Status LoadChunkLocked(size_t chunk_index, const Pinned** out);
+  /// CoveredEnd under the held mutex.
+  uint64_t CoveredEndLocked(uint64_t first, uint64_t limit) const;
 
-  /// SLRU lookup: splices a hot hit to the hot MRU position, promotes a
-  /// probation hit into hot (demoting the hot LRU when over the hot cap).
-  /// Null on miss. Counts hit stats.
-  const Pinned* TouchLocked(size_t chunk_index);
+  /// Makes manifest chunk `chunk_index` the cached chunk, reading it
+  /// unless it already is (a hit). On failure nothing is cached.
+  Status LoadCachedLocked(size_t chunk_index);
 
-  /// Inserts a freshly loaded chunk at the probation MRU position and
-  /// evicts (probation LRU first) down to capacity.
-  const Pinned* InsertPinnedLocked(Pinned&& loaded);
-
-  /// Whether either section pins `chunk_index`.
-  bool IsPinnedLocked(size_t chunk_index) const;
-
-  /// Issues async reads for the chunks after manifest position `ci` that
-  /// the traversal towards `end` will need next (contiguous in index
-  /// space, not pinned, not already in flight), up to the readahead depth.
-  void PrefetchAheadLocked(size_t ci, uint64_t end);
-
-  /// Reads chunk bytes synchronously (VisitChunk's path, and the
-  /// degradation for every prefetch failure). Touches no shared state.
-  Status ReadChunkBytesSync(const Chunk& chunk, std::string* bytes) const;
-
-  /// Validates and decodes `bytes` as `chunk` into the empty `*sets` and
-  /// `*edges`. Touches no shared state.
-  Status DecodeChunk(const Chunk& chunk, std::string_view bytes,
-                     RRCollection* sets, std::vector<uint64_t>* edges) const;
-
-  /// Total pinned capacity and the hot section's share of it.
-  size_t PinnedCapacity() const;
-  size_t HotCapacity() const;
+  /// Reads, validates and decodes `chunk` into `*scratch`. Touches no
+  /// shared state.
+  Status ReadChunk(const Chunk& chunk, ChunkScratch* scratch) const;
 
   const NodeId num_graph_nodes_;
   const RRSpillOptions options_;
@@ -288,11 +212,8 @@ class RRSpillStore {
   mutable std::mutex mu_;
   std::string dir_;             // unique subdir; empty until first spill
   std::vector<Chunk> chunks_;   // sorted by first, non-overlapping
-  std::list<Pinned> hot_;        // front = most recently used
-  std::list<Pinned> probation_;  // front = most recently used
-  /// Outstanding prefetch tickets by manifest chunk position.
-  std::map<size_t, AsyncFileReader::Ticket> inflight_;
-  std::unique_ptr<AsyncFileReader> reader_;  // created on first prefetch
+  ChunkScratch cached_;         // the last chunk VisitRange/ReadRange read
+  size_t cached_chunk_ = kNoChunk;
   RRSpillStats stats_;
 };
 

@@ -27,7 +27,6 @@ std::shared_ptr<SharedRRCache> GraphContext::AcquireStream(
       if (store == spill_stores_.end()) {
         RRSpillOptions spill_options;
         spill_options.dir = spill_dir_;
-        spill_options.tuning = spill_tuning_;
         store = spill_stores_
                     .emplace(key, std::make_shared<RRSpillStore>(
                                       graph_.num_nodes(), spill_options))
@@ -62,11 +61,6 @@ void GraphContext::set_spill_dir(std::string dir) {
 std::string GraphContext::spill_dir() const {
   std::lock_guard<std::mutex> lock(mu_);
   return spill_dir_;
-}
-
-void GraphContext::set_spill_tuning(const RRSpillTuning& tuning) {
-  std::lock_guard<std::mutex> lock(mu_);
-  spill_tuning_ = tuning;
 }
 
 void GraphContext::RetireLocked(const CacheEntry& entry) {

@@ -100,11 +100,6 @@ class GraphContext {
   void set_spill_dir(std::string dir);
   std::string spill_dir() const;
 
-  /// Replay tuning for the per-stream spill stores (readahead depth, SLRU
-  /// hot fraction, async IO backend). Timing only — preloaded bytes are
-  /// identical at any setting. Applies to stores created afterwards.
-  void set_spill_tuning(const RRSpillTuning& tuning);
-
   /// Evicts least-recently-used stream caches until SharedMemoryBytes()
   /// fits the budget (possibly evicting every stream when even one
   /// exceeds it — re-created on next use, identical by the per-index RNG
@@ -154,7 +149,6 @@ class GraphContext {
   // eviction hook writes into it, the successor cache preloads from it.
   std::map<StreamKey, std::shared_ptr<RRSpillStore>> spill_stores_;
   std::string spill_dir_;
-  RRSpillTuning spill_tuning_;
   size_t cache_budget_bytes_ = 0;
   uint64_t use_tick_ = 0;
   uint64_t streams_evicted_ = 0;

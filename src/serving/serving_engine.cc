@@ -40,7 +40,6 @@ Status ServingEngine::RegisterGraph(const std::string& name, Graph graph) {
       std::move(graph), options_.num_threads, options_.pin_threads);
   context->set_cache_budget_bytes(options_.shared_cache_budget_bytes);
   context->set_spill_dir(options_.spill_dir);
-  context->set_spill_tuning(options_.spill_tuning);
   contexts_.emplace(name, std::move(context));
   return Status::OK();
 }

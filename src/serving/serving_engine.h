@@ -62,11 +62,6 @@ struct ServingOptions {
   /// regenerating per greedy round (SolverOptions::spill_dir). Responses
   /// stay bit-identical either way.
   std::string spill_dir;
-  /// Sequential-read tuning of the stream preload (readahead depth, SLRU
-  /// hot fraction, async IO backend; see RRSpillTuning). Timing only —
-  /// preloaded bytes are identical at any setting. Budgeted standalone
-  /// requests replay their spill in parallel and take no tuning.
-  RRSpillTuning spill_tuning;
   /// Concurrent request workers behind Submit() (0 = hardware
   /// concurrency). Created lazily on the first Submit; the synchronous
   /// Solve/SolveBatch paths never start them.

@@ -39,33 +39,6 @@ enum class SamplerMode {
   kSkip,
 };
 
-/// How Monte-Carlo spread estimation packs its forward cascades
-/// (`im_cli --mc-batch`): one graph traversal per cascade, or 64 cascades
-/// per traversal with a uint64_t lane bitmap per vertex and OR-propagation
-/// (diffusion/batched_simulator.h). The bitmap mode applies to IC-model
-/// cascades; LT and triggering estimation, and VerifySpread, always run
-/// scalar.
-enum class McBatchMode {
-  /// One traversal per cascade (the classic loop).
-  kScalar,
-  /// 64 lanes per traversal, each examined arc drawing 64 independent
-  /// Bernoulli coins (as one geometric-skip mask draw) — exactly the
-  /// scalar estimator's distribution per lane.
-  kBitmap64,
-};
-
-/// Human-readable McBatchMode name, matching the --mc-batch grammar
-/// ("scalar" | "bitmap64").
-inline const char* McBatchModeName(McBatchMode mode) {
-  switch (mode) {
-    case McBatchMode::kScalar:
-      return "scalar";
-    case McBatchMode::kBitmap64:
-      return "bitmap64";
-  }
-  return "?";
-}
-
 /// Human-readable SamplerMode name ("auto" | "perarc" | "skip").
 inline const char* SamplerModeName(SamplerMode mode) {
   switch (mode) {

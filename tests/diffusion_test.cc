@@ -564,6 +564,76 @@ TEST(SpreadEstimatorTest, CustomTriggeringModelPath) {
   EXPECT_DOUBLE_EQ(estimator.Estimate(std::vector<NodeId>{0}, 1), 4.0);
 }
 
+TEST(SpreadEstimatorTest, DeterministicInSeedAndThreadCount) {
+  Graph g = MakeWcPowerLaw(300, 2, 31);
+  const std::vector<NodeId> seeds = {0, 5};
+  for (uint64_t samples : {1ull, 64ull, 1000ull}) {
+    for (unsigned threads : {1u, 2u, 4u}) {
+      SpreadEstimatorOptions options;
+      options.num_samples = samples;
+      options.num_threads = threads;
+      SpreadEstimator estimator(g, options);
+      const double first = estimator.Estimate(seeds, 0x9d);
+      EXPECT_DOUBLE_EQ(first, estimator.Estimate(seeds, 0x9d))
+          << "samples=" << samples << " threads=" << threads;
+    }
+  }
+}
+
+TEST(SpreadEstimatorTest, VerifySpreadMatchesEquivalentEstimate) {
+  // VerifySpread is the estimator with the same samples, threads and
+  // seed, bit for bit.
+  Graph g = MakeWcPowerLaw(300, 2, 31);
+  const std::vector<NodeId> seeds = {0, 1};
+  for (unsigned threads : {1u, 4u}) {
+    VerifySpreadOptions verify;
+    verify.num_samples = 5000;
+    verify.num_threads = threads;
+    verify.seed = 0xabc;
+    SpreadEstimatorOptions est;
+    est.num_samples = 5000;
+    est.num_threads = threads;
+    EXPECT_DOUBLE_EQ(VerifySpread(g, seeds, verify),
+                     SpreadEstimator(g, est).Estimate(seeds, 0xabc))
+        << "threads=" << threads;
+  }
+}
+
+// ----------------------------------- thread-split sample accounting --
+
+TEST(ThreadSplitTest, NoSampleLostWhenSamplesNotDivisibleByThreads) {
+  // On a p = 1 chain every cascade returns exactly n, so the weighted
+  // partial-sum merge returns exactly n iff Σ per-thread counts equals
+  // num_samples — a lost or double-counted sample shifts the mean off n.
+  Graph g = MakeChain(7, 1.0f);
+  const std::vector<NodeId> seeds = {0};
+  for (uint64_t samples : {5ull, 7ull, 64ull, 97ull, 997ull}) {
+    for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+      SpreadEstimatorOptions options;
+      options.num_samples = samples;
+      options.num_threads = threads;
+      EXPECT_DOUBLE_EQ(SpreadEstimator(g, options).Estimate(seeds, 3), 7.0)
+          << "samples=" << samples << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ThreadSplitTest, WeightedPathLosesNoSamplesEither) {
+  Graph g = MakeChain(5, 1.0f);
+  const std::vector<NodeId> seeds = {0};
+  const std::vector<double> weights(5, 2.0);  // weighted spread = 10 exactly
+  for (uint64_t samples : {9ull, 130ull}) {
+    for (unsigned threads : {3u, 4u}) {
+      SpreadEstimatorOptions options;
+      options.num_samples = samples;
+      options.num_threads = threads;
+      options.node_weights = &weights;
+      EXPECT_DOUBLE_EQ(SpreadEstimator(g, options).Estimate(seeds, 3), 10.0)
+          << "samples=" << samples << " threads=" << threads;
+    }
+  }
+}
+
 // ------------------------------------------ pinned Monte-Carlo estimates --
 
 // Exact bits of VerifySpread and of SpreadEstimator::Estimate at the same

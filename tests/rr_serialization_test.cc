@@ -1,16 +1,19 @@
 // RR-shard wire-format tests: exact round trips (empty shards, empty
 // sets, single-node sets, >64k-node sets), AppendRange merge equivalence,
-// randomized fuzz, and rejection of every corruption class (magic,
-// version, truncation, trailing bytes, inconsistent totals, out-of-range
-// node ids) — a worker shard must decode exactly or not at all.
+// randomized fuzz, rejection of every corruption class (magic, version,
+// flags, truncation, trailing bytes, inconsistent totals, out-of-range
+// node ids) and byte mutation with a fixed seed — a spilled chunk must
+// decode exactly or not at all.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "rrset/rr_collection.h"
 #include "rrset/rr_serialization.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -192,6 +195,11 @@ TEST(RRSerializationTest, RejectsCorruption) {
     bad[4] = 99;  // version field
     expect_reject(bad, "bad version");
   }
+  {
+    std::string bad = good;
+    bad[6] = 1;  // flags field, fixed at 0
+    expect_reject(bad, "nonzero flags");
+  }
   for (size_t cut : {size_t{3}, size_t{15}, good.size() - 1}) {
     expect_reject(good.substr(0, cut), "truncation");
   }
@@ -222,6 +230,48 @@ TEST(RRSerializationTest, RejectsCorruption) {
   // The untouched buffer still decodes after all that slicing.
   ASSERT_TRUE(DeserializeRRShard(good, 20, &out, &edges).ok());
   ExpectEqualCollections(shard.sets, out);
+}
+
+TEST(RRSerializationTest, MutantsDecodeCanonicallyOrNotAtAll) {
+  // Every field of the format is either checked or stored verbatim, so a
+  // mutant that decodes must re-serialize to exactly its own bytes; any
+  // other mutant is Corruption and appends nothing.
+  constexpr NodeId kNodes = 50;
+  TestShard shard(kNodes);
+  Rng sets_rng(0x5eed);
+  for (int i = 0; i < 8; ++i) {
+    std::vector<NodeId> nodes;
+    const size_t size = sets_rng.NextBounded(9);
+    for (size_t j = 0; j < size; ++j) {
+      nodes.push_back(static_cast<NodeId>(sets_rng.NextBounded(kNodes)));
+    }
+    shard.Add(nodes, sets_rng.NextBounded(1000), sets_rng.NextBounded(100));
+  }
+  std::string good;
+  SerializeRRShard(shard.sets, shard.edges, &good);
+
+  std::mt19937_64 rng(0x2ba5);
+  int decoded_ok = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const std::string mutant = testing::MutateBytes(good, &rng);
+    SCOPED_TRACE(round);
+    RRCollection decoded(kNodes);
+    std::vector<uint64_t> edges;
+    const Status s = DeserializeRRShard(mutant, kNodes, &decoded, &edges);
+    if (!s.ok()) {
+      ASSERT_TRUE(s.IsCorruption()) << s.ToString();
+      ASSERT_EQ(decoded.num_sets(), 0u);
+      ASSERT_TRUE(edges.empty());
+      continue;
+    }
+    ++decoded_ok;
+    std::string again;
+    SerializeRRShard(decoded, edges, &again);
+    ASSERT_EQ(again, mutant);
+  }
+  // Both outcomes must actually occur, or the mutator tests nothing.
+  EXPECT_GT(decoded_ok, 0);
+  EXPECT_LT(decoded_ok, 4000);
 }
 
 }  // namespace

@@ -1,14 +1,10 @@
 // Tests of the out-of-core RR spill tier (rrset/rr_spill.h) and its
 // integration everywhere RR prefixes live:
 //   - RRSpillStore unit behaviour: chunk round-trips, append-only index
-//     discipline, coverage gaps, visit/read semantics, pinned-chunk LRU;
-//   - the sectioned (hot/probation) LRU: scan resistance (a streaming
-//     pass over 3x capacity cannot evict a re-touched hot chunk) and
-//     probation-before-hot eviction order;
-//   - prefetched replay: readahead produces bit-identical output with the
-//     prefetch counters moving, and injected failing/slow readers (via
-//     RRSpillOptions::reader_factory) degrade to synchronous reads with
-//     the same bytes;
+//     discipline, coverage gaps, visit/read semantics, the cached chunk
+//     of sequential reads;
+//   - a mutated chunk file on disk, through all three read paths: each
+//     fails cleanly at the chunk or visits exactly its sets;
 //   - the solver sweep: TIM/TIM+/IMM/RIS at budgets {tiny, mid, ∞} must
 //     produce bit-identical seeds and stats to the unbudgeted run, with
 //     regeneration_passes == 0 (disk replay, not resampling) whenever the
@@ -20,12 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "engine/sampling_engine.h"
@@ -73,8 +69,7 @@ void ExpectEqualSets(const RRCollection& a, const RRCollection& b,
 }
 
 /// Full VisitRange pass asserting every delivered set is bit-identical to
-/// the in-memory original (the spill tier's core contract under every
-/// cache/prefetch configuration).
+/// the in-memory original (the spill tier's core contract).
 void ExpectReplayMatches(RRSpillStore* store, const RRCollection& rr,
                          uint64_t count) {
   uint64_t stopped = 0, visited = 0;
@@ -91,48 +86,6 @@ void ExpectReplayMatches(RRSpillStore* store, const RRCollection& rr,
   EXPECT_EQ(stopped, count);
   EXPECT_EQ(visited, count);
 }
-
-/// Injectable prefetch reader whose every read fails at Wait(): the store
-/// must fall back to synchronous reads and still replay bit-identically.
-class FailingReader : public AsyncFileReader {
- public:
-  Ticket Submit(const std::string&, uint64_t, uint64_t) override {
-    return ++next_;
-  }
-  Status Wait(Ticket, std::string*) override {
-    return Status::IOError("injected prefetch failure");
-  }
-  void Cancel(Ticket) override {}
-  const char* backend_name() const override { return "failing"; }
-
- private:
-  std::atomic<Ticket> next_{0};
-};
-
-/// Injectable prefetch reader that serves correct bytes, but only after a
-/// delay — a stand-in for slow media proving the replay result never
-/// depends on I/O timing.
-class SlowReader : public AsyncFileReader {
- public:
-  SlowReader() {
-    AsyncIoOptions options;
-    options.backend = AsyncIoBackend::kThreads;
-    inner_ = AsyncFileReader::Create(options);
-  }
-  Ticket Submit(const std::string& path, uint64_t offset,
-                uint64_t size) override {
-    return inner_->Submit(path, offset, size);
-  }
-  Status Wait(Ticket ticket, std::string* out) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    return inner_->Wait(ticket, out);
-  }
-  void Cancel(Ticket ticket) override { inner_->Cancel(ticket); }
-  const char* backend_name() const override { return "slow"; }
-
- private:
-  std::unique_ptr<AsyncFileReader> inner_;
-};
 
 // ---- RRSpillStore unit behaviour --------------------------------------
 
@@ -273,7 +226,7 @@ TEST(RRSpillStoreTest, ChunksOverlappingAndVisitChunk) {
   RRSpillStats stats = store.stats();
   EXPECT_EQ(stats.chunk_loads, 1u);
   EXPECT_EQ(stats.sets_read, 5u);
-  EXPECT_EQ(stats.chunk_hits, 0u) << "VisitChunk bypasses the pinned cache";
+  EXPECT_EQ(stats.chunk_hits, 0u) << "VisitChunk bypasses the cached chunk";
   EXPECT_EQ(stats.prefetch_issued, 0u);
 
   // Ranges that straddle chunks or fall in a gap are refused untouched.
@@ -298,7 +251,6 @@ TEST(RRSpillStoreTest, PinnedChunkLruCountsHitsAndLoads) {
 
   TempSpillDir dir;
   RRSpillOptions options = SpillOpts(dir, 16);  // 4 chunks
-  options.max_pinned_chunks = 2;
   RRSpillStore store(g.num_nodes(), options);
   ASSERT_TRUE(store.SpillRange(rr, edges, 0, 64, 0).ok());
 
@@ -320,188 +272,22 @@ TEST(RRSpillStoreTest, PinnedChunkLruCountsHitsAndLoads) {
   EXPECT_EQ(store.stats().sets_read, 64u + 16u);
 }
 
-// ---- sectioned (hot/probation) LRU ------------------------------------
-
-/// Visits exactly one chunk-sized window, asserting success.
-void VisitWindow(RRSpillStore* store, uint64_t first, uint64_t count) {
-  uint64_t stopped = 0;
-  ASSERT_TRUE(store
-                  ->VisitRange(first, count, nullptr,
-                               [](uint64_t, std::span<const NodeId>) {},
-                               &stopped)
-                  .ok());
-  ASSERT_EQ(stopped, first + count);
-}
-
-TEST(RRSpillStoreTest, SlruScanResistanceKeepsHotChunksResident) {
-  const Graph g = MakeWcPowerLaw(60, 3, 41);
-  RRCollection rr(g.num_nodes());
-  std::vector<uint64_t> edges;
-  Sample(g, 5, 96, &rr, &edges);
-
-  TempSpillDir dir;
-  RRSpillOptions options = SpillOpts(dir, 8);  // 12 chunks
-  options.max_pinned_chunks = 4;               // hot cap 2, probation 2+
-  options.tuning.readahead_chunks = 0;  // pure cache behaviour, no prefetch
-  RRSpillStore store(g.num_nodes(), options);
-  ASSERT_TRUE(store.SpillRange(rr, edges, 0, 96, 0).ok());
-
-  // Touch chunk 0 twice: first touch lands in probation, the re-touch
-  // promotes it into the hot section.
-  VisitWindow(&store, 0, 8);
-  VisitWindow(&store, 0, 8);
-  ASSERT_EQ(store.stats().chunk_loads, 1u);
-  ASSERT_EQ(store.stats().probation_hits, 1u);
-
-  // One full streaming pass over all 12 chunks — 3× the pinned capacity.
-  // Every new chunk is a first touch, so the scan may only churn
-  // probation: the hot chunk 0 must survive the entire pass.
-  ExpectReplayMatches(&store, rr, 96);
-  const uint64_t loads_after_scan = store.stats().chunk_loads;
-  EXPECT_EQ(loads_after_scan, 12u) << "chunk 0 from hot, 11 fresh loads";
-  EXPECT_GE(store.stats().hot_hits, 1u) << "the scan itself hit hot";
-
-  // And it is still resident afterwards.
-  VisitWindow(&store, 0, 8);
-  EXPECT_EQ(store.stats().chunk_loads, loads_after_scan)
-      << "a 3x-capacity scan must not evict a re-touched hot chunk";
-  EXPECT_GE(store.stats().hot_hits, 2u);
-  EXPECT_EQ(store.stats().hot_hits + store.stats().probation_hits,
-            store.stats().chunk_hits);
-}
-
-TEST(RRSpillStoreTest, SlruEvictsProbationBeforeHot) {
-  const Graph g = MakeWcPowerLaw(60, 3, 43);
-  RRCollection rr(g.num_nodes());
-  std::vector<uint64_t> edges;
-  Sample(g, 5, 24, &rr, &edges);
-
-  TempSpillDir dir;
-  RRSpillOptions options = SpillOpts(dir, 8);  // 3 chunks
-  options.max_pinned_chunks = 2;               // hot cap 1, probation 1
-  options.tuning.readahead_chunks = 0;
-  RRSpillStore store(g.num_nodes(), options);
-  ASSERT_TRUE(store.SpillRange(rr, edges, 0, 24, 0).ok());
-
-  VisitWindow(&store, 0, 8);  // chunk 0 -> probation
-  VisitWindow(&store, 0, 8);  // chunk 0 -> hot
-  VisitWindow(&store, 8, 8);  // chunk 1 -> probation
-  ASSERT_EQ(store.stats().chunk_loads, 2u);
-  // Chunk 2 displaces the probation LRU (chunk 1), NOT the older hot
-  // chunk 0 — eviction drains probation first.
-  VisitWindow(&store, 16, 8);
-  ASSERT_EQ(store.stats().chunk_loads, 3u);
-  VisitWindow(&store, 0, 8);   // hot chunk survived
-  VisitWindow(&store, 16, 8);  // newest probation entry survived
-  EXPECT_EQ(store.stats().chunk_loads, 3u);
-  VisitWindow(&store, 8, 8);  // the evicted probation chunk reloads
-  EXPECT_EQ(store.stats().chunk_loads, 4u);
-  EXPECT_EQ(store.stats().hot_hits + store.stats().probation_hits,
-            store.stats().chunk_hits);
-}
-
-// ---- prefetch: overlap, equivalence, degradation ----------------------
-
-TEST(RRSpillStoreTest, PrefetchedReplayIsBitIdenticalAndCounted) {
+TEST(RRSpillStoreTest, SequentialReadsMatchSampledSets) {
   const Graph g = MakeWcPowerLaw(80, 3, 47);
   RRCollection rr(g.num_nodes());
   std::vector<uint64_t> edges;
   Sample(g, 5, 64, &rr, &edges);
 
-  TempSpillDir dir_sync, dir_pre;
-  RRSpillOptions sync_options = SpillOpts(dir_sync, 8);  // 8 chunks
-  sync_options.tuning.readahead_chunks = 0;
-  RRSpillStore sync_store(g.num_nodes(), sync_options);
-  ASSERT_TRUE(sync_store.SpillRange(rr, edges, 0, 64, 0).ok());
-
-  RRSpillOptions pre_options = SpillOpts(dir_pre, 8);
-  pre_options.tuning.readahead_chunks = 3;
-  RRSpillStore pre_store(g.num_nodes(), pre_options);
-  ASSERT_TRUE(pre_store.SpillRange(rr, edges, 0, 64, 0).ok());
-
-  // Both replay paths reproduce the sampled sets exactly.
-  ExpectReplayMatches(&sync_store, rr, 64);
-  ExpectReplayMatches(&pre_store, rr, 64);
-
-  // The sync store never touched the async layer.
-  EXPECT_EQ(sync_store.stats().prefetch_issued, 0u);
-  EXPECT_EQ(sync_store.io_backend_name(), "none");
-
-  // The prefetching store overlapped reads with decoding and consumed
-  // them: issued > 0, demand loads were served from completed prefetches,
-  // and nothing fell back to the synchronous path.
-  const RRSpillStats pre = pre_store.stats();
-  EXPECT_GT(pre.prefetch_issued, 0u);
-  EXPECT_GT(pre.prefetch_hits, 0u);
-  EXPECT_EQ(pre.sync_fallback_reads, 0u);
-  EXPECT_LE(pre.prefetch_hits + pre.prefetch_wasted, pre.prefetch_issued);
-  const std::string backend = pre_store.io_backend_name();
-  EXPECT_TRUE(backend == "uring" || backend == "threads") << backend;
-
-  // ReadRange rides the same prefetcher and matches too.
-  RRCollection loaded(g.num_nodes());
-  std::vector<uint64_t> loaded_edges;
-  ASSERT_TRUE(pre_store.ReadRange(0, 64, &loaded, &loaded_edges).ok());
-  EXPECT_EQ(loaded_edges, edges);
-  ExpectEqualSets(rr, loaded, 0, 0, 64);
-}
-
-TEST(RRSpillStoreTest, FailingPrefetchDegradesToSyncBitIdentically) {
-  const Graph g = MakeWcPowerLaw(80, 3, 53);
-  RRCollection rr(g.num_nodes());
-  std::vector<uint64_t> edges;
-  Sample(g, 5, 64, &rr, &edges);
-
   TempSpillDir dir;
-  RRSpillOptions options = SpillOpts(dir, 8);
-  options.tuning.readahead_chunks = 2;
-  options.reader_factory = [](const AsyncIoOptions&) {
-    return std::make_unique<FailingReader>();
-  };
-  RRSpillStore store(g.num_nodes(), options);
+  RRSpillStore store(g.num_nodes(), SpillOpts(dir, 8));  // 8 chunks
   ASSERT_TRUE(store.SpillRange(rr, edges, 0, 64, 0).ok());
 
-  // Every prefetch fails; every chunk is silently re-read synchronously
-  // and the replay output is still bit-identical to the originals.
   ExpectReplayMatches(&store, rr, 64);
-  const RRSpillStats stats = store.stats();
-  EXPECT_GT(stats.prefetch_issued, 0u);
-  EXPECT_EQ(stats.prefetch_hits, 0u);
-  EXPECT_GT(stats.sync_fallback_reads, 0u);
-  EXPECT_GE(stats.prefetch_wasted, stats.sync_fallback_reads)
-      << "every failed prefetch is accounted as wasted";
-  EXPECT_EQ(store.io_backend_name(), "failing");
-
-  // ReadRange degrades identically.
   RRCollection loaded(g.num_nodes());
   std::vector<uint64_t> loaded_edges;
   ASSERT_TRUE(store.ReadRange(0, 64, &loaded, &loaded_edges).ok());
   EXPECT_EQ(loaded_edges, edges);
   ExpectEqualSets(rr, loaded, 0, 0, 64);
-}
-
-TEST(RRSpillStoreTest, SlowPrefetchReaderStaysBitIdentical) {
-  const Graph g = MakeWcPowerLaw(80, 3, 59);
-  RRCollection rr(g.num_nodes());
-  std::vector<uint64_t> edges;
-  Sample(g, 5, 48, &rr, &edges);
-
-  TempSpillDir dir;
-  RRSpillOptions options = SpillOpts(dir, 8);  // 6 chunks
-  options.tuning.readahead_chunks = 2;
-  options.reader_factory = [](const AsyncIoOptions&) {
-    return std::make_unique<SlowReader>();
-  };
-  RRSpillStore store(g.num_nodes(), options);
-  ASSERT_TRUE(store.SpillRange(rr, edges, 0, 48, 0).ok());
-
-  // Slow completions must never be consumed early or partially: Wait
-  // blocks until the bytes are whole, so the replay matches exactly.
-  ExpectReplayMatches(&store, rr, 48);
-  const RRSpillStats stats = store.stats();
-  EXPECT_GT(stats.prefetch_issued, 0u);
-  EXPECT_GT(stats.prefetch_hits, 0u);
-  EXPECT_EQ(stats.sync_fallback_reads, 0u);
 }
 
 TEST(RRSpillStoreTest, EmptyEdgeSpanRecordsZeros) {
@@ -519,6 +305,79 @@ TEST(RRSpillStoreTest, EmptyEdgeSpanRecordsZeros) {
   ASSERT_TRUE(store.ReadRange(0, 10, &out, &out_edges).ok());
   ExpectEqualSets(rr, out, 0, 0, 10);
   EXPECT_EQ(out_edges, std::vector<uint64_t>(10, 0));
+}
+
+// ---- a mutated chunk file through every read path ---------------------
+
+TEST(RRSpillStoreTest, MutatedChunkFileFailsCleanlyOnEveryReadPath) {
+  const Graph g = MakeWcPowerLaw(80, 3, 61);
+  const NodeId n = g.num_nodes();
+  RRCollection rr(n);
+  std::vector<uint64_t> edges;
+  Sample(g, 5, 48, &rr, &edges);
+
+  TempSpillDir dir;
+  RRSpillStore store(n, SpillOpts(dir, 16));  // chunks at 0, 16 and 32
+  ASSERT_TRUE(store.SpillRange(rr, edges, 0, 48, 0).ok());
+  const std::string path = store.directory() + "/chunk-16-16.rrsh";
+  std::string good;
+  {
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << path;
+    good.assign(std::istreambuf_iterator<char>(in), {});
+  }
+
+  constexpr uint64_t kFirst = 16, kCount = 16;
+  std::mt19937_64 rng(0xc4a2);
+  int clean = 0;
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE(round);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << testing::MutateBytes(good, &rng);
+    }
+    // Every pass starts in chunk 0, so the cached chunk never answers
+    // for the mutated one: each path reads the mutant from disk.
+    uint64_t in_chunk = 0, stopped = 0;
+    const auto visit = [&](uint64_t index, std::span<const NodeId> set) {
+      if (index < kFirst || index >= kFirst + kCount) return;
+      ++in_chunk;
+      for (NodeId v : set) ASSERT_LT(v, n);
+    };
+    const Status visited = store.VisitRange(0, 48, nullptr, visit, &stopped);
+    if (visited.ok()) {
+      ++clean;
+      EXPECT_EQ(stopped, 48u);
+      EXPECT_EQ(in_chunk, kCount);
+    } else {
+      EXPECT_EQ(stopped, kFirst);
+      EXPECT_EQ(in_chunk, 0u);
+    }
+
+    RRCollection read(n);
+    std::vector<uint64_t> read_edges;
+    const Status read_status = store.ReadRange(0, 48, &read, &read_edges);
+    EXPECT_EQ(read_status.ok(), visited.ok()) << read_status.ToString();
+    if (read_status.ok()) {
+      ASSERT_EQ(read.num_sets(), 48u);
+      for (size_t i = kFirst; i < kFirst + kCount; ++i) {
+        for (NodeId v : read.Set(static_cast<RRSetId>(i))) ASSERT_LT(v, n);
+      }
+    } else {
+      EXPECT_EQ(read.num_sets(), 0u) << "failed read must not half-append";
+      EXPECT_TRUE(read_edges.empty());
+    }
+
+    RRSpillStore::ChunkScratch scratch;
+    in_chunk = 0;
+    const Status chunk_status =
+        store.VisitChunk(kFirst, kCount, nullptr, visit, &scratch);
+    EXPECT_EQ(chunk_status.ok(), visited.ok()) << chunk_status.ToString();
+    EXPECT_EQ(in_chunk, chunk_status.ok() ? kCount : 0u);
+  }
+  // Both outcomes must occur, or the mutator tests nothing.
+  EXPECT_GT(clean, 0);
+  EXPECT_LT(clean, 300);
 }
 
 // ---- solver sweep: budgets, spill on -----------------------------------

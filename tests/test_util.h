@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <random>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -106,6 +107,32 @@ class TempSpillDir {
   inline static int counter_ = 0;
   std::string dir_;
 };
+
+/// Applies 1-3 random byte overwrites, bit flips, insertions or
+/// truncations: one mutant for fuzzing a binary reader. Deterministic in
+/// the state of `rng`.
+inline std::string MutateBytes(std::string bytes, std::mt19937_64* rng) {
+  const int mutations = 1 + static_cast<int>((*rng)() % 3);
+  for (int i = 0; i < mutations && !bytes.empty(); ++i) {
+    const size_t at = (*rng)() % bytes.size();
+    switch ((*rng)() % 4) {
+      case 0:
+        bytes[at] = static_cast<char>((*rng)());
+        break;
+      case 1:
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << ((*rng)() % 8)));
+        break;
+      case 2:
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                     static_cast<char>((*rng)()));
+        break;
+      default:
+        bytes.resize(at);
+        break;
+    }
+  }
+  return bytes;
+}
 
 /// EXPECT that two Monte-Carlo quantities agree within both an absolute
 /// floor and a relative band. MC tests in this suite use fixed seeds, so

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
@@ -400,6 +401,60 @@ TEST(FlagsTest, NamesListsEveryFlagGivenSorted) {
   auto argv = MakeArgv(args);
   Flags flags(static_cast<int>(argv.size()), argv.data());
   EXPECT_EQ(flags.names(), (std::vector<std::string>{"eps", "k", "verbose"}));
+}
+
+TEST(FlagsTest, CheckedIntRefusesWhatDoesNotFit) {
+  std::vector<std::string> args = {"prog",
+                                   "--word=abc",
+                                   "--junk=12x",
+                                   "--empty=",
+                                   "--plus=+5",
+                                   "--int_min=-2147483648",
+                                   "--int_max=2147483647",
+                                   "--int_under=-2147483649",
+                                   "--int_over=2147483648",
+                                   "--u32_max=4294967295",
+                                   "--u32_over=4294967296",
+                                   "--zero=0",
+                                   "--neg=-1",
+                                   "--u64_max=18446744073709551615",
+                                   "--u64_over=18446744073709551616"};
+  auto argv = MakeArgv(args);
+  Flags flags(static_cast<int>(argv.size()), argv.data());
+
+  int i = 7;
+  EXPECT_TRUE(flags.GetCheckedInt("absent", 42, &i));
+  EXPECT_EQ(i, 42);
+  for (const char* bad : {"word", "junk", "empty", "plus", "int_under",
+                          "int_over"}) {
+    i = 7;
+    EXPECT_FALSE(flags.GetCheckedInt(bad, 0, &i)) << bad;
+    EXPECT_EQ(i, 7) << bad << ": a refused value leaves *out untouched";
+  }
+  ASSERT_TRUE(flags.GetCheckedInt("int_min", 0, &i));
+  EXPECT_EQ(i, std::numeric_limits<int>::min());
+  ASSERT_TRUE(flags.GetCheckedInt("int_max", 0, &i));
+  EXPECT_EQ(i, std::numeric_limits<int>::max());
+
+  uint32_t u = 7;
+  ASSERT_TRUE(flags.GetCheckedInt("zero", uint32_t{1}, &u));
+  EXPECT_EQ(u, 0u);
+  ASSERT_TRUE(flags.GetCheckedInt("u32_max", uint32_t{0}, &u));
+  EXPECT_EQ(u, std::numeric_limits<uint32_t>::max());
+  EXPECT_FALSE(flags.GetCheckedInt("u32_over", uint32_t{0}, &u));
+  // Every negative value is refused for an unsigned destination, where
+  // strtoll + a cast would turn --threads=-1 into 4294967295.
+  EXPECT_FALSE(flags.GetCheckedInt("neg", uint32_t{0}, &u));
+  EXPECT_EQ(u, std::numeric_limits<uint32_t>::max());
+
+  uint64_t w = 0;
+  EXPECT_FALSE(flags.GetCheckedInt("neg", uint64_t{0}, &w));
+  ASSERT_TRUE(flags.GetCheckedInt("u64_max", uint64_t{0}, &w));
+  EXPECT_EQ(w, std::numeric_limits<uint64_t>::max());
+  EXPECT_FALSE(flags.GetCheckedInt("u64_over", uint64_t{0}, &w));
+  int64_t s = 0;
+  ASSERT_TRUE(flags.GetCheckedInt("neg", int64_t{0}, &s));
+  EXPECT_EQ(s, -1);
 }
 
 // ----------------------------------------------------------------- Timer --
