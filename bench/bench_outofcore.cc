@@ -14,9 +14,10 @@
 //     seed-identical to the unbudgeted run; the spilled run must report
 //     regeneration_passes == 0.
 //
-//  3. Cold chunk replay — with the page cache dropped from the chunk
-//     files (posix_fadvise DONTNEED), how fast does a sequential replay
-//     (the serving preload's synchronous read path) stream sets back?
+//  3. Cold chunk replay — with the page cache dropped from the store's
+//     spill file (posix_fadvise DONTNEED), how fast does a sequential
+//     replay (the serving preload's synchronous read path) stream sets
+//     back?
 //     The replay checksum is asserted identical to the in-memory truth
 //     (fatal) before any timing is reported.
 //
@@ -91,8 +92,9 @@ SolverResult RunTimPlus(const Graph& graph, int k, double eps, uint64_t seed,
   return result;
 }
 
-/// Asks the kernel to drop the page-cache pages of every file in `dir`,
-/// so the next replay pass actually reads from storage.
+/// Asks the kernel to drop the page-cache pages of every file in `dir`
+/// (a spill store keeps one), so the next replay pass actually reads from
+/// storage.
 void DropPageCache(const std::string& dir) {
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     const int fd = ::open(entry.path().c_str(), O_RDONLY);
@@ -254,6 +256,7 @@ void Run(int argc, char** argv) {
 
   // ---- cold chunk replay ---------------------------------------------
   // Page cache dropped before the pass so the chunk reads hit storage.
+  // One spill file holds every 1024-set chunk.
   // The checksum is the gate: the replay must match the in-memory sets
   // exactly before any rate is reported.
   RRSpillOptions spill;

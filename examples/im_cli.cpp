@@ -55,8 +55,8 @@
 //                     from the mapped copy. ContentHash and every RR
 //                     stream are bit-identical to the resident load
 //   --spill-dir=DIR   out-of-core RR storage: when --memory-budget trips,
-//                     write the non-resident RR ranges to chunk files
-//                     under DIR once and replay them each greedy round
+//                     write the non-resident RR ranges once to one spill
+//                     file under DIR and replay them each greedy round
 //                     instead of regenerating (identical seeds,
 //                     regeneration_passes=0 while the store is healthy).
 //                     Batch mode also spills LRU-evicted shared streams
@@ -76,10 +76,13 @@
 //                     per-request line plus a reuse summary.
 //
 // Any other --flag is an error (exit 2), so a misspelt flag never runs
-// silently at its default. So is an integer flag or batch field (every
-// one but the seed, where any 64-bit pattern is valid) whose value is not
-// a whole base-10 integer that fits its field: --k=4294967301 or
-// --threads=-1 exit 2 instead of wrapping.
+// silently at its default. So is an integer flag or batch field whose
+// value is not a whole base-10 integer that fits its field (--k=4294967301
+// or --threads=-1 exit 2 instead of wrapping; --seed and seed= take any
+// value in [0, 2^64-1]), and a floating-point one (--eps, --ell,
+// --ris_tau_scale, --weights=uniform:<p>, and a batch line's epsilon,
+// ell= and tau_scale=) whose value is not a whole finite number:
+// --eps=0.1x exits 2 instead of running ε = 0.1.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -88,6 +91,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -132,8 +136,8 @@ bool ParseSamplerMode(const std::string& name, timpp::SamplerMode* mode) {
 bool ParseBatchLine(const std::string& line, int line_number,
                     timpp::ImRequest* request) {
   std::istringstream in(line);
-  std::string k;
-  if (!(in >> request->algo >> k >> request->epsilon)) {
+  std::string k, epsilon;
+  if (!(in >> request->algo >> k >> epsilon)) {
     std::fprintf(stderr, "batch line %d: expected 'algo k epsilon ...'\n",
                  line_number);
     return false;
@@ -141,6 +145,11 @@ bool ParseBatchLine(const std::string& line, int line_number,
   if (!timpp::ParseInteger(k, &request->k)) {
     std::fprintf(stderr, "batch line %d: bad k '%s'\n", line_number,
                  k.c_str());
+    return false;
+  }
+  if (!timpp::ParseDouble(epsilon, &request->epsilon)) {
+    std::fprintf(stderr, "batch line %d: bad epsilon '%s'\n", line_number,
+                 epsilon.c_str());
     return false;
   }
   std::string token;
@@ -154,44 +163,40 @@ bool ParseBatchLine(const std::string& line, int line_number,
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
     bool valid = true;
-    try {
-      if (key == "seed") {
-        request->seed = std::stoull(value);
-      } else if (key == "model") {
-        if (value == "lt") {
-          request->model = timpp::DiffusionModel::kLT;
-        } else if (value == "ic") {
-          request->model = timpp::DiffusionModel::kIC;
-        } else {
-          std::fprintf(stderr, "batch line %d: unknown model '%s' (ic|lt)\n",
-                       line_number, value.c_str());
-          return false;
-        }
-      } else if (key == "ell") {
-        request->ell = std::stod(value);
-      } else if (key == "hops") {
-        valid = timpp::ParseInteger(value, &request->max_hops);
-      } else if (key == "sampler") {
-        if (!ParseSamplerMode(value, &request->sampler_mode)) {
-          std::fprintf(stderr, "batch line %d: unknown sampler '%s'\n",
-                       line_number, value.c_str());
-          return false;
-        }
-      } else if (key == "budget") {
-        valid = timpp::ParseInteger(value, &request->memory_budget_bytes);
-      } else if (key == "mc") {
-        valid = timpp::ParseInteger(value, &request->mc_samples);
-      } else if (key == "tau_scale") {
-        request->ris_tau_scale = std::stod(value);
-      } else if (key == "max_sets") {
-        valid = timpp::ParseInteger(value, &request->ris_max_sets);
+    if (key == "seed") {
+      valid = timpp::ParseInteger(value, &request->seed);
+    } else if (key == "model") {
+      if (value == "lt") {
+        request->model = timpp::DiffusionModel::kLT;
+      } else if (value == "ic") {
+        request->model = timpp::DiffusionModel::kIC;
       } else {
-        std::fprintf(stderr, "batch line %d: unknown key '%s'\n",
-                     line_number, key.c_str());
+        std::fprintf(stderr, "batch line %d: unknown model '%s' (ic|lt)\n",
+                     line_number, value.c_str());
         return false;
       }
-    } catch (const std::exception&) {
-      valid = false;
+    } else if (key == "ell") {
+      valid = timpp::ParseDouble(value, &request->ell);
+    } else if (key == "hops") {
+      valid = timpp::ParseInteger(value, &request->max_hops);
+    } else if (key == "sampler") {
+      if (!ParseSamplerMode(value, &request->sampler_mode)) {
+        std::fprintf(stderr, "batch line %d: unknown sampler '%s'\n",
+                     line_number, value.c_str());
+        return false;
+      }
+    } else if (key == "budget") {
+      valid = timpp::ParseInteger(value, &request->memory_budget_bytes);
+    } else if (key == "mc") {
+      valid = timpp::ParseInteger(value, &request->mc_samples);
+    } else if (key == "tau_scale") {
+      valid = timpp::ParseDouble(value, &request->ris_tau_scale);
+    } else if (key == "max_sets") {
+      valid = timpp::ParseInteger(value, &request->ris_max_sets);
+    } else {
+      std::fprintf(stderr, "batch line %d: unknown key '%s'\n",
+                   line_number, key.c_str());
+      return false;
     }
     if (!valid) {
       std::fprintf(stderr, "batch line %d: bad value in '%s'\n", line_number,
@@ -332,9 +337,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Every integer flag but --seed is checked up front, before the graph
-  // loads: a value that is not a whole integer fitting its field exits 2.
-  bool bad_int = false;
+  // Every numeric flag is checked up front, before the graph loads: a
+  // value that is not a whole integer fitting its field, or not a whole
+  // finite number, exits 2.
+  bool bad_value = false;
   const auto int_flag = [&]<typename T>(const char* name, T def) {
     T value = def;
     if (!flags.GetCheckedInt(name, def, &value)) {
@@ -342,7 +348,16 @@ int main(int argc, char** argv) {
                    name, flags.GetString(name, "").c_str(),
                    std::to_string(std::numeric_limits<T>::min()).c_str(),
                    std::to_string(std::numeric_limits<T>::max()).c_str());
-      bad_int = true;
+      bad_value = true;
+    }
+    return value;
+  };
+  const auto double_flag = [&](const char* name, double def) {
+    double value = def;
+    if (!flags.GetCheckedDouble(name, def, &value)) {
+      std::fprintf(stderr, "invalid --%s=%s: expected a finite number\n",
+                   name, flags.GetString(name, "").c_str());
+      bad_value = true;
     }
     return value;
   };
@@ -351,6 +366,7 @@ int main(int argc, char** argv) {
   const uint64_t mc = flags.Has("celf_r") ? int_flag("celf_r", uint64_t{10000})
                                           : int_flag("mc", uint64_t{10000});
   const int k = int_flag("k", 50);
+  const uint64_t seed = int_flag("seed", uint64_t{7});
   const uint32_t max_hops = int_flag("max_hops", uint32_t{0});
   const unsigned num_threads = int_flag("threads", 1u);
   const uint64_t ris_max_sets = int_flag("ris_max_sets", uint64_t{10000000});
@@ -361,19 +377,29 @@ int main(int argc, char** argv) {
   const size_t cache_budget = int_flag("cache-budget", size_t{0});
   const unsigned concurrency = std::max(1u, int_flag("concurrency", 1u));
   const size_t max_pending = int_flag("max-pending", size_t{0});
-  if (bad_int) return 2;
+  const double epsilon = double_flag("eps", 0.1);
+  const double ell = double_flag("ell", 1.0);
+  const double ris_tau_scale = double_flag("ris_tau_scale", 0.1);
 
   const std::string path =
       flags.positional().empty() ? std::string() : flags.positional()[0];
   const std::string algo = flags.GetString("algo", "tim+");
   const std::string model_name = flags.GetString("model", "ic");
-  const uint64_t seed = flags.GetInt("seed", 7);
 
   const timpp::DiffusionModel model = model_name == "lt"
                                           ? timpp::DiffusionModel::kLT
                                           : timpp::DiffusionModel::kIC;
   const std::string weights = flags.GetString(
       "weights", model == timpp::DiffusionModel::kLT ? "lt" : "wc");
+  double uniform_p = 0.0;
+  if (weights.rfind("uniform:", 0) == 0 &&
+      !timpp::ParseDouble(std::string_view(weights).substr(8), &uniform_p)) {
+    std::fprintf(stderr,
+                 "invalid --weights=%s: expected uniform:<finite number>\n",
+                 weights.c_str());
+    bad_value = true;
+  }
+  if (bad_value) return 2;
 
   // ---- load ---------------------------------------------------------
   timpp::EdgeListOptions io_options;
@@ -401,8 +427,7 @@ int main(int argc, char** argv) {
     } else if (weights == "trivalency") {
       timpp::AssignTrivalency(&builder, seed);
     } else if (weights.rfind("uniform:", 0) == 0) {
-      timpp::AssignUniform(&builder,
-                           static_cast<float>(std::stod(weights.substr(8))));
+      timpp::AssignUniform(&builder, static_cast<float>(uniform_p));
     } else if (weights != "keep") {
       std::fprintf(stderr, "unknown --weights=%s\n", weights.c_str());
       return 2;
@@ -446,15 +471,15 @@ int main(int argc, char** argv) {
   timpp::SolverOptions options;
   options.k = k;
   options.sampler_mode = sampler_mode;
-  options.epsilon = flags.GetDouble("eps", 0.1);
-  options.ell = flags.GetDouble("ell", 1.0);
+  options.epsilon = epsilon;
+  options.ell = ell;
   options.model = model;
   options.max_hops = max_hops;
   options.num_threads = num_threads;
   options.pin_threads = flags.GetBool("pin-threads", false);
   options.seed = seed;
   options.mc_samples = mc;
-  options.ris_tau_scale = flags.GetDouble("ris_tau_scale", 0.1);
+  options.ris_tau_scale = ris_tau_scale;
   options.ris_max_sets = ris_max_sets;
   options.memory_budget_bytes = memory_budget;
   options.spill_dir = spill_dir;

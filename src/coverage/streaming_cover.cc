@@ -59,6 +59,41 @@ struct PassWorker {
   RRSpillStore::ChunkScratch scratch;
 };
 
+// One pass over the work unit held as sets [lo, hi) of `sets`, whose set
+// `lo` has local id `local_lo`. Scans the unit's members as one flat
+// array. The first pass (no seed yet) adds every member: no set is dead
+// before a seed is picked. A later pass finds `newest` in the array and
+// walks a forward cursor over the offsets to the set of each hit; a live
+// set that holds it has its members taken back out and is listed as
+// killed. A node occurs at most once per RR set, so these are exactly the
+// sets and decrements a per-set membership test finds; the scan still
+// resumes after the hit set's end, so a repeated node cannot count twice.
+// uint32_t arithmetic wraps, so a worker's net-negative contribution
+// still sums exactly.
+void ScanUnit(const RRCollection& sets, size_t lo, size_t hi,
+              uint64_t local_lo, NodeId newest, const BitVector& dead,
+              PassWorker* me) {
+  const std::span<const NodeId> members = sets.Members(lo, hi);
+  if (newest == kInvalidNode) {
+    for (NodeId v : members) ++me->counts[v];
+    return;
+  }
+  const EdgeIndex base = sets.Offset(lo);
+  size_t set = lo;
+  for (auto it = std::find(members.begin(), members.end(), newest);
+       it != members.end();) {
+    const EdgeIndex at = base + static_cast<EdgeIndex>(it - members.begin());
+    while (sets.Offset(set + 1) <= at) ++set;
+    const uint64_t local = local_lo + (set - lo);
+    if (!dead.Get(local)) {
+      for (NodeId v : sets.Set(static_cast<RRSetId>(set))) --me->counts[v];
+      me->killed.push_back(static_cast<RRSetId>(local));
+    }
+    it = std::find(members.begin() + (sets.Offset(set + 1) - base),
+                   members.end(), newest);
+  }
+}
+
 }  // namespace
 
 StreamingCoverResult StreamingGreedyMaxCover(SamplingEngine& engine,
@@ -111,20 +146,19 @@ StreamingCoverResult StreamingGreedyMaxCover(SamplingEngine& engine,
   NodeId newest = kInvalidNode;
   // Liveness of each of the θ sets (local id = global index -
   // first_index). A set dies the first time a pass sees it covered by the
-  // selected seeds; dead sets are skipped and never read or regenerated
-  // again (seeds only grow, so death is permanent). Read-only during a
-  // pass; the pass's deaths are applied after it.
+  // selected seeds; a dead set is never regenerated again and a pass
+  // ignores its members (seeds only grow, so death is permanent).
+  // Read-only during a pass; the pass's deaths are applied after it.
   BitVector dead(total_sets);
   const auto live = [&](uint64_t index) {
     return !dead.Get(index - first_index);
   };
 
-  // The first pass adds every set into `into`. A later pass only finds
-  // the live sets the newest seed covers (older seeds' sets are dead
-  // already) and takes them back out, reporting them covered: the counts
-  // stay those of the live sets, as GreedyMaxCover's decrements keep
-  // them. uint32_t arithmetic wraps, so a worker's net-negative
-  // contribution still sums exactly.
+  // Regeneration's step for one live set, ScanUnit's rule: the first pass
+  // adds the set into `into`; a later pass takes it back out, reporting it
+  // covered, if it holds the newest seed (older seeds' sets are dead
+  // already). The counts stay those of the live sets, as GreedyMaxCover's
+  // decrements keep them.
   const auto absorb = [&](std::vector<uint32_t>& into,
                           std::span<const NodeId> set) {
     if (newest == kInvalidNode) {
@@ -140,41 +174,28 @@ StreamingCoverResult StreamingGreedyMaxCover(SamplingEngine& engine,
   const auto run_pass = [&](unsigned w) {
     PassWorker& me = workers[w];
     if (w != 0) std::fill(me.counts.begin(), me.counts.end(), 0);
-    const auto take = [&](uint64_t index, std::span<const NodeId> set) {
-      if (!absorb(me.counts, set)) {
-        me.killed.push_back(static_cast<RRSetId>(index - first_index));
-      }
-    };
-    const RRSpillStore::Visitor take_spilled = take;
     for (size_t u; (u = next_unit.fetch_add(1, std::memory_order_relaxed)) <
                    units.size();) {
       const PassUnit& unit = units[u];
+      const uint64_t local = unit.first - first_index;
       if (!unit.spilled) {
-        for (uint64_t index = unit.first; index < unit.first + unit.count;
-             ++index) {
-          const auto local = static_cast<RRSetId>(index - first_index);
-          if (!dead.Get(local)) take(index, cache.Set(local));
-        }
+        ScanUnit(cache, local, local + unit.count, local, newest, dead, &me);
         continue;
       }
-      uint64_t visited = 0;
-      if (spill->VisitChunk(unit.first, unit.count, live, take_spilled,
-                            &me.scratch, &visited)
-              .ok()) {
-        me.sets_spill_read += visited;
+      // The pass reads the unit's live sets: the count the spill
+      // counters report.
+      const uint64_t live_sets =
+          unit.count - dead.CountRange(local, local + unit.count);
+      const auto scan = [&](uint64_t chunk_first, const RRCollection& sets) {
+        const uint64_t lo = unit.first - chunk_first;
+        ScanUnit(sets, lo, lo + unit.count, local, newest, dead, &me);
+        return live_sets;
+      };
+      if (spill->VisitChunk(unit.first, unit.count, scan, &me.scratch).ok()) {
+        me.sets_spill_read += live_sets;
       } else {
         me.failed.push_back(u);
       }
-    }
-  };
-  // Sums every worker's counts into worker 0's, one node slice per task.
-  const auto merge_counts = [&](unsigned slice) {
-    const NodeId lo = static_cast<NodeId>(uint64_t{n} * slice / num_workers);
-    const NodeId hi =
-        static_cast<NodeId>(uint64_t{n} * (slice + 1) / num_workers);
-    for (unsigned w = 1; w < num_workers; ++w) {
-      const std::vector<uint32_t>& other = workers[w].counts;
-      for (NodeId v = lo; v < hi; ++v) counts[v] += other[v];
     }
   };
 
@@ -182,7 +203,13 @@ StreamingCoverResult StreamingGreedyMaxCover(SamplingEngine& engine,
   for (int round = 0; round < k; ++round) {
     next_unit.store(0, std::memory_order_relaxed);
     pool.ParallelRun(num_workers, run_pass);
-    if (num_workers > 1) pool.ParallelRun(num_workers, merge_counts);
+    // Fold the other workers' contributions into the live counts here:
+    // one vectorized add per worker costs less than waking the pool a
+    // second time.
+    for (unsigned w = 1; w < num_workers; ++w) {
+      const std::vector<uint32_t>& other = workers[w].counts;
+      for (NodeId v = 0; v < n; ++v) counts[v] += other[v];
+    }
 
     regenerate = gaps;
     uint64_t spill_read = 0;
@@ -235,9 +262,13 @@ StreamingCoverResult StreamingGreedyMaxCover(SamplingEngine& engine,
 
 namespace {
 
-// Fill batch size: matches the engine's per-visit batch, so the transient
-// residency of a fill equals what a regeneration pass would have held.
-constexpr uint64_t kSetsPerFillBatch = 1024;
+// Sets per spill call of a fill: the engine's per-visit batch, so a chunk
+// a coverage pass decodes holds what a regeneration visit would have.
+constexpr uint64_t kSetsPerFillChunk = 1024;
+// Sets per engine call of a fill: the engine's own batch size, so a call
+// wakes its threads once. Eight chunks per wake-up keep a fill's
+// fork-joins few; the engine's shards already hold a batch this size.
+constexpr uint64_t kSetsPerFillSample = 8 * kSetsPerFillChunk;
 
 }  // namespace
 
@@ -251,24 +282,34 @@ SpillFillResult SpillFillTo(SampleSource& source, RRSpillStore& spill,
     source.Seek(spill.CoveredEnd(source.position(),
                                  target_index - source.position()));
   }
-  while (source.position() < target_index) {
+  RRCollection scratch(n);
+  std::vector<uint64_t> scratch_edges;
+  while (result.spill_ok && source.position() < target_index) {
     const uint64_t pos = source.position();
-    const uint64_t want =
-        std::min<uint64_t>(kSetsPerFillBatch, target_index - pos);
-    RRCollection scratch(n);
-    std::vector<uint64_t> scratch_edges;
-    const SampleBatch batch = source.Fetch(&scratch, want, &scratch_edges);
-    result.batch.sets_added += batch.sets_added;
-    result.batch.edges_examined += batch.edges_examined;
-    result.batch.traversal_cost += batch.traversal_cost;
-    if (!spill
-             .SpillRange(scratch, scratch_edges, 0, scratch.num_sets(), pos)
-             .ok()) {
-      // Write failure: stop filling; the gap regenerates at cover time.
-      result.spill_ok = false;
-      break;
+    scratch.Clear();
+    scratch_edges.clear();
+    source.Fetch(&scratch, std::min(kSetsPerFillSample, target_index - pos),
+                 &scratch_edges);
+    // Spill chunk by chunk, accounting each chunk's sampling as it goes:
+    // a failed write stops the fill, and the sets after it regenerate at
+    // cover time, where they are accounted instead.
+    for (size_t done = 0; done < scratch.num_sets();) {
+      const size_t count = static_cast<size_t>(std::min<uint64_t>(
+          kSetsPerFillChunk, scratch.num_sets() - done));
+      uint64_t edges = 0;
+      for (size_t j = done; j < done + count; ++j) edges += scratch_edges[j];
+      result.batch.sets_added += count;
+      result.batch.edges_examined += edges;
+      result.batch.traversal_cost +=
+          edges + (scratch.Offset(done + count) - scratch.Offset(done));
+      if (!spill.SpillRange(scratch, scratch_edges, done, count, pos + done)
+               .ok()) {
+        result.spill_ok = false;
+        break;
+      }
+      result.sets_spilled += count;
+      done += count;
     }
-    result.sets_spilled += scratch.num_sets();
   }
   // Land later phases on the same stream indices as a budget-off run even
   // when spilling stopped short.

@@ -15,12 +15,16 @@
 // units, fixed for the whole run, are 4096-set slices of the resident
 // prefix and whole spill chunks, claimed dynamically. A worker reads,
 // validates and decodes its own chunks (RRSpillStore::VisitChunk, outside
-// the store mutex) into its own uint32_t counts: the first pass adds every
-// set, and each later pass subtracts the live sets the newest seed covers
-// and puts them on the worker's own list. After the pass the counts are
-// summed and the new dead bits applied, so workers never write shared
-// state. Only the ranges no chunk covers, plus the chunks whose read or
-// decode failed this round, are then regenerated through VisitSamples.
+// the store mutex) and scans each unit as one flat member array into its
+// own uint32_t counts: the first pass adds every member, and each later
+// pass finds the newest seed in the array, maps each hit to its set with
+// a forward cursor over the offsets, subtracts the members of the hit
+// sets still live and puts those sets on the worker's own list. After the
+// pass the calling thread sums the counts and applies the new dead bits,
+// so workers never write shared state and a round wakes the pool once.
+// Only the ranges no chunk covers, plus the
+// chunks whose read or decode failed this round, are then regenerated
+// through VisitSamples.
 // Transient footprint on top of the resident prefix and the θ/8-byte dead
 // bits: T decoded chunks plus T·4·n bytes of counts, for T workers and n
 // nodes.
@@ -97,8 +101,9 @@ struct SpillFillResult {
 };
 
 /// Materializes the stream range [source.position(), target_index) into
-/// `spill` in small transient batches (never holding more than one batch
-/// resident), skipping any prefix the store already covers, then seeks
+/// `spill` in transient batches of one engine call each (8192 sets, never
+/// more than one batch resident), written as chunks of at most 1024 sets,
+/// skipping any prefix the store already covers, then seeks
 /// `source` to `target_index`. This is how the budget path gets suffix
 /// sets onto disk exactly once instead of regenerating them every greedy
 /// round: sample → spill → drop, preserving stream positions bit-for-bit.

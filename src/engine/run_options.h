@@ -76,8 +76,9 @@ struct RunOptions : SamplingConfig {
   /// tier). Only consulted when memory_budget_bytes trips: non-resident
   /// index ranges are written once as sequential chunks and replayed each
   /// greedy round instead of regenerated — same seeds, with
-  /// regeneration_passes == 0 while the store stays healthy. Chunk files
-  /// live in a unique per-run subdirectory, deleted when the run ends.
+  /// regeneration_passes == 0 while the store stays healthy. The chunks
+  /// live in one file in a unique per-run subdirectory, deleted when the
+  /// run ends.
   std::string spill_dir;
 };
 

@@ -23,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/scoped_fd.h"
+
 namespace timpp {
 
 namespace {
@@ -33,22 +35,6 @@ constexpr uint32_t kVersion = 1;
 // ReadEdgeList reads the file in blocks of this size. A line longer than
 // the buffer doubles it until the line fits.
 constexpr size_t kReadBlockBytes = size_t{1} << 20;
-
-/// Closes a POSIX descriptor on scope exit.
-class ScopedFd {
- public:
-  explicit ScopedFd(int fd) : fd_(fd) {}
-  ~ScopedFd() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  ScopedFd(const ScopedFd&) = delete;
-  ScopedFd& operator=(const ScopedFd&) = delete;
-
-  int get() const { return fd_; }
-
- private:
-  int fd_;
-};
 
 // The classic locale's whitespace: ' ', '\t', '\n', '\v', '\f', '\r'.
 bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
@@ -555,6 +541,10 @@ Status OpenGraphImage(const std::string& path, Graph* graph) {
   if (header.version != kFileVersion) {
     return fail(Status::Corruption(path + ": unsupported image version " +
                                    std::to_string(header.version)));
+  }
+  if (header.reserved != 0) {
+    return fail(
+        Status::Corruption(path + ": nonzero reserved image header field"));
   }
   if (header.payload_size != file_size - kFileHeaderBytes) {
     return fail(Status::Corruption(path + ": truncated image payload"));

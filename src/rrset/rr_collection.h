@@ -78,6 +78,12 @@ class RRCollection {
     return {nodes_.data() + offsets_[id], nodes_.data() + offsets_[id + 1]};
   }
 
+  /// Members of sets [first, last), back to back in set order
+  /// (first <= last <= num_sets()).
+  std::span<const NodeId> Members(size_t first, size_t last) const {
+    return {nodes_.data() + offsets_[first], nodes_.data() + offsets_[last]};
+  }
+
   /// Width w(R) of set `id`.
   uint64_t Width(RRSetId id) const { return widths_[id]; }
 

@@ -10,7 +10,7 @@
 // node id outside the graph fails with a clear Status instead of poisoning
 // the collection.
 //
-// Layout (all integers native-endian; chunk files are scratch written and
+// Layout (all integers native-endian; spill files are scratch written and
 // read on one host, never across architectures):
 //   u32 magic 'RRSH' | u16 version | u16 flags(0)
 //   u64 num_sets | u64 total_nodes | u64 total_edges

@@ -1,11 +1,12 @@
 #include "rrset/rr_spill.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 #include <utility>
 
@@ -16,9 +17,24 @@ namespace timpp {
 namespace {
 
 /// Distinguishes stores within one process; combined with the pid it makes
-/// the chunk subdirectory unique across concurrent runs sharing a parent
+/// the store's subdirectory unique across concurrent runs sharing a parent
 /// spill directory.
 std::atomic<uint64_t> g_store_counter{0};
+
+/// The index range [first, first + count) as text, for error messages.
+std::string RangeText(uint64_t first, uint64_t count) {
+  std::string text = "[";
+  text += std::to_string(first);
+  text += ", ";
+  text += std::to_string(first + count);
+  text += ")";
+  return text;
+}
+
+/// The calling thread's errno as text (thread-safe, unlike strerror).
+std::string ErrnoText() {
+  return std::error_code(errno, std::system_category()).message();
+}
 
 }  // namespace
 
@@ -26,31 +42,43 @@ RRSpillStore::RRSpillStore(NodeId num_graph_nodes, RRSpillOptions options)
     : num_graph_nodes_(num_graph_nodes), options_(std::move(options)) {}
 
 RRSpillStore::~RRSpillStore() {
-  // Chunk files are scratch: delete the whole per-store subdirectory.
-  // Errors are swallowed — a leaked temp dir must not fail a solve that
-  // already returned its (correct) seeds.
+  // The spill file is scratch: close it and delete the whole per-store
+  // subdirectory. Errors are swallowed — a leaked temp dir must not fail a
+  // solve that already returned its (correct) seeds.
+  file_.Reset();
   if (!dir_.empty()) {
     std::error_code ec;
     std::filesystem::remove_all(dir_, ec);
   }
 }
 
-Status RRSpillStore::EnsureDirLocked() {
-  if (!dir_.empty()) return Status::OK();
+Status RRSpillStore::EnsureFileLocked() {
+  if (file_.get() >= 0) return Status::OK();
   if (options_.dir.empty()) {
     return Status::InvalidArgument("rr spill: no spill directory configured");
   }
-  const uint64_t id = g_store_counter.fetch_add(1, std::memory_order_relaxed);
-  const std::filesystem::path sub =
-      std::filesystem::path(options_.dir) /
-      ("rrspill-" + std::to_string(::getpid()) + "-" + std::to_string(id));
-  std::error_code ec;
-  std::filesystem::create_directories(sub, ec);
-  if (ec) {
-    return Status::IOError("rr spill: cannot create " + sub.string() + ": " +
-                           ec.message());
+  if (dir_.empty()) {
+    const uint64_t id =
+        g_store_counter.fetch_add(1, std::memory_order_relaxed);
+    const std::filesystem::path sub =
+        std::filesystem::path(options_.dir) /
+        ("rrspill-" + std::to_string(::getpid()) + "-" + std::to_string(id));
+    std::error_code ec;
+    std::filesystem::create_directories(sub, ec);
+    if (ec) {
+      return Status::IOError("rr spill: cannot create " + sub.string() +
+                             ": " + ec.message());
+    }
+    dir_ = sub.string();
+    path_ = (sub / "chunks.rrsh").string();
   }
-  dir_ = sub.string();
+  const int fd =
+      ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+  if (fd < 0) {
+    return Status::IOError("rr spill: cannot open " + path_ + ": " +
+                           ErrnoText());
+  }
+  file_.Reset(fd);
   return Status::OK();
 }
 
@@ -73,7 +101,7 @@ Status RRSpillStore::SpillRange(const RRCollection& src,
     return Status::InvalidArgument(
         "rr spill: ranges must be appended in increasing index order");
   }
-  TIMPP_RETURN_NOT_OK(EnsureDirLocked());
+  TIMPP_RETURN_NOT_OK(EnsureFileLocked());
 
   // SerializeRRShard indexes `edges` by absolute local set id; synthesize
   // zeros when the caller has no per-set split (selection never reads
@@ -90,32 +118,33 @@ Status RRSpillStore::SpillRange(const RRCollection& src,
   for (size_t done = 0; done < count;) {
     const size_t chunk_count =
         static_cast<size_t>(std::min<uint64_t>(per_chunk, count - done));
-    Chunk chunk;
-    chunk.first = global_first + done;
-    chunk.count = chunk_count;
-    chunk.path =
-        (std::filesystem::path(dir_) /
-         ("chunk-" + std::to_string(chunk.first) + "-" +
-          std::to_string(chunk_count) + ".rrsh"))
-            .string();
-
     buffer.clear();
     SerializeRRShard(src, edges, local_first + done, chunk_count, &buffer);
-    chunk.bytes = buffer.size();
 
-    std::ofstream out(chunk.path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IOError("rr spill: cannot open " + chunk.path +
-                             " for writing");
+    // Append at the manifest's end. A failed write lists nothing and
+    // leaves end_offset_ where it was, so the next append overwrites
+    // whatever part of this chunk reached the file.
+    for (size_t written = 0; written < buffer.size();) {
+      const ssize_t got =
+          ::pwrite(file_.get(), buffer.data() + written,
+                   buffer.size() - written,
+                   static_cast<off_t>(end_offset_ + written));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) {
+        return Status::IOError(
+            "rr spill: write failure on " + path_ + " for chunk " +
+            RangeText(global_first + done, chunk_count) + ": " +
+            (got < 0 ? ErrnoText() : "no progress"));
+      }
+      written += static_cast<size_t>(got);
     }
-    out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    out.flush();
-    if (!out) return Status::IOError("rr spill: write failure on " + chunk.path);
 
+    chunks_.push_back(
+        {global_first + done, chunk_count, end_offset_, buffer.size()});
+    end_offset_ += buffer.size();
     stats_.chunks_written += 1;
     stats_.sets_written += chunk_count;
-    stats_.bytes_written += chunk.bytes;
-    chunks_.push_back(std::move(chunk));
+    stats_.bytes_written += buffer.size();
     done += chunk_count;
   }
   return Status::OK();
@@ -166,18 +195,31 @@ Status RRSpillStore::ReadChunk(const Chunk& chunk,
                                ChunkScratch* scratch) const {
   scratch->sets_.Clear();
   scratch->edges_.clear();
-  std::ifstream in(chunk.path, std::ios::binary);
-  if (!in) return Status::IOError("rr spill: cannot open " + chunk.path);
   std::string& bytes = scratch->bytes_;
   bytes.resize(static_cast<size_t>(chunk.bytes));
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (static_cast<uint64_t>(in.gcount()) != chunk.bytes) {
-    return Status::IOError("rr spill: short read on " + chunk.path);
+  for (size_t done = 0; done < bytes.size();) {
+    const ssize_t got =
+        ::pread(file_.get(), bytes.data() + done, bytes.size() - done,
+                static_cast<off_t>(chunk.offset + done));
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) {
+      return Status::IOError("rr spill: read failure on " + path_ +
+                             " for chunk " +
+                             RangeText(chunk.first, chunk.count) + ": " +
+                             ErrnoText());
+    }
+    if (got == 0) {
+      return Status::IOError("rr spill: " + path_ + " was cut inside chunk " +
+                             RangeText(chunk.first, chunk.count));
+    }
+    done += static_cast<size_t>(got);
   }
   TIMPP_RETURN_NOT_OK(DeserializeRRShard(bytes, num_graph_nodes_,
                                          &scratch->sets_, &scratch->edges_));
   if (scratch->sets_.num_sets() != chunk.count) {
-    return Status::Corruption("rr spill: chunk " + chunk.path +
+    return Status::Corruption("rr spill: chunk " +
+                              RangeText(chunk.first, chunk.count) + " of " +
+                              path_ +
                               " holds a different set count than written");
   }
   return Status::OK();
@@ -239,38 +281,26 @@ std::vector<RRSpillStore::ChunkRange> RRSpillStore::ChunksOverlapping(
 }
 
 Status RRSpillStore::VisitChunk(uint64_t first, uint64_t count,
-                                const Filter& filter, const Visitor& visit,
-                                ChunkScratch* scratch,
-                                uint64_t* sets_visited) {
-  if (sets_visited != nullptr) *sets_visited = 0;
+                                const ChunkVisitor& visit,
+                                ChunkScratch* scratch) {
   Chunk chunk;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const size_t ci = FindChunkLocked(first);
     if (ci >= chunks_.size() ||
         first + count > chunks_[ci].first + chunks_[ci].count) {
-      return Status::NotFound("rr spill: range [" + std::to_string(first) +
-                              ", " + std::to_string(first + count) +
-                              ") is not inside one chunk");
+      return Status::NotFound("rr spill: range " + RangeText(first, count) +
+                              " is not inside one chunk");
     }
     chunk = chunks_[ci];
   }
   // Read and decode outside the mutex: this is what lets workers replay
   // different chunks at once.
   TIMPP_RETURN_NOT_OK(ReadChunk(chunk, scratch));
-  uint64_t visited = 0;
-  for (uint64_t index = first; index < first + count; ++index) {
-    if (filter && !filter(index)) continue;
-    visit(index,
-          scratch->sets_.Set(static_cast<RRSetId>(index - chunk.first)));
-    ++visited;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.chunk_loads += 1;
-    stats_.sets_read += visited;
-  }
-  if (sets_visited != nullptr) *sets_visited = visited;
+  const uint64_t read = visit(chunk.first, scratch->sets_);
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.chunk_loads += 1;
+  stats_.sets_read += read;
   return Status::OK();
 }
 
@@ -280,9 +310,8 @@ Status RRSpillStore::ReadRange(uint64_t first, uint64_t count,
   std::lock_guard<std::mutex> lock(mu_);
   // Validate coverage up front: on any failure nothing is appended.
   if (CoveredEndLocked(first, count) != first + count) {
-    return Status::NotFound("rr spill: range [" + std::to_string(first) +
-                            ", " + std::to_string(first + count) +
-                            ") not fully spilled");
+    return Status::NotFound("rr spill: range " + RangeText(first, count) +
+                            " not fully spilled");
   }
 
   // Stage into locals so a mid-range I/O failure appends nothing.

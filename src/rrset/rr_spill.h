@@ -3,12 +3,11 @@
 // Budgeted selection keeps only a prefix of the θ sampled RR sets
 // resident; the suffix used to be *regenerated* from the per-index RNG on
 // every greedy round (O(passes × sampling cost)). RRSpillStore instead
-// writes evicted index ranges as sequential rr_serialization shard files
-// ("chunks") and streams them back — disk reads replace repeated graph
-// traversals, and the replayed sets are byte-identical to the sampled
-// originals (the shard format round-trips members, widths and per-set
-// edge counts exactly, so seeds/θ/LB match the regeneration path bit for
-// bit).
+// writes evicted index ranges as rr_serialization shards ("chunks") and
+// streams them back — disk reads replace repeated graph traversals, and
+// the replayed sets are byte-identical to the sampled originals (the
+// shard format round-trips members, widths and per-set edge counts
+// exactly, so seeds/θ/LB match the regeneration path bit for bit).
 //
 // One store holds one engine's global index space: chunks are appended in
 // increasing index order (gaps allowed — IMM spills its sampling phase and
@@ -18,22 +17,27 @@
 // engine regeneration at the caller (VisitRange reports how far it got,
 // ChunksOverlapping lists what is covered).
 //
-// Every read is synchronous and goes through one read-validate-decode
-// step. The parallel greedy replay (coverage/streaming_cover.h) lists the
-// chunks of its range once with ChunksOverlapping and hands whole chunks
-// to its workers, each of which reads and decodes its own chunk through
-// VisitChunk outside the store mutex. The sequential paths (VisitRange,
-// and ReadRange — the serving preload) keep the last chunk they decoded:
-// their only traffic is forward, a growing stream that may resume inside
-// the chunk it read last, so one cached chunk serves every re-touch.
+// All of a store's chunks live back to back in one append-only file,
+// opened once and kept open until destruction. A spill appends each
+// chunk with positional writes at the file's end; every read is one
+// positional read of the chunk's byte range, then the shard decoder's
+// full validation. The parallel greedy replay
+// (coverage/streaming_cover.h) lists the chunks of its range once with
+// ChunksOverlapping and hands whole chunks to its workers, each of which
+// reads and decodes its own chunk through VisitChunk outside the store
+// mutex. The sequential paths (VisitRange, and ReadRange — the serving
+// preload) keep the last chunk they decoded: their only traffic is
+// forward, a growing stream that may resume inside the chunk it read
+// last, so one cached chunk serves every re-touch.
 //
 // Thread-safe: a single mutex guards the chunk manifest, the cached chunk
 // and the counters, and serializes spills, sequential visits and reads.
 // VisitChunk holds it only to copy one manifest entry and to add its
-// counters, so concurrent VisitChunk callers read and decode in parallel.
+// counters; positional reads need no shared file offset, so concurrent
+// VisitChunk callers read and decode in parallel.
 //
-// Files live in a per-store unique subdirectory of `options.dir` and are
-// deleted by the destructor.
+// The file lives in a per-store unique subdirectory of `options.dir`,
+// which the destructor deletes.
 #ifndef TIMPP_RRSET_RR_SPILL_H_
 #define TIMPP_RRSET_RR_SPILL_H_
 
@@ -45,16 +49,17 @@
 #include <vector>
 
 #include "rrset/rr_collection.h"
+#include "util/scoped_fd.h"
 #include "util/status.h"
 #include "util/types.h"
 
 namespace timpp {
 
 struct RRSpillOptions {
-  /// Parent directory for this store's chunk files (created if missing).
+  /// Parent directory for this store's spill file (created if missing).
   std::string dir;
-  /// Sets per chunk file. Chunk size bounds both the spill write batches
-  /// and the unit of every read: one decoded chunk is what a VisitChunk
+  /// Sets per chunk. Chunk size bounds both the spill write batches and
+  /// the unit of every read: one decoded chunk is what a VisitChunk
   /// caller's scratch and the sequential paths' cached chunk hold.
   uint64_t sets_per_chunk = 4096;
 };
@@ -64,12 +69,12 @@ struct RRSpillStats {
   uint64_t chunks_written = 0;
   uint64_t sets_written = 0;
   uint64_t bytes_written = 0;
-  /// Chunk-file loads, and sequential re-touches served by the cached
-  /// chunk.
+  /// Chunk reads from the file, and sequential re-touches served by the
+  /// cached chunk.
   uint64_t chunk_loads = 0;
   uint64_t chunk_hits = 0;
   /// Sets streamed back to visitors/readers (a filter-rejected set is not
-  /// read).
+  /// read; VisitChunk counts what its visitor reports reading).
   uint64_t sets_read = 0;
   /// Always 0: no read is prefetched. Kept until the end-to-end
   /// benchmark stops reading them (ROADMAP item 6).
@@ -83,6 +88,12 @@ class RRSpillStore {
   using Filter = std::function<bool(uint64_t index)>;
   using Visitor =
       std::function<void(uint64_t index, std::span<const NodeId> nodes)>;
+  /// Called once per VisitChunk with the decoded chunk: `sets` holds the
+  /// sets of global indices [chunk_first, chunk_first + sets.num_sets()).
+  /// Returns how many sets of the requested range it read, which
+  /// stats().sets_read counts.
+  using ChunkVisitor =
+      std::function<uint64_t(uint64_t chunk_first, const RRCollection& sets)>;
 
   /// `num_graph_nodes` validates reloaded shard node ids (a corrupt chunk
   /// fails its read instead of poisoning the collection).
@@ -94,12 +105,15 @@ class RRSpillStore {
 
   /// Spills sets [local_first, local_first + count) of `src` — which hold
   /// the RR sets of global indices [global_first, global_first + count) —
-  /// as one or more chunk files. `per_set_edges`, when non-empty, is
-  /// indexed by local set id (rr_serialization's convention) and must
-  /// cover the range; when empty, zero edge counts are recorded (readers
-  /// that only need members and widths — selection — are unaffected).
+  /// as one or more chunks appended to the store's file. `per_set_edges`,
+  /// when non-empty, is indexed by local set id (rr_serialization's
+  /// convention) and must cover the range; when empty, zero edge counts
+  /// are recorded (readers that only need members and widths — selection
+  /// — are unaffected).
   /// `global_first` must be >= the store's current end_index(): chunks
-  /// are append-only in index space, gaps allowed.
+  /// are append-only in index space, gaps allowed. On a write error the
+  /// chunks written before it stay, the failed one is not listed, and the
+  /// next append overwrites its partial bytes.
   Status SpillRange(const RRCollection& src,
                     std::span<const uint64_t> per_set_edges,
                     size_t local_first, size_t count, uint64_t global_first);
@@ -150,17 +164,14 @@ class RRSpillStore {
     std::vector<uint64_t> edges_;
   };
 
-  /// Streams the stored sets of [first, first + count), which must lie in
-  /// one chunk, through `visit` in index order, skipping indices `filter`
-  /// rejects (filter may be null). Safe to call from many threads at once:
-  /// the chunk is read, validated and decoded into `scratch` outside the
-  /// store mutex, bypassing the cached chunk. On a read or decode error
-  /// nothing is visited and the error is returned; NotFound when no
-  /// single chunk holds the range. `sets_visited` (optional) counts sets
-  /// delivered to `visit`.
-  Status VisitChunk(uint64_t first, uint64_t count, const Filter& filter,
-                    const Visitor& visit, ChunkScratch* scratch,
-                    uint64_t* sets_visited = nullptr);
+  /// Reads, validates and decodes the chunk holding [first, first + count)
+  /// into `scratch` and hands it to `visit` once; the caller scans the
+  /// sets it needs. Safe to call from many threads at once: the read and
+  /// decode run outside the store mutex, bypassing the cached chunk. On a
+  /// read or decode error `visit` is not called and the error is
+  /// returned; NotFound when no single chunk holds the range.
+  Status VisitChunk(uint64_t first, uint64_t count, const ChunkVisitor& visit,
+                    ChunkScratch* scratch);
 
   /// Appends the stored sets of [first, first + count) to `*out` (and
   /// their edge counts to `*edges`, if non-null) in index order. Fails
@@ -172,7 +183,8 @@ class RRSpillStore {
 
   RRSpillStats stats() const;
 
-  /// The per-store chunk directory (empty until the first spill).
+  /// The per-store directory holding the spill file (empty until the
+  /// first spill).
   std::string directory() const;
 
   /// Always "sync". Kept until the end-to-end benchmark stops reading it
@@ -180,16 +192,19 @@ class RRSpillStore {
   std::string io_backend_name() const;
 
  private:
+  /// One manifest entry: the sets of [first, first + count), serialized
+  /// into file bytes [offset, offset + bytes).
   struct Chunk {
     uint64_t first = 0;
     uint64_t count = 0;
-    std::string path;
+    uint64_t offset = 0;
     uint64_t bytes = 0;
   };
   static constexpr size_t kNoChunk = static_cast<size_t>(-1);
 
-  /// Creates the unique chunk subdirectory on first use.
-  Status EnsureDirLocked();
+  /// Creates the unique subdirectory and opens the spill file on first
+  /// use.
+  Status EnsureFileLocked();
 
   /// Returns the manifest position of the chunk containing `index`, or
   /// chunks_.size() when uncovered.
@@ -203,7 +218,8 @@ class RRSpillStore {
   Status LoadCachedLocked(size_t chunk_index);
 
   /// Reads, validates and decodes `chunk` into `*scratch`. Touches no
-  /// shared state.
+  /// mutable shared state: `file_` and `path_` are set once, under the
+  /// mutex, before any chunk is listed.
   Status ReadChunk(const Chunk& chunk, ChunkScratch* scratch) const;
 
   const NodeId num_graph_nodes_;
@@ -211,6 +227,9 @@ class RRSpillStore {
 
   mutable std::mutex mu_;
   std::string dir_;             // unique subdir; empty until first spill
+  std::string path_;            // the spill file inside dir_
+  ScopedFd file_;               // open from the first spill on
+  uint64_t end_offset_ = 0;     // file bytes the manifest accounts for
   std::vector<Chunk> chunks_;   // sorted by first, non-overlapping
   ChunkScratch cached_;         // the last chunk VisitRange/ReadRange read
   size_t cached_chunk_ = kNoChunk;

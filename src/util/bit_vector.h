@@ -37,6 +37,24 @@ class BitVector {
     return c;
   }
 
+  /// Number of set bits in [begin, end): word-wise popcounts, with the
+  /// two edge words masked.
+  size_t CountRange(size_t begin, size_t end) const {
+    if (begin >= end) return 0;
+    const size_t first = begin >> 6, last = (end - 1) >> 6;
+    const uint64_t head = ~0ULL << (begin & 63);
+    const uint64_t tail = ~0ULL >> (63 - ((end - 1) & 63));
+    if (first == last) {
+      return static_cast<size_t>(
+          __builtin_popcountll(words_[first] & head & tail));
+    }
+    size_t c = static_cast<size_t>(__builtin_popcountll(words_[first] & head));
+    for (size_t w = first + 1; w < last; ++w) {
+      c += static_cast<size_t>(__builtin_popcountll(words_[w]));
+    }
+    return c + static_cast<size_t>(__builtin_popcountll(words_[last] & tail));
+  }
+
   void Reset() { std::fill(words_.begin(), words_.end(), 0ULL); }
 
   /// Bytes of heap storage (for memory accounting).

@@ -1,9 +1,19 @@
 #include "util/flags.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
 namespace timpp {
+
+bool ParseDouble(std::string_view text, double* out) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
+}
 
 Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -45,6 +55,16 @@ double Flags::GetDouble(const std::string& name, double def) const {
   auto it = values_.find(name);
   if (it == values_.end() || it->second.empty()) return def;
   return std::strtod(it->second.c_str(), nullptr);
+}
+
+bool Flags::GetCheckedDouble(const std::string& name, double def,
+                             double* out) const {
+  const auto it = values_.find(name);
+  if (it == values_.end()) {
+    *out = def;
+    return true;
+  }
+  return ParseDouble(it->second, out);
 }
 
 std::string Flags::GetString(const std::string& name,

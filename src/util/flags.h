@@ -28,6 +28,13 @@ bool ParseInteger(std::string_view text, T* out) {
   return true;
 }
 
+/// Parses `text` as a whole finite floating-point number: an optional
+/// '-', digits with an optional point and exponent (std::from_chars'
+/// general format), nothing else. Returns false, leaving `*out`
+/// untouched, on any other text — a leading '+' or space, trailing text,
+/// "nan" or "inf" included — or on a value out of double's range.
+bool ParseDouble(std::string_view text, double* out);
+
 /// Parsed command line. Typical bench usage:
 ///
 ///   Flags flags(argc, argv);
@@ -56,6 +63,12 @@ class Flags {
     return ParseInteger(it->second, out);
   }
   double GetDouble(const std::string& name, double def) const;
+  /// Checked floating-point flag: `*out` = def when --name is absent, else
+  /// the value through ParseDouble. Returns false (with `*out` untouched)
+  /// when the value is not a whole finite number — an empty value
+  /// included — where GetDouble would ignore trailing text.
+  bool GetCheckedDouble(const std::string& name, double def,
+                        double* out) const;
   std::string GetString(const std::string& name, const std::string& def) const;
   bool GetBool(const std::string& name, bool def) const;
 

@@ -4,14 +4,17 @@
 // written from — same ContentHash, same adjacency, byte-identical RR
 // streams — and every corruption class (truncated header, bad magic, bad
 // version, truncated or malformed payload, flipped payload bit, wrong
-// node count) must come back as a named Status that leaves the output
-// Graph untouched, never as a half-built graph.
+// node count, nonzero reserved field) must come back as a named Status
+// that leaves the output Graph untouched, never as a half-built graph.
+// Mutation fuzz holds every other byte change to the same rule, unless
+// the mutant is itself the canonical image of the graph it opens.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -40,13 +43,6 @@ class TempImage {
   std::string path_;
 };
 int TempImage::counter_ = 0;
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
 
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -132,7 +128,7 @@ class GraphImageCorruptionTest : public ::testing::Test {
   void SetUp() override {
     original_ = MakeWcPowerLaw(120, 3, 4);
     ASSERT_TRUE(WriteGraphImage(original_, image_.path()).ok());
-    bytes_ = ReadFileBytes(image_.path());
+    bytes_ = testing::ReadFile(image_.path());
     ASSERT_GT(bytes_.size(), 48u);
   }
 
@@ -170,6 +166,12 @@ TEST_F(GraphImageCorruptionTest, UnsupportedVersionIsRejected) {
   bytes_[8] = 99;  // u32 file version at offset 8
   WriteFileBytes(image_.path(), bytes_);
   ExpectRejected("unsupported image version");
+}
+
+TEST_F(GraphImageCorruptionTest, NonzeroReservedFieldIsRejected) {
+  bytes_[13] ^= 1;  // u32 reserved at offset 12, written as 0
+  WriteFileBytes(image_.path(), bytes_);
+  ExpectRejected("nonzero reserved image header field");
 }
 
 TEST_F(GraphImageCorruptionTest, TruncatedPayloadIsRejected) {
@@ -218,6 +220,44 @@ TEST_F(GraphImageCorruptionTest, PayloadSizeMismatchIsRejected) {
 TEST_F(GraphImageCorruptionTest, MissingFileIsRejected) {
   std::remove(image_.path().c_str());
   ExpectRejected("cannot open");
+}
+
+// ---- mutation fuzz -----------------------------------------------------
+
+// 2,000 byte-overwrite, bit-flip, insert and truncate mutants of a small
+// weighted-cascade image at a fixed seed. Each one either fails with a
+// Status naming the file, leaving the caller's graph untouched, or opens
+// a graph whose image is the mutant byte for byte: an image opens only in
+// its one canonical encoding. Every other mutant mutates only the 32-byte
+// file header, where the fixed fields sit, so each of them is hit often.
+TEST_F(GraphImageCorruptionTest, MutantsOpenCanonicallyOrNotAtAll) {
+  TempImage rewritten;
+  const std::string header = bytes_.substr(0, 32);
+  const std::string payload = bytes_.substr(32);
+  std::mt19937_64 rng(0x71ae6);
+  int opened = 0;
+  for (int round = 0; round < 2000; ++round) {
+    SCOPED_TRACE(round);
+    const std::string mutant =
+        round % 2 == 0 ? testing::MutateBytes(bytes_, &rng)
+                       : testing::MutateBytes(header, &rng) + payload;
+    WriteFileBytes(image_.path(), mutant);
+    Graph graph = testing::MakeChain(5, 0.5f);
+    const uint64_t sentinel_hash = graph.ContentHash();
+    const Status status = OpenGraphImage(image_.path(), &graph);
+    if (!status.ok()) {
+      EXPECT_NE(status.ToString().find(image_.path()), std::string::npos)
+          << status.ToString();
+      EXPECT_EQ(graph.num_nodes(), 5u) << "graph was clobbered on failure";
+      EXPECT_EQ(graph.ContentHash(), sentinel_hash);
+      continue;
+    }
+    ++opened;
+    ASSERT_TRUE(WriteGraphImage(graph, rewritten.path()).ok());
+    EXPECT_TRUE(testing::ReadFile(rewritten.path()) == mutant)
+        << "an image opened from a non-canonical encoding";
+  }
+  EXPECT_LT(opened, 2000) << "the mutator changed nothing";
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 //   - RRSpillStore unit behaviour: chunk round-trips, append-only index
 //     discipline, coverage gaps, visit/read semantics, the cached chunk
 //     of sequential reads;
-//   - a mutated chunk file on disk, through all three read paths: each
-//     fails cleanly at the chunk or visits exactly its sets;
+//   - the one spill file: every chunk of a store lands in it back to
+//     back; a mutated chunk inside it, or a file cut inside its last
+//     chunk, fails cleanly at that chunk on all three read paths (or, for
+//     a mutant, visits exactly its sets);
 //   - the solver sweep: TIM/TIM+/IMM/RIS at budgets {tiny, mid, ∞} must
 //     produce bit-identical seeds and stats to the unbudgeted run, with
 //     regeneration_passes == 0 (disk replay, not resampling) whenever the
@@ -17,16 +19,17 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/node_selector.h"
 #include "engine/sampling_engine.h"
 #include "engine/solver_registry.h"
 #include "rrset/rr_collection.h"
+#include "rrset/rr_serialization.h"
 #include "rrset/rr_spill.h"
 #include "serving/graph_context.h"
 #include "serving/serving_engine.h"
@@ -35,7 +38,11 @@
 namespace timpp {
 namespace {
 
+using testing::ByteRange;
+using testing::ChunkBytes;
 using testing::MakeWcPowerLaw;
+using testing::ReadFile;
+using testing::SpillFile;
 using testing::TempSpillDir;
 
 RRSpillOptions SpillOpts(const TempSpillDir& dir,
@@ -207,22 +214,27 @@ TEST(RRSpillStoreTest, ChunksOverlappingAndVisitChunk) {
   EXPECT_EQ(chunks[2].first, 60u);
   EXPECT_TRUE(store.ChunksOverlapping(40, 20).empty());
 
-  // A sub-range of one chunk, filtered: odd indices only.
+  // A sub-range of one chunk: the visitor gets the whole decoded chunk
+  // once, reads the odd indices of the range and reports them read.
   RRSpillStore::ChunkScratch scratch;
-  uint64_t visited = 0;
   std::vector<uint64_t> seen;
   const Status status = store.VisitChunk(
-      19, 10, [](uint64_t index) { return index % 2 == 1; },
-      [&](uint64_t index, std::span<const NodeId> set) {
-        const auto expect = rr.Set(static_cast<RRSetId>(index));
-        ASSERT_EQ(expect.size(), set.size());
-        EXPECT_TRUE(std::equal(expect.begin(), expect.end(), set.begin()));
-        seen.push_back(index);
+      19, 10,
+      [&](uint64_t chunk_first, const RRCollection& sets) {
+        EXPECT_EQ(chunk_first, 16u);
+        EXPECT_EQ(sets.num_sets(), 16u);
+        for (uint64_t index = 19; index < 29; index += 2) {
+          const auto expect = rr.Set(static_cast<RRSetId>(index));
+          const auto set = sets.Set(static_cast<RRSetId>(index - chunk_first));
+          EXPECT_TRUE(std::equal(expect.begin(), expect.end(), set.begin(),
+                                 set.end()));
+          seen.push_back(index);
+        }
+        return uint64_t{seen.size()};
       },
-      &scratch, &visited);
+      &scratch);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(seen, (std::vector<uint64_t>{19, 21, 23, 25, 27}));
-  EXPECT_EQ(visited, 5u);
   RRSpillStats stats = store.stats();
   EXPECT_EQ(stats.chunk_loads, 1u);
   EXPECT_EQ(stats.sets_read, 5u);
@@ -230,14 +242,12 @@ TEST(RRSpillStoreTest, ChunksOverlappingAndVisitChunk) {
   EXPECT_EQ(stats.prefetch_issued, 0u);
 
   // Ranges that straddle chunks or fall in a gap are refused untouched.
-  const auto never = [](uint64_t, std::span<const NodeId>) {
+  const auto never = [](uint64_t, const RRCollection&) {
     ADD_FAILURE() << "nothing may be visited";
+    return uint64_t{0};
   };
-  EXPECT_TRUE(store.VisitChunk(10, 10, nullptr, never, &scratch, &visited)
-                  .IsNotFound());
-  EXPECT_TRUE(store.VisitChunk(45, 2, nullptr, never, &scratch, &visited)
-                  .IsNotFound());
-  EXPECT_EQ(visited, 0u);
+  EXPECT_TRUE(store.VisitChunk(10, 10, never, &scratch).IsNotFound());
+  EXPECT_TRUE(store.VisitChunk(45, 2, never, &scratch).IsNotFound());
   stats = store.stats();
   EXPECT_EQ(stats.chunk_loads, 1u);
   EXPECT_EQ(stats.sets_read, 5u);
@@ -307,7 +317,49 @@ TEST(RRSpillStoreTest, EmptyEdgeSpanRecordsZeros) {
   EXPECT_EQ(out_edges, std::vector<uint64_t>(10, 0));
 }
 
-// ---- a mutated chunk file through every read path ---------------------
+// ---- the one spill file ------------------------------------------------
+
+TEST(RRSpillStoreTest, EveryChunkGoesToOneFile) {
+  const Graph g = MakeWcPowerLaw(80, 3, 53);
+  RRCollection rr(g.num_nodes());
+  std::vector<uint64_t> edges;
+  Sample(g, 5, 60, &rr, &edges);
+
+  TempSpillDir dir;
+  std::string directory;
+  {
+    RRSpillStore store(g.num_nodes(), SpillOpts(dir, 8));
+    ASSERT_TRUE(store.SpillRange(rr, edges, 0, 20, 0).ok());
+    ASSERT_TRUE(store.SpillRange(rr, edges, 20, 12, 20).ok());
+    ASSERT_TRUE(store.SpillRange(rr, edges, 32, 28, 100).ok());  // a gap
+    const RRSpillStats stats = store.stats();
+    EXPECT_EQ(stats.chunks_written, 3u + 2u + 4u);
+    directory = store.directory();
+    const std::string file = SpillFile(store);
+    EXPECT_EQ(std::filesystem::file_size(file), stats.bytes_written);
+
+    // The chunks lie back to back in spill order: the file is the
+    // concatenation of their shards.
+    std::string expect;
+    for (const auto& [first, count] :
+         {std::pair<size_t, size_t>{0, 20}, {20, 12}, {32, 28}}) {
+      for (size_t at = first; at < first + count; at += 8) {
+        SerializeRRShard(rr, edges, at, std::min<size_t>(8, first + count - at),
+                         &expect);
+      }
+    }
+    EXPECT_TRUE(ReadFile(file) == expect);
+
+    RRCollection loaded(g.num_nodes());
+    std::vector<uint64_t> loaded_edges;
+    ASSERT_TRUE(store.ReadRange(100, 28, &loaded, &loaded_edges).ok());
+    ExpectEqualSets(rr, loaded, 32, 0, 28);
+  }
+  EXPECT_FALSE(std::filesystem::exists(directory))
+      << "the destructor removes the store's directory";
+}
+
+// ---- a mutated chunk through every read path ---------------------------
 
 TEST(RRSpillStoreTest, MutatedChunkFileFailsCleanlyOnEveryReadPath) {
   const Graph g = MakeWcPowerLaw(80, 3, 61);
@@ -319,22 +371,22 @@ TEST(RRSpillStoreTest, MutatedChunkFileFailsCleanlyOnEveryReadPath) {
   TempSpillDir dir;
   RRSpillStore store(n, SpillOpts(dir, 16));  // chunks at 0, 16 and 32
   ASSERT_TRUE(store.SpillRange(rr, edges, 0, 48, 0).ok());
-  const std::string path = store.directory() + "/chunk-16-16.rrsh";
-  std::string good;
-  {
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in) << path;
-    good.assign(std::istreambuf_iterator<char>(in), {});
-  }
-
+  const std::string path = SpillFile(store);
   constexpr uint64_t kFirst = 16, kCount = 16;
+  const ByteRange range = ChunkBytes(rr, edges, kFirst, kCount);
+  const std::string good = ReadFile(path).substr(range.offset, range.bytes);
+  ASSERT_EQ(good.size(), range.bytes);
+
   std::mt19937_64 rng(0xc4a2);
   int clean = 0;
   for (int round = 0; round < 300; ++round) {
     SCOPED_TRACE(round);
     {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out << testing::MutateBytes(good, &rng);
+      // The reader always reads the manifest's byte count, so a mutant
+      // that changed length is cut or zero-padded back to the range.
+      std::string mutant = testing::MutateBytes(good, &rng);
+      mutant.resize(range.bytes, '\0');
+      testing::OverwriteFile(path, range.offset, mutant);
     }
     // Every pass starts in chunk 0, so the cached chunk never answers
     // for the mutated one: each path reads the mutant from disk.
@@ -370,14 +422,71 @@ TEST(RRSpillStoreTest, MutatedChunkFileFailsCleanlyOnEveryReadPath) {
 
     RRSpillStore::ChunkScratch scratch;
     in_chunk = 0;
-    const Status chunk_status =
-        store.VisitChunk(kFirst, kCount, nullptr, visit, &scratch);
+    const Status chunk_status = store.VisitChunk(
+        kFirst, kCount,
+        [&](uint64_t chunk_first, const RRCollection& sets) {
+          for (size_t i = 0; i < sets.num_sets(); ++i) {
+            visit(chunk_first + i, sets.Set(static_cast<RRSetId>(i)));
+          }
+          return uint64_t{sets.num_sets()};
+        },
+        &scratch);
     EXPECT_EQ(chunk_status.ok(), visited.ok()) << chunk_status.ToString();
     EXPECT_EQ(in_chunk, chunk_status.ok() ? kCount : 0u);
   }
   // Both outcomes must occur, or the mutator tests nothing.
   EXPECT_GT(clean, 0);
   EXPECT_LT(clean, 300);
+}
+
+// A file cut inside its last chunk: the earlier chunks still read, the
+// cut one fails on every path with an IOError naming the file and the
+// chunk's index range, and nothing of it is appended or visited.
+TEST(RRSpillStoreTest, FileCutInsideLastChunkFailsCleanly) {
+  const Graph g = MakeWcPowerLaw(80, 3, 67);
+  const NodeId n = g.num_nodes();
+  RRCollection rr(n);
+  std::vector<uint64_t> edges;
+  Sample(g, 5, 48, &rr, &edges);
+
+  TempSpillDir dir;
+  RRSpillStore store(n, SpillOpts(dir, 16));  // chunks at 0, 16 and 32
+  ASSERT_TRUE(store.SpillRange(rr, edges, 0, 48, 0).ok());
+  const std::string path = SpillFile(store);
+  const ByteRange last = ChunkBytes(rr, edges, 32, 16);
+  ASSERT_EQ(last.offset + last.bytes, std::filesystem::file_size(path));
+  std::filesystem::resize_file(path, last.offset + last.bytes / 2);
+
+  uint64_t stopped = 0, visited = 0, in_last = 0;
+  const Status range_status = store.VisitRange(
+      0, 48, nullptr,
+      [&](uint64_t index, std::span<const NodeId>) { in_last += index >= 32; },
+      &stopped, &visited);
+  EXPECT_TRUE(range_status.IsIOError()) << range_status.ToString();
+  EXPECT_NE(range_status.ToString().find(path), std::string::npos);
+  EXPECT_NE(range_status.ToString().find("[32, 48)"), std::string::npos)
+      << range_status.ToString();
+  EXPECT_EQ(stopped, 32u);
+  EXPECT_EQ(visited, 32u);
+  EXPECT_EQ(in_last, 0u);
+
+  RRCollection read(n);
+  std::vector<uint64_t> read_edges;
+  EXPECT_TRUE(store.ReadRange(0, 48, &read, &read_edges).IsIOError());
+  EXPECT_EQ(read.num_sets(), 0u) << "failed read must not half-append";
+  EXPECT_TRUE(read_edges.empty());
+  ASSERT_TRUE(store.ReadRange(0, 32, &read, &read_edges).ok());
+  ExpectEqualSets(rr, read, 0, 0, 32);
+
+  RRSpillStore::ChunkScratch scratch;
+  const Status chunk_status = store.VisitChunk(
+      32, 16,
+      [](uint64_t, const RRCollection&) {
+        ADD_FAILURE() << "nothing may be visited";
+        return uint64_t{0};
+      },
+      &scratch);
+  EXPECT_TRUE(chunk_status.IsIOError()) << chunk_status.ToString();
 }
 
 // ---- solver sweep: budgets, spill on -----------------------------------
@@ -522,6 +631,78 @@ TEST(SolverMetricContractTest, NamesAndOrderArePinnedPerAlgorithm) {
     ASSERT_TRUE(solver->Run(options, &spilled).ok());
     EXPECT_GT(spilled.Metric("rr_sets_spilled"), 0.0);
     EXPECT_EQ(names_of(spilled), concat({expected.plain, spill}));
+  }
+}
+
+// ---- exact spill counters ----------------------------------------------
+
+// The spill tier's exact work counters at fixed seeds. Chunk boundaries,
+// the shard format, the pass plan and dead-set skipping all feed these
+// numbers, so a change to how chunks are stored or replayed must leave
+// every one of them where it is.
+TEST(SpillCounterGoldenTest, BudgetedStreamingPassCountersArePinned) {
+  const Graph graph = MakeWcPowerLaw(400, 4, 71);
+  const std::vector<NodeId> seeds = {0, 2, 1, 4, 3, 9};
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    TempSpillDir dir;
+    RRSpillStore store(graph.num_nodes(), SpillOpts(dir));
+    SamplingEngine engine(graph, testing::IcSampling(4242, threads));
+    const NodeSelection selection =
+        SelectNodes(engine, 6, 20000, 32 * 1024, &store);
+    ASSERT_TRUE(selection.hit_memory_budget);
+    EXPECT_EQ(selection.regeneration_passes, 0u);
+    EXPECT_EQ(selection.seeds, seeds);
+    const RRSpillStats stats = store.stats();
+    EXPECT_EQ(stats.chunks_written, 14u);
+    EXPECT_EQ(stats.sets_written, 19223u);
+    EXPECT_EQ(stats.bytes_written, 972424u);
+    EXPECT_EQ(stats.chunk_loads, 84u);
+    EXPECT_EQ(stats.chunk_hits, 0u);
+    EXPECT_EQ(stats.sets_read, 99902u);
+    EXPECT_EQ(selection.rr_sets_spilled, stats.sets_written);
+    EXPECT_EQ(selection.sets_spill_read, stats.sets_read);
+    EXPECT_EQ(selection.spill_bytes_written, stats.bytes_written);
+  }
+}
+
+TEST(SpillCounterGoldenTest, RegistrySpillMetricsArePinned) {
+  const Graph graph = MakeWcPowerLaw(250, 3, 17);
+  struct Expected {
+    const char* algo;
+    double rr_sets_spilled;
+    double sets_spill_read;
+    double spill_bytes_written;
+  };
+  const Expected expected[] = {
+      {"tim+", 23331, 82796, 1073852},
+      {"imm", 5996, 28432, 276552},
+      {"ris", 1252, 4028, 56340},
+  };
+  for (const unsigned threads : {1u, 3u}) {
+    for (const Expected& want : expected) {
+      SCOPED_TRACE(::testing::Message() << want.algo << " threads " << threads);
+      TempSpillDir dir;
+      std::unique_ptr<InfluenceSolver> solver;
+      ASSERT_TRUE(
+          SolverRegistry::Global().Create(want.algo, graph, &solver).ok());
+      SolverOptions options;
+      options.k = 4;
+      options.epsilon = 0.3;
+      options.seed = 1234;
+      options.num_threads = threads;
+      options.ris_tau_scale = 0.05;
+      options.ris_max_sets = 200000;
+      options.memory_budget_bytes = 1024;
+      options.spill_dir = dir.path();
+      SolverResult result;
+      ASSERT_TRUE(solver->Run(options, &result).ok());
+      EXPECT_EQ(result.Metric("regeneration_passes", -1.0), 0.0);
+      EXPECT_EQ(result.Metric("rr_sets_spilled", -1.0), want.rr_sets_spilled);
+      EXPECT_EQ(result.Metric("sets_spill_read", -1.0), want.sets_spill_read);
+      EXPECT_EQ(result.Metric("spill_bytes_written", -1.0),
+                want.spill_bytes_written);
+    }
   }
 }
 

@@ -6,8 +6,12 @@
 // TIM/IMM return the exact seeds of a budget-off run while keeping
 // resident DataBytes under the cap.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <csignal>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -17,8 +21,10 @@
 #include "core/tim.h"
 #include "coverage/greedy_cover.h"
 #include "coverage/streaming_cover.h"
+#include "engine/sample_source.h"
 #include "engine/sampling_engine.h"
 #include "rrset/rr_collection.h"
+#include "rrset/rr_serialization.h"
 #include "rrset/rr_spill.h"
 #include "tests/test_util.h"
 
@@ -375,8 +381,13 @@ TEST(StreamingCoverTest, ParallelPassMatchesIndexedGreedyAtAnyThreadCount) {
 }
 
 // A chunk that fails to read is regenerated for that round on its own;
-// every other chunk still replays from disk.
-TEST(StreamingCoverTest, CorruptChunkRegeneratesOnlyThatChunk) {
+// every other chunk still replays from disk. `damage` breaks the chunk of
+// 500 sets at `victim` inside the store's one file, given the file and
+// the chunk's byte range in it.
+void ExpectOnlyDamagedChunkRegenerates(
+    uint64_t victim,
+    const std::function<void(const std::string&, testing::ByteRange)>&
+        damage) {
   Graph g = MakeWcPowerLaw(250, 5, 21);
   const uint64_t theta = 6000;
   const uint64_t per_chunk = 500;
@@ -392,14 +403,10 @@ TEST(StreamingCoverTest, CorruptChunkRegeneratesOnlyThatChunk) {
   spill_options.sets_per_chunk = per_chunk;
   RRSpillStore store(g.num_nodes(), spill_options);
   ASSERT_TRUE(store.SpillRange(full, edges, 0, theta, 0).ok());
+  damage(testing::SpillFile(store),
+         testing::ChunkBytes(full, edges, victim, per_chunk));
   full.BuildIndex();
   const CoverResult reference = GreedyMaxCover(full, k);
-
-  // Truncate the chunk holding [3000, 3500): its reads now fail.
-  const std::string victim = store.directory() + "/chunk-3000-500.rrsh";
-  ASSERT_TRUE(std::filesystem::exists(victim));
-  std::filesystem::resize_file(victim,
-                               std::filesystem::file_size(victim) / 2);
 
   const RRCollection none(g.num_nodes());
   for (const unsigned threads : {1u, 3u, 8u}) {
@@ -414,6 +421,147 @@ TEST(StreamingCoverTest, CorruptChunkRegeneratesOnlyThatChunk) {
         << "only the failed chunk may be regenerated";
     EXPECT_EQ(streamed.spill_read_passes, static_cast<uint64_t>(k));
   }
+}
+
+TEST(StreamingCoverTest, CorruptChunkRegeneratesOnlyThatChunk) {
+  // Zero the bytes of the chunk holding [3000, 3500): its magic no longer
+  // matches, so its reads fail.
+  ExpectOnlyDamagedChunkRegenerates(
+      3000, [](const std::string& path, testing::ByteRange range) {
+        testing::OverwriteFile(path, range.offset,
+                               std::string(range.bytes, '\0'));
+      });
+}
+
+TEST(StreamingCoverTest, FileCutInsideLastChunkRegeneratesOnlyThatChunk) {
+  // Cut the file halfway through the chunk holding [5500, 6000).
+  ExpectOnlyDamagedChunkRegenerates(
+      5500, [](const std::string& path, testing::ByteRange range) {
+        ASSERT_EQ(range.offset + range.bytes, std::filesystem::file_size(path));
+        std::filesystem::resize_file(path, range.offset + range.bytes / 2);
+      });
+}
+
+// ---------------------------------------------------------- spill fill --
+
+// The sets [start, target) of stream seed 57 on a fixed graph, with their
+// edge counts and sampling accounting: what a fill of that range spills.
+struct FillReference {
+  Graph graph = MakeWcPowerLaw(300, 4, 5);
+  uint64_t start = 700;            // a fill resumes mid-stream
+  uint64_t target = start + 20000;  // 2.4 engine batches, a partial chunk
+  RRCollection sets{graph.num_nodes()};
+  std::vector<uint64_t> edges;
+  SampleBatch batch;
+
+  FillReference() {
+    SamplingEngine sampler(graph, IcSampling(57));
+    sampler.SkipTo(start);
+    batch = sampler.SampleInto(&sets, target - start, &edges);
+  }
+
+  // Shard bytes of the 1024-set chunk starting `at` sets past `start`.
+  std::string Chunk(uint64_t at) const {
+    std::string bytes;
+    SerializeRRShard(sets, edges, at, 1024, &bytes);
+    return bytes;
+  }
+};
+
+// A fill samples whole engine batches but spills them 1024 sets at a
+// time: the store's file holds those chunks back to back, and the fill
+// reports the sampling accounting of the range.
+TEST(SpillFillTest, SpillsKiloSetChunksOfEngineBatches) {
+  const FillReference ref;
+  std::string file;
+  for (uint64_t at = 0; at < ref.target - ref.start; at += 1024) {
+    file += ref.Chunk(at);
+  }
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    TempSpillDir dir;
+    RRSpillOptions options;
+    options.dir = dir.path();
+    RRSpillStore store(ref.graph.num_nodes(), options);
+    SamplingEngine engine(ref.graph, IcSampling(57, threads));
+    engine.SkipTo(ref.start);
+    EngineSampleSource source(engine);
+    const SpillFillResult fill = SpillFillTo(source, store, ref.target);
+    EXPECT_TRUE(fill.spill_ok);
+    EXPECT_EQ(fill.sets_spilled, ref.target - ref.start);
+    EXPECT_EQ(fill.batch.sets_added, ref.batch.sets_added);
+    EXPECT_EQ(fill.batch.edges_examined, ref.batch.edges_examined);
+    EXPECT_EQ(fill.batch.traversal_cost, ref.batch.traversal_cost);
+    EXPECT_EQ(source.position(), ref.target);
+    const std::vector<RRSpillStore::ChunkRange> chunks =
+        store.ChunksOverlapping(ref.start, ref.target - ref.start);
+    ASSERT_EQ(chunks.size(), 20u);
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      EXPECT_EQ(chunks[c].first, ref.start + 1024 * c);
+      EXPECT_EQ(chunks[c].count,
+                std::min<uint64_t>(1024, ref.target - chunks[c].first));
+    }
+    EXPECT_EQ(testing::ReadFile(testing::SpillFile(store)), file);
+  }
+}
+
+// Caps the size of any file the process writes; a write past the cap
+// fails with EFBIG instead of raising SIGXFSZ.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    ok_ = ::getrlimit(RLIMIT_FSIZE, &previous_) == 0;
+    rlimit cap = previous_;
+    cap.rlim_cur = bytes;
+    ok_ = ok_ && ::setrlimit(RLIMIT_FSIZE, &cap) == 0;
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &previous_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit previous_{};
+  void (*previous_handler_)(int) = SIG_DFL;
+  bool ok_ = false;
+};
+
+// A write that fails mid-batch stops the fill: the chunks before it stay
+// listed, and the fill accounts the sampling of the sets up to the end of
+// the failed chunk only; the rest of its batch regenerates at cover time
+// and is accounted there.
+TEST(SpillFillTest, WriteFailureStopsAfterTheChunksWritten) {
+  const FillReference ref;
+  // Room for five chunks and half of the sixth, inside the first batch.
+  size_t room = 0;
+  for (uint64_t at = 0; at < 5 * 1024; at += 1024) room += ref.Chunk(at).size();
+  room += ref.Chunk(5 * 1024).size() / 2;
+  uint64_t edges = 0;
+  for (size_t j = 0; j < 6 * 1024; ++j) edges += ref.edges[j];
+
+  TempSpillDir dir;
+  RRSpillOptions options;
+  options.dir = dir.path();
+  RRSpillStore store(ref.graph.num_nodes(), options);
+  SamplingEngine engine(ref.graph, IcSampling(57, 3));
+  engine.SkipTo(ref.start);
+  EngineSampleSource source(engine);
+  SpillFillResult fill;
+  {
+    FileSizeCap cap(room);
+    ASSERT_TRUE(cap.ok());
+    fill = SpillFillTo(source, store, ref.target);
+  }
+  EXPECT_FALSE(fill.spill_ok);
+  EXPECT_EQ(fill.sets_spilled, 5u * 1024);
+  EXPECT_EQ(store.stats().chunks_written, 5u);
+  EXPECT_EQ(store.CoveredEnd(ref.start, ref.target - ref.start),
+            ref.start + 5 * 1024);
+  EXPECT_EQ(fill.batch.sets_added, 6u * 1024);
+  EXPECT_EQ(fill.batch.edges_examined, edges);
+  EXPECT_EQ(source.position(), ref.target);
 }
 
 TEST(StreamingCoverTest, SelectNodesBudgetedMatchesUnbudgetedBitwise) {

@@ -7,6 +7,9 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <span>
 #include <random>
 #include <string>
 #include <system_error>
@@ -17,6 +20,9 @@
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
 #include "graph/weight_models.h"
+#include "rrset/rr_collection.h"
+#include "rrset/rr_serialization.h"
+#include "rrset/rr_spill.h"
 #include "util/types.h"
 
 namespace timpp {
@@ -107,6 +113,51 @@ class TempSpillDir {
   inline static int counter_ = 0;
   std::string dir_;
 };
+
+/// The one file a store that has spilled keeps in its directory.
+inline std::string SpillFile(const RRSpillStore& store) {
+  std::vector<std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(store.directory())) {
+    files.push_back(entry.path().string());
+  }
+  EXPECT_EQ(files.size(), 1u);
+  return files.empty() ? std::string() : files.front();
+}
+
+inline std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/// File byte range [offset, offset + bytes) of the chunk holding sets
+/// [first, first + per_chunk) of `rr`, for a store that spilled sets
+/// [0, first + per_chunk) of `rr` from index 0 in chunks of `per_chunk`
+/// sets: the chunks are serialized back to back.
+struct ByteRange {
+  size_t offset = 0;
+  size_t bytes = 0;
+};
+inline ByteRange ChunkBytes(const RRCollection& rr,
+                            std::span<const uint64_t> edges, size_t first,
+                            size_t per_chunk) {
+  std::string before, chunk;
+  for (size_t at = 0; at < first; at += per_chunk) {
+    SerializeRRShard(rr, edges, at, per_chunk, &before);
+  }
+  SerializeRRShard(rr, edges, first, per_chunk, &chunk);
+  return {before.size(), chunk.size()};
+}
+
+/// Writes `bytes` over the file at `offset`, in place.
+inline void OverwriteFile(const std::string& path, size_t offset,
+                          const std::string& bytes) {
+  std::fstream out(path, std::ios::binary | std::ios::in | std::ios::out);
+  out.seekp(static_cast<std::streamoff>(offset));
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  EXPECT_TRUE(out.good()) << path;
+}
 
 /// Applies 1-3 random byte overwrites, bit flips, insertions or
 /// truncations: one mutant for fuzzing a binary reader. Deterministic in

@@ -457,6 +457,39 @@ TEST(FlagsTest, CheckedIntRefusesWhatDoesNotFit) {
   EXPECT_EQ(s, -1);
 }
 
+TEST(FlagsTest, CheckedDoubleRefusesWhatIsNotAFiniteNumber) {
+  std::vector<std::string> args = {"prog",          "--junk=0.1x",
+                                   "--word=abc",    "--empty=",
+                                   "--nan=nan",     "--inf=inf",
+                                   "--huge=1e400",  "--plus=+0.5",
+                                   "--space= 0.5",  "--neg=-0.5",
+                                   "--exp=2.5e-3",  "--whole=3"};
+  auto argv = MakeArgv(args);
+  Flags flags(static_cast<int>(argv.size()), argv.data());
+
+  double d = 7.0;
+  EXPECT_TRUE(flags.GetCheckedDouble("absent", 0.25, &d));
+  EXPECT_EQ(d, 0.25);
+  for (const char* bad :
+       {"junk", "word", "empty", "nan", "inf", "huge", "plus", "space"}) {
+    d = 7.0;
+    EXPECT_FALSE(flags.GetCheckedDouble(bad, 0.0, &d)) << bad;
+    EXPECT_EQ(d, 7.0) << bad << ": a refused value leaves *out untouched";
+  }
+  // A negative value parses: range checks belong to whoever reads it
+  // (a solver refuses epsilon = -0.5 with its own Status).
+  ASSERT_TRUE(flags.GetCheckedDouble("neg", 0.0, &d));
+  EXPECT_EQ(d, -0.5);
+  ASSERT_TRUE(flags.GetCheckedDouble("exp", 0.0, &d));
+  EXPECT_EQ(d, 2.5e-3);
+  ASSERT_TRUE(flags.GetCheckedDouble("whole", 0.0, &d));
+  EXPECT_EQ(d, 3.0);
+
+  EXPECT_FALSE(ParseDouble("uniform:0.5", &d));
+  EXPECT_TRUE(ParseDouble("0.05", &d));
+  EXPECT_EQ(d, 0.05);
+}
+
 // ----------------------------------------------------------------- Timer --
 
 TEST(TimerTest, ElapsedIsNonNegativeAndMonotonic) {
