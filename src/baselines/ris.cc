@@ -6,10 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "core/node_selector.h"
 #include "core/parameters.h"
-#include "core/tim.h"
-#include "coverage/greedy_cover.h"
-#include "coverage/streaming_cover.h"
 #include "engine/sample_source.h"
 #include "engine/sampling_engine.h"
 #include "rrset/rr_collection.h"
@@ -36,18 +34,9 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
               const SolveContext& context, std::vector<NodeId>* seeds,
               RisStats* stats) {
   TIMPP_RETURN_NOT_OK(
-      ValidateImParameters(graph, k, options.epsilon, options.ell));
-  if (options.model == DiffusionModel::kTriggering &&
-      options.custom_model == nullptr) {
-    return Status::InvalidArgument(
-        "model == kTriggering requires custom_model");
-  }
+      ValidateRrRun(graph, k, options.epsilon, options.ell, options, context));
   if (options.max_hops != 0) {
     return Status::InvalidArgument("RIS does not support max_hops");
-  }
-  if (context.source != nullptr && &context.source->graph() != &graph) {
-    return Status::InvalidArgument(
-        "SolveContext source is bound to a different graph");
   }
   if (context.source != nullptr && options.memory_budget_bytes != 0) {
     return Status::InvalidArgument(
@@ -79,18 +68,15 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
   RisStats local_stats;
   local_stats.tau = tau;
 
-  std::optional<SamplingEngine> local_engine;
-  std::optional<EngineSampleSource> local_source;
+  std::optional<OwnedSource> owned;
   SampleSource* source = context.source;
-  if (source == nullptr) {
-    local_engine.emplace(graph, options);
-    local_source.emplace(*local_engine);
-    source = &*local_source;
-  }
+  if (source == nullptr) source = &owned.emplace(graph, options).source;
+  std::optional<RRSpillStore> spill_store =
+      MakeSpillStore(options, graph.num_nodes());
+  RRSpillStore* spill = spill_store ? &*spill_store : nullptr;
 
-  const uint64_t first = source->position();
-  RRCollection rr(graph.num_nodes());
-  rr.set_memory_budget(options.memory_budget_bytes);
+  ResidentPrefix prefix(graph.num_nodes(), source->position(),
+                        options.memory_budget_bytes);
 
   // Keep sampling until the cumulative examination cost (nodes added +
   // edges examined, the units of Borgs et al.'s τ) reaches τ. The set in
@@ -98,39 +84,20 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
   // mid-set; retaining the completed set only strengthens coverage and
   // keeps the implementation simple).
   const SampleBatch batch =
-      source->FetchUntilCost(&rr, tau, options.max_rr_sets);
+      source->FetchUntilCost(&prefix.sets, tau, options.max_rr_sets);
   local_stats.cost_examined = batch.traversal_cost;
   local_stats.rr_sets_generated = batch.sets_added;
   local_stats.hit_set_cap = batch.hit_set_cap;
 
+  uint64_t sets_spilled = 0;
   if (batch.hit_memory_budget) {
     // Budget fired short of τ. θ is implicit in the cost threshold, so
-    // instead of truncating quality (the pre-PR-4 behaviour) treat the
-    // retained collection as a stream-prefix cache: finish the cost rule
-    // without retaining — the per-index RNG contract makes the discarded
-    // sets regenerable exactly — and run the streaming greedy over the
-    // full θ. Seeds come out bit-identical to an unbudgeted run. With a
-    // spill store, every set the cache drops goes to disk on the way past
-    // and selection replays it instead of regenerating.
-    local_stats.hit_memory_budget = true;
-    std::optional<RRSpillStore> spill_store;
-    if (!options.spill_dir.empty()) {
-      RRSpillOptions spill_options;
-      spill_options.dir = options.spill_dir;
-      spill_store.emplace(graph.num_nodes(), spill_options);
-    }
-    RRSpillStore* spill = spill_store ? &*spill_store : nullptr;
-
-    const uint64_t fetched = rr.num_sets();
-    const size_t keep =
-        MaxPrefixUnderDataBudget(rr, options.memory_budget_bytes);
-    if (spill != nullptr && fetched > keep &&
-        spill->SpillRange(rr, {}, keep, fetched - keep, first + keep).ok()) {
-      // FetchUntilCost exposes no per-set edge split, so the suffix spills
-      // with zeroed edge counts — selection only reads members and widths.
-      local_stats.rr_sets_spilled += fetched - keep;
-    }
-    rr.TruncateTo(keep);
+    // instead of truncating quality, freeze the retained collection as a
+    // stream-prefix cache and finish the cost rule without retaining —
+    // the per-index RNG contract makes the discarded sets regenerable
+    // exactly. The cut comes first: the store appends in index order, and
+    // with one every set the scan passes goes to disk on the way.
+    sets_spilled = CutToBudget(&prefix, spill);
 
     SamplingEngine& engine = source->engine();
     RRCollection scratch(graph.num_nodes());
@@ -143,7 +110,7 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
     rule.max_sets = options.max_rr_sets;
     rule.traversal_cost = batch.traversal_cost;
     rule.sets_admitted = batch.sets_added;
-    uint64_t scan_pos = first + fetched;  // global index of the next batch
+    uint64_t scan_pos = source->position();  // global index of the next batch
     bool spill_ok = spill != nullptr;
     bool stop = false;
     while (!stop) {
@@ -158,7 +125,7 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
                 ->SpillRange(scratch, scratch_edges, 0, scratch.num_sets(),
                              scan_pos)
                 .ok()) {
-          local_stats.rr_sets_spilled += scratch.num_sets();
+          sets_spilled += scratch.num_sets();
         } else {
           spill_ok = false;
         }
@@ -176,24 +143,17 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
     local_stats.hit_set_cap = rule.hit_set_cap;
     local_stats.cost_examined = rule.traversal_cost;
     local_stats.rr_sets_generated = rule.sets_admitted;
-    local_stats.rr_sets_retained = rr.num_sets();
-
-    StreamingCoverResult streamed = StreamingGreedyMaxCover(
-        engine, rr, first, rule.sets_admitted, k, spill);
-    local_stats.regeneration_passes = streamed.regeneration_passes;
-    local_stats.sets_spill_read = streamed.sets_spill_read;
-    if (spill != nullptr) {
-      local_stats.spill_bytes_written = spill->stats().bytes_written;
-    }
-    *seeds = std::move(streamed.cover.seeds);
-    local_stats.covered_fraction = streamed.cover.covered_fraction;
-  } else {
-    rr.BuildIndex();
-    local_stats.rr_sets_retained = rr.num_sets();
-    CoverResult cover = GreedyMaxCover(rr, k);
-    *seeds = std::move(cover.seeds);
-    local_stats.covered_fraction = cover.covered_fraction;
   }
+
+  // Greedy over the θ admitted sets through the one budget path: it cuts
+  // a prefix the cost loop left over budget, and indexes only when the
+  // index fits too.
+  NodeSelection selection = SelectNodes(*source, &prefix, k,
+                                        local_stats.rr_sets_generated, spill);
+  static_cast<RrRunStats&>(local_stats) = selection;
+  local_stats.rr_sets_spilled += sets_spilled;
+  *seeds = std::move(selection.seeds);
+  local_stats.covered_fraction = selection.covered_fraction;
   local_stats.seconds_total = timer.ElapsedSeconds();
   if (stats != nullptr) *stats = local_stats;
   return Status::OK();

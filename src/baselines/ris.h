@@ -26,6 +26,10 @@ namespace timpp {
 /// memory_budget_bytes the collection freezes as a stream-prefix cache
 /// while the cost loop keeps consuming (and discarding, or spilling) the
 /// stream until τ, so θ and the seeds stay those of an unbudgeted run.
+/// Selection then goes through SelectNodes (core/node_selector.h), the
+/// budget policy TIM and IMM share: it also cuts a collection whose last
+/// cost batch crossed the budget, and streams when the index would not
+/// fit.
 /// edges_examined — and hence the τ stopping rule — counts *decided* arcs
 /// in both sampler modes, so the stop point is mode-comparable.
 struct RisOptions : RunOptions {

@@ -13,11 +13,11 @@
 //   selection phase: θ = λ* / LB, sample θ RR sets, return greedy(R, k).
 //
 // λ' and λ* are Chernoff/martingale constants (Equations 6 & 9 of the IMM
-// paper); ε' = √2·ε. The *original* IMM reused the sampling-phase RR sets
-// in the selection phase; that reuse introduces a dependence bug (the
-// stopping rule conditions the samples) later fixed by the authors — the
-// corrected variant regenerates fresh RR sets, and is the default here
-// (`reuse_samples` restores the original behaviour for study).
+// paper); ε' = √2·ε, and ℓ is scaled by 1 + ln 2 / ln n (the IMM paper's
+// union-bound adjustment). The *original* IMM reused the sampling-phase RR
+// sets in the selection phase; that reuse introduces a dependence bug (the
+// stopping rule conditions the samples) later fixed by the authors. This
+// is the corrected variant: the selection phase samples fresh RR sets.
 //
 // All RR sets — every progressive x_i batch and the final θ batch — come
 // from one shared SamplingEngine, whose deterministic merge contract makes
@@ -26,7 +26,11 @@
 // ranges into private shards, and shards merge in worker order == index
 // order. Consequently IMM returns identical seed sets and stats for any
 // `num_threads`, and the progressive batches simply extend one global
-// sample stream (grow-to-θ_i keeps the θ_{i-1} prefix untouched).
+// sample stream (grow-to-θ_i keeps the θ_{i-1} prefix untouched). Every
+// iteration and the selection phase select through SelectNodes
+// (core/node_selector.h), the one memory-budget path: the iterations share
+// one ResidentPrefix, which a budget cut freezes for the rest of the
+// search.
 #ifndef TIMPP_CORE_IMM_H_
 #define TIMPP_CORE_IMM_H_
 
@@ -51,12 +55,8 @@ struct ImmOptions : RunOptions {
 
   int k = 50;
   double epsilon = 0.1;
+  /// Confidence exponent before the 1 + ln 2 / ln n scaling.
   double ell = 1.0;
-  /// true reproduces the original (dependence-flawed) sample reuse; false
-  /// (default) regenerates fresh RR sets for the selection phase.
-  bool reuse_samples = false;
-  /// Scale ℓ by 1 + log 2 / log n (the IMM paper's union-bound adjustment).
-  bool adjust_ell = true;
   /// Optional per-node weights (borrowed; size n, non-negative, at least
   /// one positive). When set, IMM maximizes the *weighted* spread
   /// Σ_v w(v)·P[v activated]: RR roots are drawn ∝ w(v) and every n in
@@ -67,10 +67,10 @@ struct ImmOptions : RunOptions {
 };
 
 /// Instrumentation of an IMM run. The RrRunStats base holds the budget
-/// and spill counters; its regeneration_passes sum over every
-/// streaming solve of both phases, and rr_sets_retained counts the final
-/// selection's resident sets (θ budget-off, max(θ, sampling-phase sets)
-/// under reuse_samples).
+/// and spill counters; hit_memory_budget, regeneration_passes,
+/// rr_sets_spilled and sets_spill_read cover every selection of both
+/// phases, and rr_sets_retained counts the final selection's resident sets
+/// (θ budget-off).
 struct ImmStats : RrRunStats {
   double lb = 0.0;            // lower bound of OPT from the sampling phase
   double lambda_prime = 0.0;  // sampling-phase constant

@@ -1,75 +1,92 @@
 #include "core/node_selector.h"
 
+#include <cassert>
+#include <string>
+#include <utility>
+
 #include "coverage/greedy_cover.h"
 #include "coverage/streaming_cover.h"
-#include "rrset/rr_collection.h"
-#include "util/timer.h"
 
 namespace timpp {
 
-NodeSelection SelectNodes(SampleSource& source, int k, uint64_t theta,
-                          size_t memory_budget_bytes, RRSpillStore* spill) {
+ResidentPrefix::ResidentPrefix(NodeId num_nodes, uint64_t first_index,
+                               size_t memory_budget_bytes)
+    : first(first_index), sets(num_nodes) {
+  sets.set_memory_budget(memory_budget_bytes);
+}
+
+uint64_t CutToBudget(ResidentPrefix* prefix, RRSpillStore* spill) {
+  RRCollection& rr = prefix->sets;
+  if (!rr.OverMemoryBudget()) return 0;
+  // The engine only checks the budget at its fixed batch boundaries (and a
+  // sub-batch request never trips it at all), so the collection can
+  // overshoot. The cut sets stay reachable by index: replayed from the
+  // store once spilled here, regenerated otherwise.
+  const size_t keep = MaxPrefixUnderDataBudget(rr, rr.memory_budget());
+  const size_t cut = rr.num_sets() - keep;
+  uint64_t spilled = 0;
+  if (spill != nullptr &&
+      spill->SpillRange(rr, prefix->edges, keep, cut, prefix->first + keep)
+          .ok()) {
+    spilled = cut;
+  }
+  rr.TruncateTo(keep);
+  if (prefix->edges.size() > keep) prefix->edges.resize(keep);
+  prefix->frozen = true;
+  return spilled;
+}
+
+NodeSelection SelectNodes(SampleSource& source, ResidentPrefix* prefix, int k,
+                          uint64_t theta, RRSpillStore* spill) {
+  assert(prefix->frozen ||
+         source.position() == prefix->first + prefix->sets.num_sets());
   NodeSelection result;
   result.theta = theta;
+  RRCollection& rr = prefix->sets;
+  const uint64_t first = prefix->first;
 
-  Timer timer;
-  const uint64_t first = source.position();
-  RRCollection rr(source.graph().num_nodes());
-  rr.set_memory_budget(memory_budget_bytes);
-  std::vector<uint64_t> rr_edges;
-  const SampleBatch batch =
-      source.Fetch(&rr, theta, spill != nullptr ? &rr_edges : nullptr);
-  result.edges_examined = batch.edges_examined;
-
-  // Budget enforcement: the engine only checks the budget at its fixed
-  // batch boundaries (and a sub-batch request never trips it at all), so
-  // the collection can overshoot — cut back to the largest under-budget
-  // prefix and advance the stream past the whole request. The dropped
-  // indices are regenerated exactly during selection — or, with a spill
-  // store, written to disk once (the about-to-be-truncated suffix here,
-  // the never-resident remainder via SpillFillTo) and replayed instead.
-  // Later phases consume the same index ranges as a budget-off run.
-  if (memory_budget_bytes != 0 && rr.DataBytes() > memory_budget_bytes) {
-    const size_t keep = MaxPrefixUnderDataBudget(rr, memory_budget_bytes);
-    if (spill != nullptr && rr.num_sets() > keep &&
-        spill
-            ->SpillRange(rr, rr_edges, keep, rr.num_sets() - keep,
-                         first + keep)
-            .ok()) {
-      result.rr_sets_spilled += rr.num_sets() - keep;
+  // An earlier selection over this prefix may have indexed it; release the
+  // index so neither the engine's in-flight budget checks nor the checks
+  // below charge those stale bytes.
+  rr.DropIndex();
+  if (!prefix->frozen) {
+    if (rr.num_sets() < theta) {
+      result.edges_examined =
+          source
+              .Fetch(&rr, theta - rr.num_sets(),
+                     spill != nullptr ? &prefix->edges : nullptr)
+              .edges_examined;
     }
-    rr.TruncateTo(keep);
+    result.rr_sets_spilled = CutToBudget(prefix, spill);
   }
   if (spill != nullptr && first + theta > source.position()) {
-    // The engine stopped fetching at the budget latch; the rest of the θ
-    // range was never sampled. Materialize it straight onto disk in
-    // transient batches so the greedy rounds replay it instead of
-    // regenerating it k times.
+    // The prefix is frozen short of the range, so the rest of it was never
+    // sampled. Materialize it straight onto disk in transient batches so
+    // the greedy rounds replay it instead of regenerating it k times.
     const SpillFillResult fill = SpillFillTo(source, *spill, first + theta);
     result.edges_examined += fill.batch.edges_examined;
     result.rr_sets_spilled += fill.sets_spilled;
   }
+  // Later phases consume the same index ranges as a budget-off run.
   source.Seek(first + theta);
-  result.seconds_sampling = timer.ElapsedSeconds();
 
-  timer.Reset();
   // Captured pre-index in both branches so the stat means the same thing
   // (raw set storage) whether or not an inverted index gets built.
   result.rr_data_bytes = rr.DataBytes();
   result.rr_sets_retained = rr.num_sets();
-  if (memory_budget_bytes == 0 ||
-      (rr.num_sets() == theta && IndexedDataBytesFitBudget(rr, memory_budget_bytes))) {
+  const size_t budget = rr.memory_budget();
+  if (rr.num_sets() == theta &&
+      (budget == 0 || IndexedDataBytesFitBudget(rr, budget))) {
     // Everything (inverted index included) fits: the classic indexed
-    // greedy. This is the unconditional budget-off path, bit-identical to
-    // the pre-budget code.
+    // greedy, the unconditional budget-off path.
     rr.BuildIndex();
     result.rr_memory_bytes = rr.MemoryBytes();
     CoverResult cover = GreedyMaxCover(rr, k);
     result.seeds = std::move(cover.seeds);
     result.covered_fraction = cover.covered_fraction;
   } else {
-    // Degrade, don't die: streaming greedy over the retained prefix plus
-    // per-round regeneration of the dropped suffix. Same seeds (the
+    // Degrade, don't die: streaming greedy over the resident prefix plus
+    // spill replay or per-round regeneration of the rest. Same seeds (the
     // streaming rule is bit-identical), resident DataBytes <= budget.
     result.hit_memory_budget = true;
     result.rr_memory_bytes = rr.MemoryBytes();
@@ -84,8 +101,45 @@ NodeSelection SelectNodes(SampleSource& source, int k, uint64_t theta,
   if (spill != nullptr) {
     result.spill_bytes_written = spill->stats().bytes_written;
   }
-  result.seconds_coverage = timer.ElapsedSeconds();
   return result;
+}
+
+Status ValidateRrRun(const Graph& graph, int k, double epsilon, double ell,
+                     const RunOptions& options, const SolveContext& context) {
+  if (graph.num_nodes() == 0) {
+    return Status::InvalidArgument("graph has no nodes");
+  }
+  if (k < 1 || static_cast<uint64_t>(k) > graph.num_nodes()) {
+    return Status::InvalidArgument("k must be in [1, n], got " +
+                                   std::to_string(k));
+  }
+  if (!(epsilon > 0.0) || epsilon > 1.0) {
+    return Status::InvalidArgument("epsilon must be in (0, 1]");
+  }
+  if (!(ell > 0.0)) {
+    return Status::InvalidArgument("ell must be positive");
+  }
+  if (options.model == DiffusionModel::kTriggering &&
+      options.custom_model == nullptr) {
+    return Status::InvalidArgument(
+        "model == kTriggering requires options.custom_model");
+  }
+  if (context.source != nullptr && &context.source->graph() != &graph) {
+    return Status::InvalidArgument(
+        "SolveContext source is bound to a different graph");
+  }
+  return Status::OK();
+}
+
+std::optional<RRSpillStore> MakeSpillStore(const RunOptions& options,
+                                           NodeId num_nodes) {
+  if (options.memory_budget_bytes == 0 || options.spill_dir.empty()) {
+    return std::nullopt;
+  }
+  RRSpillOptions spill_options;
+  spill_options.dir = options.spill_dir;
+  return std::optional<RRSpillStore>(std::in_place, num_nodes,
+                                     std::move(spill_options));
 }
 
 }  // namespace timpp

@@ -3,37 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <string>
 
 #include "core/kpt_estimator.h"
 #include "core/kpt_refiner.h"
 #include "core/node_selector.h"
 #include "core/parameters.h"
 #include "engine/phase_cache.h"
-#include "rrset/rr_spill.h"
 #include "engine/sample_source.h"
-#include "engine/sampling_engine.h"
+#include "rrset/rr_spill.h"
 #include "util/timer.h"
 
 namespace timpp {
-
-Status ValidateImParameters(const Graph& graph, int k, double epsilon,
-                            double ell) {
-  if (graph.num_nodes() == 0) {
-    return Status::InvalidArgument("graph has no nodes");
-  }
-  if (k < 1 || static_cast<uint64_t>(k) > graph.num_nodes()) {
-    return Status::InvalidArgument("k must be in [1, n], got " +
-                                   std::to_string(k));
-  }
-  if (!(epsilon > 0.0) || epsilon > 1.0) {
-    return Status::InvalidArgument("epsilon must be in (0, 1]");
-  }
-  if (!(ell > 0.0)) {
-    return Status::InvalidArgument("ell must be positive");
-  }
-  return Status::OK();
-}
 
 Status TimSolver::Run(const TimOptions& options, TimResult* result) const {
   return Run(options, SolveContext(), result);
@@ -41,18 +21,8 @@ Status TimSolver::Run(const TimOptions& options, TimResult* result) const {
 
 Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
                       TimResult* result) const {
-  TIMPP_RETURN_NOT_OK(
-      ValidateImParameters(graph_, options.k, options.epsilon, options.ell));
-  if (options.model == DiffusionModel::kTriggering &&
-      options.custom_model == nullptr) {
-    return Status::InvalidArgument(
-        "model == kTriggering requires options.custom_model");
-  }
-  if (context.source != nullptr &&
-      &context.source->graph() != &graph_) {
-    return Status::InvalidArgument(
-        "SolveContext source is bound to a different graph");
-  }
+  TIMPP_RETURN_NOT_OK(ValidateRrRun(graph_, options.k, options.epsilon,
+                                    options.ell, options, context));
 
   const uint64_t n = graph_.num_nodes();
   TimStats stats;
@@ -70,21 +40,14 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
   // deterministic in (seed) and independent of num_threads. A context
   // supplies the stream (shared across requests); standalone runs build a
   // private engine.
-  std::optional<SamplingEngine> local_engine;
-  std::optional<EngineSampleSource> local_source;
+  std::optional<OwnedSource> owned;
   SampleSource* source = context.source;
-  if (source == nullptr) {
-    local_engine.emplace(graph_, options);
-    local_source.emplace(*local_engine);
-    source = &*local_source;
-  }
+  if (source == nullptr) source = &owned.emplace(graph_, options).source;
   Timer total_timer;
 
   const double eps_prime =
       options.use_refinement
-          ? (options.eps_prime > 0.0
-                 ? options.eps_prime
-                 : RecommendedEpsPrime(options.epsilon, options.k, ell))
+          ? RecommendedEpsPrime(options.epsilon, options.k, ell)
           : 0.0;
   stats.eps_prime = eps_prime;
   // Fail before sampling anything when a sample size must pass the RRSetId
@@ -174,15 +137,8 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
   stats.theta =
       static_cast<uint64_t>(std::max(1.0, std::ceil(stats.lambda / kpt_bound)));
 
-  // Spill tier: only built when a budget can actually trip. The store's
-  // chunk directory is scratch, deleted with the store when the run ends.
-  std::optional<RRSpillStore> spill;
-  if (options.memory_budget_bytes != 0 && !options.spill_dir.empty()) {
-    RRSpillOptions spill_options;
-    spill_options.dir = options.spill_dir;
-    spill.emplace(graph_.num_nodes(), std::move(spill_options));
-  }
-
+  std::optional<RRSpillStore> spill =
+      MakeSpillStore(options, graph_.num_nodes());
   Timer phase_timer;
   NodeSelection selection =
       SelectNodes(*source, options.k, stats.theta,

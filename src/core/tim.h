@@ -34,11 +34,9 @@ struct TimOptions : RunOptions {
   double epsilon = 0.1;
   /// Confidence exponent: failure probability at most n^-ℓ. Must be > 0.
   double ell = 1.0;
-  /// true → TIM+ (with Algorithm 3 refinement); false → plain TIM.
+  /// true → TIM+ (with Algorithm 3 refinement, at the paper's recommended
+  /// ε′ = 5·cbrt(ℓ·ε²/(k+ℓ))); false → plain TIM.
   bool use_refinement = true;
-  /// Intermediate accuracy ε′ for Algorithm 3; <= 0 selects the paper's
-  /// recommended 5·cbrt(ℓ·ε²/(k+ℓ)).
-  double eps_prime = 0.0;
   /// Scale ℓ so the final success probability is 1 - n^-ℓ despite the
   /// 2·n^-ℓ (TIM) / 3·n^-ℓ (TIM+) union bounds (§3.3, §4.1).
   bool adjust_ell = true;
@@ -112,10 +110,6 @@ class TimSolver {
  private:
   const Graph& graph_;
 };
-
-/// Option validation shared with baselines that take (k, ε, ℓ).
-Status ValidateImParameters(const Graph& graph, int k, double epsilon,
-                            double ell);
 
 }  // namespace timpp
 

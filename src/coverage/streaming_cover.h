@@ -32,8 +32,9 @@
 // The selection rule — argmax live-coverage count, ties to the smaller
 // node id — and the decrements are GreedyMaxCover's, so the returned
 // CoverResult is bit-identical to the indexed path on the same θ sets, at
-// every thread count. Budgeted TIM/IMM/RIS therefore return the same
-// seeds as budget-off runs. The caller bounds θ by the RRSetId space
+// every thread count. Budgeted TIM/IMM/RIS, which all select through
+// SelectNodes (core/node_selector.h), therefore return the same seeds as
+// budget-off runs. The caller bounds θ by the RRSetId space
 // (kMaxRRSets, util/types.h), which is what lets per-worker counts and
 // the local set ids be 32-bit.
 #ifndef TIMPP_COVERAGE_STREAMING_COVER_H_

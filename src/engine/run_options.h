@@ -68,9 +68,12 @@ struct RunOptions : SamplingConfig {
   /// Soft cap (bytes; 0 = unlimited) on resident RR-collection DataBytes.
   /// Past it, selection degrades to streaming sample-and-discard greedy
   /// over a retained stream prefix (coverage/streaming_cover.h): same
-  /// seeds, θ and LB, bounded memory, extra sampling passes. TIM budgets
-  /// node selection (its KPT phases keep small collections), IMM both
-  /// phases, RIS its cost loop. Solvers without RR collections ignore it.
+  /// seeds, θ and LB, bounded memory, extra sampling passes. One policy
+  /// applies it, SelectNodes (core/node_selector.h): the retained prefix
+  /// stays within the cap, and the inverted index is built only when it
+  /// fits too. TIM budgets node selection (its KPT phases keep small
+  /// collections), IMM both phases, RIS its cost loop and selection.
+  /// Solvers without RR collections ignore it.
   size_t memory_budget_bytes = 0;
   /// Parent directory for disk-spilled RR prefixes (empty = no spill
   /// tier). Only consulted when memory_budget_bytes trips: non-resident

@@ -13,13 +13,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <span>
 #include <string>
-#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -28,9 +26,6 @@
 namespace timpp {
 
 namespace {
-
-constexpr char kMagic[4] = {'T', 'I', 'M', 'G'};
-constexpr uint32_t kVersion = 1;
 
 // ReadEdgeList reads the file in blocks of this size. A line longer than
 // the buffer doubles it until the line fits.
@@ -221,87 +216,14 @@ Status WriteEdgeList(const Graph& graph, const std::string& path) {
   return Status::OK();
 }
 
-Status WriteBinary(const Graph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out.write(kMagic, sizeof(kMagic));
-  uint32_t version = kVersion;
-  uint64_t n = graph.num_nodes();
-  uint64_t m = graph.num_edges();
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(&m), sizeof(m));
-
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    for (const Arc& a : graph.OutArcs(v)) {
-      uint32_t from = v;
-      out.write(reinterpret_cast<const char*>(&from), sizeof(from));
-      out.write(reinterpret_cast<const char*>(&a.node), sizeof(a.node));
-      out.write(reinterpret_cast<const char*>(&a.prob), sizeof(a.prob));
-    }
-  }
-  if (!out) return Status::IOError("write failure on " + path);
-  return Status::OK();
-}
-
-Status ReadBinary(const std::string& path, Graph* graph) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption(path + ": bad magic");
-  }
-  uint32_t version = 0;
-  uint64_t n = 0, m = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  in.read(reinterpret_cast<char*>(&m), sizeof(m));
-  if (!in) return Status::Corruption(path + ": truncated header");
-  if (version != kVersion) {
-    return Status::Corruption(path + ": unsupported version " +
-                              std::to_string(version));
-  }
-  if (n >= kInvalidNode) {
-    return Status::Corruption(path + ": node count out of range");
-  }
-
-  GraphBuilder builder;
-  builder.ReserveNodes(static_cast<NodeId>(n));
-  // A regular file holds at most its remaining bytes / 12 records, which
-  // bounds the reservation a corrupt header can ask for. Other inputs
-  // (pipes) reserve nothing and stop at their first missing record.
-  constexpr uint64_t kHeaderBytes = 24, kRecordBytes = 12;
-  std::error_code ec;
-  const uintmax_t file_bytes = std::filesystem::file_size(path, ec);
-  if (!ec) {
-    if (file_bytes < kHeaderBytes ||
-        m > (file_bytes - kHeaderBytes) / kRecordBytes) {
-      return Status::Corruption(path + ": edge count exceeds file size");
-    }
-    builder.ReserveEdges(m);
-  }
-  for (uint64_t i = 0; i < m; ++i) {
-    uint32_t from = 0, to = 0;
-    float prob = 0;
-    in.read(reinterpret_cast<char*>(&from), sizeof(from));
-    in.read(reinterpret_cast<char*>(&to), sizeof(to));
-    in.read(reinterpret_cast<char*>(&prob), sizeof(prob));
-    if (!in) return Status::Corruption(path + ": truncated edge records");
-    builder.AddEdge(from, to, prob);
-  }
-  return builder.Build(graph);
-}
-
 namespace {
 
-// Payload format of the graph image. This is NOT the edge-triple
-// container above: the triple walk canonicalizes through GraphBuilder,
-// which preserves each direction's arc multiset but can permute IN-arc
-// order (in-lists follow builder insertion order, and a CSR walk reorders
-// the insertions). Reverse traversals consume in-arc order, so a reopened
-// image needs the exact adjacency — both CSR directions verbatim; run
-// metadata re-derived (a pure function of the arcs, via the shared
+// Payload format of the graph image. A rebuild through GraphBuilder (the
+// edge-list path) preserves each direction's arc multiset but can permute
+// IN-arc order (in-lists follow builder insertion order, and a CSR walk
+// reorders the insertions). Reverse traversals consume in-arc order, so a
+// reopened image needs the exact adjacency — both CSR directions verbatim;
+// run metadata re-derived (a pure function of the arcs, via the shared
 // ComputeProbabilityRuns).
 constexpr char kImageMagic[4] = {'T', 'I', 'M', 'I'};
 constexpr uint32_t kImageVersion = 1;

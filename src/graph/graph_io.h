@@ -1,5 +1,6 @@
 // Graph serialization: SNAP-style text edge lists (the format of the
-// datasets in Table 2) and a fast binary container.
+// datasets in Table 2) and the TIMPPIMG binary image, an exact CSR image
+// opened by mapping the file.
 #ifndef TIMPP_GRAPH_GRAPH_IO_H_
 #define TIMPP_GRAPH_GRAPH_IO_H_
 
@@ -48,17 +49,10 @@ Status ReadEdgeList(const std::string& path, const EdgeListOptions& options,
 /// ReadEdgeList reads back to the same float bits.
 Status WriteEdgeList(const Graph& graph, const std::string& path);
 
-/// Binary container: magic, version, n, m, then (from, to, prob) triples.
-/// Round-trips exactly (modulo arc ordering, which Build() canonicalizes).
-/// ReadBinary returns Corruption for a header whose node count is not below
-/// kInvalidNode, or whose edge count exceeds what the file's size can hold.
-Status WriteBinary(const Graph& graph, const std::string& path);
-Status ReadBinary(const std::string& path, Graph* graph);
-
 /// Exact in-memory image — the payload of WriteGraphImage below. Unlike
-/// the edge-triple container above (which rebuilds through GraphBuilder
-/// and may permute IN-arc order, since in-lists follow builder insertion
-/// order), the image preserves both CSR directions verbatim:
+/// an edge list (which rebuilds through GraphBuilder and may permute
+/// IN-arc order, since in-lists follow builder insertion order), the image
+/// preserves both CSR directions verbatim:
 /// OpenGraphImage restores a ContentHash-identical Graph, so reverse
 /// traversals — and with them every RR set — replay bit-exactly. Run
 /// metadata is re-derived from the arcs (pure function, shared

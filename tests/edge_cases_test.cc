@@ -14,7 +14,6 @@
 #include "engine/sample_source.h"
 #include "gen/dataset_proxies.h"
 #include "gen/generators.h"
-#include "graph/graph_io.h"
 #include "graph/weight_models.h"
 #include "rrset/rr_sampler.h"
 #include "tests/test_util.h"
@@ -279,32 +278,6 @@ TEST(EdgeCaseTest, AllSolversAgreeOnTheObviousInstance) {
   EXPECT_EQ(seeds[0], 0u);
   ASSERT_TRUE(SelectByPageRank(g, 1, 0.85, 30, &seeds).ok());
   EXPECT_EQ(seeds[0], 0u);
-}
-
-TEST(EdgeCaseTest, BinaryRoundTripOfGeneratedProxy) {
-  Graph original;
-  ASSERT_TRUE(BuildDatasetProxy(Dataset::kEpinions, 0.01,
-                                WeightScheme::kWeightedCascadeIC, 5,
-                                &original)
-                  .ok());
-  const std::string path = ::testing::TempDir() + "/proxy_roundtrip.timg";
-  ASSERT_TRUE(WriteBinary(original, path).ok());
-  Graph restored;
-  ASSERT_TRUE(ReadBinary(path, &restored).ok());
-  std::remove(path.c_str());
-
-  ASSERT_EQ(restored.num_nodes(), original.num_nodes());
-  ASSERT_EQ(restored.num_edges(), original.num_edges());
-  // Spot-check adjacency equality on a sample of nodes.
-  for (NodeId v = 0; v < restored.num_nodes(); v += 97) {
-    auto a = original.OutArcs(v);
-    auto b = restored.OutArcs(v);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].node, b[i].node);
-      EXPECT_FLOAT_EQ(a[i].prob, b[i].prob);
-    }
-  }
 }
 
 TEST(EdgeCaseTest, KptEstimatorTerminatesEarlierOnHighSpreadGraphs) {

@@ -275,111 +275,5 @@ TEST(EdgeListTest, ProbabilityOutsideUnitIntervalParsesButFailsBuild) {
   EXPECT_TRUE(builder.Build(&g).ok());
 }
 
-TEST(BinaryIoTest, RoundTripPreservesEverything) {
-  Graph original = testing::MakeTwoCommunities(0.37f);
-  TempFile file;
-  ASSERT_TRUE(WriteBinary(original, file.path()).ok());
-
-  Graph restored;
-  ASSERT_TRUE(ReadBinary(file.path(), &restored).ok());
-  ASSERT_EQ(restored.num_nodes(), original.num_nodes());
-  ASSERT_EQ(restored.num_edges(), original.num_edges());
-  for (NodeId v = 0; v < original.num_nodes(); ++v) {
-    auto a = original.OutArcs(v);
-    auto b = restored.OutArcs(v);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].node, b[i].node);
-      EXPECT_FLOAT_EQ(a[i].prob, b[i].prob);
-    }
-  }
-}
-
-TEST(BinaryIoTest, BadMagicIsCorruption) {
-  TempFile file("GARBAGE DATA THAT IS NOT A TIMG FILE");
-  Graph g;
-  EXPECT_TRUE(ReadBinary(file.path(), &g).IsCorruption());
-}
-
-TEST(BinaryIoTest, TruncatedFileIsCorruption) {
-  Graph original = testing::MakeChain(5, 0.5f);
-  TempFile file;
-  ASSERT_TRUE(WriteBinary(original, file.path()).ok());
-  // Truncate to half size.
-  std::ifstream in(file.path(), std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-  std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-  out.write(data.data(), static_cast<std::streamsize>(data.size() / 2));
-  out.close();
-
-  Graph g;
-  EXPECT_TRUE(ReadBinary(file.path(), &g).IsCorruption());
-}
-
-TEST(BinaryIoTest, MissingFileIsIOError) {
-  Graph g;
-  EXPECT_TRUE(ReadBinary("/nonexistent/file.bin", &g).IsIOError());
-}
-
-TEST(BinaryIoTest, EmptyGraphRoundTrips) {
-  GraphBuilder builder;
-  builder.ReserveNodes(7);
-  Graph original;
-  ASSERT_TRUE(builder.Build(&original).ok());
-  TempFile file;
-  ASSERT_TRUE(WriteBinary(original, file.path()).ok());
-  Graph restored;
-  ASSERT_TRUE(ReadBinary(file.path(), &restored).ok());
-  EXPECT_EQ(restored.num_nodes(), 7u);
-  EXPECT_EQ(restored.num_edges(), 0u);
-}
-
-// Writes a TIMG header (magic, version 1, n, m) and `records` as raw
-// (from, to, prob) triples.
-void WriteRawBinary(const std::string& path, uint64_t n, uint64_t m,
-                    const std::vector<RawEdge>& records) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  const uint32_t version = 1;
-  out.write("TIMG", 4);
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(&m), sizeof(m));
-  for (const RawEdge& e : records) {
-    out.write(reinterpret_cast<const char*>(&e.from), sizeof(e.from));
-    out.write(reinterpret_cast<const char*>(&e.to), sizeof(e.to));
-    out.write(reinterpret_cast<const char*>(&e.prob), sizeof(e.prob));
-  }
-}
-
-TEST(BinaryIoTest, InvalidNodeRecordIsInvalidArgument) {
-  TempFile file;
-  WriteRawBinary(file.path(), 2, 2, {{0, 1, 0.5f}, {kInvalidNode, 0, 0.5f}});
-  Graph g;
-  Status s = ReadBinary(file.path(), &g);
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-}
-
-TEST(BinaryIoTest, InvalidNodeCountIsCorruption) {
-  TempFile file;
-  WriteRawBinary(file.path(), kInvalidNode, 0, {});  // a 24-byte file
-  Graph g;
-  Status s = ReadBinary(file.path(), &g);
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-}
-
-TEST(BinaryIoTest, EdgeCountPastFileSizeIsCorruption) {
-  // Reserving m = 2^61 records would throw std::length_error.
-  TempFile file;
-  WriteRawBinary(file.path(), 2, uint64_t{1} << 61, {{0, 1, 0.5f}});
-  Graph g;
-  Status s = ReadBinary(file.path(), &g);
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-  EXPECT_NE(s.message().find("edge count exceeds file size"),
-            std::string::npos)
-      << s.message();
-}
-
 }  // namespace
 }  // namespace timpp

@@ -125,19 +125,6 @@ TEST(ImmTest, LowerBoundIsBelowOpt) {
   EXPECT_GE(ok_count, trials - 1);
 }
 
-TEST(ImmTest, ReuseVariantAlsoProducesGoodSeeds) {
-  Graph g = MakeTwoCommunities(0.35f);
-  ImmOptions options = SmallOptions(2);
-  options.reuse_samples = true;
-  ImmResult result;
-  ASSERT_TRUE(RunImm(g, options, &result).ok());
-  double opt = 0, spread = 0;
-  std::vector<NodeId> opt_seeds;
-  ASSERT_TRUE(BruteForceOptimalIC(g, 2, &opt_seeds, &opt).ok());
-  ASSERT_TRUE(ExactSpreadIC(g, result.seeds, &spread).ok());
-  EXPECT_GE(spread, 0.8 * opt);
-}
-
 TEST(ImmTest, QualityMatchesTimPlusOnProxy) {
   Graph g;
   ASSERT_TRUE(BuildDatasetProxy(Dataset::kNetHept, 0.02,

@@ -144,5 +144,52 @@ TEST(RisTest, DeterministicGivenSeed) {
   EXPECT_EQ(a, b);
 }
 
+// The budget window the engine's cost loop cannot see: it checks the
+// budget only at the start of a cost batch, so a run whose sets, or sets
+// plus index, pass the budget in the batch where τ falls never stopped.
+// On this graph RIS keeps 1,157 sets: 42,488 data bytes, 68,464 with the
+// index.
+class RisBudgetWindowTest : public ::testing::Test {
+ protected:
+  RisOptions Options(size_t memory_budget_bytes) const {
+    RisOptions options;
+    options.epsilon = 0.3;
+    options.tau_scale = 0.05;
+    options.max_rr_sets = 200000;
+    options.seed = 1234;
+    options.memory_budget_bytes = memory_budget_bytes;
+    return options;
+  }
+
+  const Graph graph_ = testing::MakeWcPowerLaw(250, 3, 17);
+};
+
+TEST_F(RisBudgetWindowTest, IndexOverBudgetStreamsWithEverySetResident) {
+  std::vector<NodeId> plain_seeds, seeds;
+  RisStats plain, budgeted;
+  ASSERT_TRUE(RunRis(graph_, Options(0), 4, &plain_seeds, &plain).ok());
+  ASSERT_EQ(plain.rr_sets_generated, 1157u);
+  ASSERT_TRUE(RunRis(graph_, Options(65536), 4, &seeds, &budgeted).ok());
+  EXPECT_TRUE(budgeted.hit_memory_budget)
+      << "the index would take the collection past the budget";
+  EXPECT_EQ(seeds, plain_seeds);
+  EXPECT_EQ(budgeted.rr_sets_generated, plain.rr_sets_generated);
+  EXPECT_EQ(budgeted.rr_sets_retained, plain.rr_sets_generated);
+  EXPECT_EQ(budgeted.regeneration_passes, 0u);
+}
+
+TEST_F(RisBudgetWindowTest, LastCostBatchOverBudgetIsCut) {
+  std::vector<NodeId> plain_seeds, seeds;
+  RisStats plain, budgeted;
+  ASSERT_TRUE(RunRis(graph_, Options(0), 4, &plain_seeds, &plain).ok());
+  ASSERT_TRUE(RunRis(graph_, Options(40488), 4, &seeds, &budgeted).ok());
+  EXPECT_TRUE(budgeted.hit_memory_budget)
+      << "the sets alone pass the budget in the batch where tau falls";
+  EXPECT_EQ(seeds, plain_seeds);
+  EXPECT_EQ(budgeted.rr_sets_generated, plain.rr_sets_generated);
+  EXPECT_LT(budgeted.rr_sets_retained, plain.rr_sets_generated);
+  EXPECT_GE(budgeted.regeneration_passes, 1u);
+}
+
 }  // namespace
 }  // namespace timpp

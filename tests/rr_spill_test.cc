@@ -518,10 +518,10 @@ TEST(SpillSolverSweepTest, BudgetedSpilledRunsAreBitIdenticalEverywhere) {
     SCOPED_TRACE(algo);
     // Ground truth: unbudgeted, no spill.
     const SolverResult baseline = RunRegistry(graph, algo, 0, "");
-    // RIS reports no rr_data_bytes (its collection is transient under the
-    // cost loop); a fixed basis still trips its budget at /8 and /2.
+    // RIS reports no rr_data_bytes; its 1,157 sets hold 42,488 data bytes,
+    // so a 64 KiB basis cuts them at both /8 and /2 (8,192 and 32,768).
     const auto data_bytes = static_cast<size_t>(
-        baseline.Metric("rr_data_bytes", 512.0 * 1024.0));
+        baseline.Metric("rr_data_bytes", 64.0 * 1024.0));
     ASSERT_GT(data_bytes, 0u);
 
     // tiny and mid budgets trip; ∞ (0) must leave the spill tier idle.
@@ -701,6 +701,79 @@ TEST(SpillCounterGoldenTest, RegistrySpillMetricsArePinned) {
       EXPECT_EQ(result.Metric("rr_sets_spilled", -1.0), want.rr_sets_spilled);
       EXPECT_EQ(result.Metric("sets_spill_read", -1.0), want.sets_spill_read);
       EXPECT_EQ(result.Metric("spill_bytes_written", -1.0),
+                want.spill_bytes_written);
+    }
+  }
+}
+
+// The budget counters the sweep above skips as budget-dependent, pinned
+// at two budgets below every solver's data, spill off and on, at threads 1
+// and 3: where each solver cuts, what it keeps resident and what it
+// spills or regenerates.
+TEST(BudgetCounterGoldenTest, RegistryBudgetMetricsArePinned) {
+  const Graph graph = MakeWcPowerLaw(250, 3, 17);
+  struct Expected {
+    const char* algo;
+    size_t budget;
+    bool spill;
+    double rr_sets_retained;
+    double regeneration_passes;
+    double rr_data_bytes;  // -1: not reported (RIS)
+    double rr_sets_spilled;
+    double sets_spill_read;
+    double spill_bytes_written;
+  };
+  const Expected expected[] = {
+      {"tim", 2048, false, 63, 4, 2028, 0, 0, 0},
+      {"tim", 2048, true, 63, 0, 2028, 34527, 122454, 1595240},
+      {"tim", 16384, false, 470, 4, 16368, 0, 0, 0},
+      {"tim", 16384, true, 470, 0, 16368, 34120, 120988, 1577644},
+      {"tim+", 2048, false, 60, 4, 2032, 0, 0, 0},
+      {"tim+", 2048, true, 60, 0, 2032, 23298, 82674, 1072556},
+      {"tim+", 16384, false, 460, 4, 16376, 0, 0, 0},
+      {"tim+", 16384, true, 460, 0, 16376, 22898, 81257, 1055012},
+      {"imm", 2048, false, 49, 16, 2040, 0, 0, 0},
+      {"imm", 2048, true, 49, 0, 2040, 5942, 28062, 274008},
+      {"imm", 16384, false, 412, 16, 16308, 0, 0, 0},
+      {"imm", 16384, true, 412, 0, 16308, 5198, 22723, 239460},
+      {"ris", 2048, false, 53, 4, -1, 0, 0, 0},
+      {"ris", 2048, true, 53, 0, -1, 1227, 3935, 55112},
+      {"ris", 16384, false, 434, 4, -1, 0, 0, 0},
+      {"ris", 16384, true, 434, 0, -1, 846, 2584, 37704},
+  };
+  const std::vector<NodeId> tim_seeds = {1, 4, 15, 8};
+  const std::vector<NodeId> ris_seeds = {1, 4, 8, 15};
+  for (const unsigned threads : {1u, 3u}) {
+    for (const Expected& want : expected) {
+      SCOPED_TRACE(::testing::Message()
+                   << want.algo << " budget " << want.budget << " spill "
+                   << want.spill << " threads " << threads);
+      TempSpillDir dir;
+      std::unique_ptr<InfluenceSolver> solver;
+      ASSERT_TRUE(
+          SolverRegistry::Global().Create(want.algo, graph, &solver).ok());
+      SolverOptions options;
+      options.k = 4;
+      options.epsilon = 0.3;
+      options.seed = 1234;
+      options.num_threads = threads;
+      options.ris_tau_scale = 0.05;
+      options.ris_max_sets = 200000;
+      options.memory_budget_bytes = want.budget;
+      if (want.spill) options.spill_dir = dir.path();
+      SolverResult result;
+      ASSERT_TRUE(solver->Run(options, &result).ok());
+      EXPECT_EQ(result.seeds,
+                std::string(want.algo) == "ris" ? ris_seeds : tim_seeds);
+      EXPECT_EQ(result.Metric("hit_memory_budget", -1.0), 1.0);
+      EXPECT_EQ(result.Metric("rr_sets_retained", -1.0),
+                want.rr_sets_retained);
+      EXPECT_EQ(result.Metric("regeneration_passes", -1.0),
+                want.regeneration_passes);
+      EXPECT_EQ(result.Metric("rr_data_bytes", -1.0), want.rr_data_bytes);
+      EXPECT_EQ(result.Metric("rr_sets_spilled"), want.rr_sets_spilled);
+      EXPECT_EQ(result.Metric("sets_spill_read"), want.sets_spill_read);
+      EXPECT_EQ(result.Metric("spill_bytes_written"),
                 want.spill_bytes_written);
     }
   }

@@ -640,37 +640,33 @@ TEST(StreamingCoverTest, ImmBudgetedMatchesUnbudgeted) {
   options.num_threads = 2;
   options.seed = 123;
 
-  for (bool reuse : {false, true}) {
-    options.reuse_samples = reuse;
-    options.memory_budget_bytes = 0;
-    ImmResult unbudgeted;
-    ASSERT_TRUE(RunImm(g, options, &unbudgeted).ok());
-    EXPECT_FALSE(unbudgeted.stats.hit_memory_budget);
-    ASSERT_GT(unbudgeted.stats.rr_data_bytes, 0u);
+  ImmResult unbudgeted;
+  ASSERT_TRUE(RunImm(g, options, &unbudgeted).ok());
+  EXPECT_FALSE(unbudgeted.stats.hit_memory_budget);
+  ASSERT_GT(unbudgeted.stats.rr_data_bytes, 0u);
 
-    options.memory_budget_bytes = unbudgeted.stats.rr_data_bytes / 8;
-    ImmResult budgeted;
-    ASSERT_TRUE(RunImm(g, options, &budgeted).ok());
-    EXPECT_EQ(budgeted.seeds, unbudgeted.seeds) << "reuse " << reuse;
-    EXPECT_DOUBLE_EQ(budgeted.stats.lb, unbudgeted.stats.lb)
-        << "streaming greedy must reproduce the sampling-phase LB";
-    EXPECT_EQ(budgeted.stats.theta, unbudgeted.stats.theta);
-    EXPECT_DOUBLE_EQ(budgeted.stats.estimated_spread,
-                     unbudgeted.stats.estimated_spread);
-    EXPECT_TRUE(budgeted.stats.hit_memory_budget);
-    EXPECT_GE(budgeted.stats.regeneration_passes, 1u);
-    EXPECT_LE(budgeted.stats.rr_data_bytes, options.memory_budget_bytes);
+  options.memory_budget_bytes = unbudgeted.stats.rr_data_bytes / 8;
+  ImmResult budgeted;
+  ASSERT_TRUE(RunImm(g, options, &budgeted).ok());
+  EXPECT_EQ(budgeted.seeds, unbudgeted.seeds);
+  EXPECT_DOUBLE_EQ(budgeted.stats.lb, unbudgeted.stats.lb)
+      << "streaming greedy must reproduce the sampling-phase LB";
+  EXPECT_EQ(budgeted.stats.theta, unbudgeted.stats.theta);
+  EXPECT_DOUBLE_EQ(budgeted.stats.estimated_spread,
+                   unbudgeted.stats.estimated_spread);
+  EXPECT_TRUE(budgeted.stats.hit_memory_budget);
+  EXPECT_GE(budgeted.stats.regeneration_passes, 1u);
+  EXPECT_LE(budgeted.stats.rr_data_bytes, options.memory_budget_bytes);
 
-    // A budget with ample headroom must never engage (in particular, the
-    // progressive iterations must not double-charge a stale inverted
-    // index and latch the budget spuriously).
-    options.memory_budget_bytes = unbudgeted.stats.rr_data_bytes * 4;
-    ImmResult roomy;
-    ASSERT_TRUE(RunImm(g, options, &roomy).ok());
-    EXPECT_EQ(roomy.seeds, unbudgeted.seeds);
-    EXPECT_FALSE(roomy.stats.hit_memory_budget) << "reuse " << reuse;
-    EXPECT_EQ(roomy.stats.regeneration_passes, 0u);
-  }
+  // A budget with ample headroom must never engage (in particular, the
+  // progressive iterations must not double-charge a stale inverted
+  // index and latch the budget spuriously).
+  options.memory_budget_bytes = unbudgeted.stats.rr_data_bytes * 4;
+  ImmResult roomy;
+  ASSERT_TRUE(RunImm(g, options, &roomy).ok());
+  EXPECT_EQ(roomy.seeds, unbudgeted.seeds);
+  EXPECT_FALSE(roomy.stats.hit_memory_budget);
+  EXPECT_EQ(roomy.stats.regeneration_passes, 0u);
 }
 
 TEST(StreamingCoverTest, BudgetedRisMatchesUnbudgetedBitwise) {
