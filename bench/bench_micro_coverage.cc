@@ -1,10 +1,13 @@
 // Micro-benchmark (google-benchmark) + ablation 2 (DESIGN.md §5): bucket
 // vs heap vs naive greedy max-coverage over realistic RR collections of
-// growing size. main() additionally runs a fixed-work bucket-vs-heap A/B
-// (verifying bit-identical seeds while timing both) and writes the
-// timings into BENCH_bench_micro_coverage.json for PR-over-PR tracking.
+// growing size. main() additionally runs two fixed-work A/Bs on one
+// collection, serial vs 4-task pooled index build (verifying identical
+// index arrays) and bucket vs heap greedy (verifying bit-identical seeds),
+// timing both sides, and writes the timings into
+// BENCH_bench_micro_coverage.json for PR-over-PR tracking.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 
@@ -13,6 +16,7 @@
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace timpp {
@@ -78,10 +82,12 @@ void BM_BuildIndex(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildIndex)->Arg(10000)->Arg(100000);
 
-// Fixed-work bucket-vs-heap A/B into the JSON mirror. The two paths must
-// return bit-identical results (the bucket queue replicates the heap's
-// argmax-count / min-id selection rule exactly); the A/B aborts if they
-// ever diverge, so the bench doubles as a large-scale equivalence check.
+// Fixed-work A/Bs into the JSON mirror. The pooled index build must write
+// the serial build's arrays (each node's list ascending by set id), and
+// the two greedy paths must return bit-identical results (the bucket
+// queue replicates the heap's argmax-count / min-id selection rule
+// exactly); each A/B aborts if its sides ever diverge, so the bench
+// doubles as a large-scale equivalence check.
 void RecordCoverAbMetrics() {
   // Large-n graph: the queue data structure's cost is Θ(n)-dominated
   // (initial fill + selection), so a small-n proxy hides the bucket/heap
@@ -90,7 +96,8 @@ void RecordCoverAbMetrics() {
   constexpr size_t kAbSets = 200000;
   constexpr int kAbK = 50;
   bench::PrintHeader("micro: greedy max-coverage",
-                     "A/B: bucket queue vs lazy heap, weighted-cascade "
+                     "A/B: serial vs 4-task pooled index build, bucket "
+                     "queue vs lazy heap, weighted-cascade "
                      "Barabasi-Albert n=300000 RR collection");
   const Graph graph = bench::MustBuildWcPowerLaw(300000, 10, 7);
   auto rr = std::make_unique<RRCollection>(graph.num_nodes());
@@ -101,10 +108,33 @@ void RecordCoverAbMetrics() {
     RRSampleInfo info = sampler.SampleRandomRoot(rng, &scratch);
     rr->Add(scratch, info.width);
   }
-  rr->BuildIndex();
   bench::RecordMetric("collection.num_sets", static_cast<double>(kAbSets));
   bench::RecordMetric("collection.total_nodes",
                       static_cast<double>(rr->total_nodes()));
+
+  RRCollection pooled = *rr;
+  Timer serial_timer;
+  rr->BuildIndex();
+  const double serial_seconds = serial_timer.ElapsedSeconds();
+  ThreadPool pool(3);
+  Timer pool_timer;
+  pooled.BuildIndex(&pool);
+  const double pool_seconds = pool_timer.ElapsedSeconds();
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    const auto a = rr->SetsContaining(v);
+    const auto b = pooled.SetsContaining(v);
+    if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) {
+      std::fprintf(stderr,
+                   "FATAL: pooled and serial index builds diverged\n");
+      std::exit(1);
+    }
+  }
+  std::printf("index serial: %.4fs   4-task pool: %.4fs   (identical)\n",
+              serial_seconds, pool_seconds);
+  bench::RecordMetric("index_serial.seconds", serial_seconds);
+  bench::RecordMetric("index_pool4.seconds", pool_seconds);
+  bench::RecordMetric("index_pool4.speedup_vs_serial",
+                      serial_seconds / pool_seconds);
 
   Timer bucket_timer;
   CoverResult bucket = GreedyMaxCover(*rr, kAbK);

@@ -544,13 +544,23 @@ int main(int argc, char** argv) {
     // its collection became a stream-prefix cache): seeds are identical
     // to an unbudgeted run, so this is a cost note, not a quality
     // warning.
-    std::printf(
-        "note: memory budget engaged — selection streamed %.6g "
-        "regeneration pass(es) over discarded RR sets (seeds identical to "
-        "an unbudgeted run, retained %.6g of %.6g sets)\n",
-        result.Metric("regeneration_passes"),
-        result.Metric("rr_sets_retained"),
-        result.Metric("theta", result.Metric("rr_sets_generated")));
+    const double retained = result.Metric("rr_sets_retained");
+    const double theta =
+        result.Metric("theta", result.Metric("rr_sets_generated"));
+    if (retained == theta) {
+      // Every set stayed resident; only the inverted index was over.
+      std::printf(
+          "note: memory budget engaged — the inverted index did not fit, "
+          "so the greedy streamed over all %.6g resident RR sets (seeds "
+          "identical to an unbudgeted run)\n",
+          retained);
+    } else {
+      std::printf(
+          "note: memory budget engaged — selection streamed %.6g "
+          "regeneration pass(es) over discarded RR sets (seeds identical "
+          "to an unbudgeted run, retained %.6g of %.6g sets)\n",
+          result.Metric("regeneration_passes"), retained, theta);
+    }
     if (result.Metric("rr_sets_spilled") != 0.0) {
       std::printf(
           "note: spill tier engaged — %.6g sets spilled (%.6g bytes), "

@@ -44,7 +44,7 @@ KptEstimate EstimateKpt(SampleSource& source, int k, double ell) {
       result.kpt_star =
           static_cast<double>(n) * sum / (2.0 * static_cast<double>(ci));
       result.terminated_iteration = i;
-      result.last_iteration_rr->BuildIndex();
+      result.last_iteration_rr->BuildIndex(source.pool());
       return result;
     }
   }
@@ -53,7 +53,7 @@ KptEstimate EstimateKpt(SampleSource& source, int k, double ell) {
   // activates itself).
   result.kpt_star = 1.0;
   result.terminated_iteration = 0;
-  result.last_iteration_rr->BuildIndex();
+  result.last_iteration_rr->BuildIndex(source.pool());
   return result;
 }
 

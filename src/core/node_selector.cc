@@ -79,7 +79,7 @@ NodeSelection SelectNodes(SampleSource& source, ResidentPrefix* prefix, int k,
       (budget == 0 || IndexedDataBytesFitBudget(rr, budget))) {
     // Everything (inverted index included) fits: the classic indexed
     // greedy, the unconditional budget-off path.
-    rr.BuildIndex();
+    rr.BuildIndex(source.pool());
     result.rr_memory_bytes = rr.MemoryBytes();
     CoverResult cover = GreedyMaxCover(rr, k);
     result.seeds = std::move(cover.seeds);

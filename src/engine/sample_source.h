@@ -38,6 +38,14 @@ class SampleSource {
   /// with Fetch.
   virtual SamplingEngine& engine() = 0;
 
+  /// A worker pool the consumer may use alone between its Fetch calls
+  /// (the inverted-index build borrows it), or nullptr. A standalone
+  /// source lends its private engine's pool. A source over a stream that
+  /// concurrent requests share returns nullptr: its engine() belongs to
+  /// the shared cache, and ThreadPool::ParallelRun admits one caller at a
+  /// time, so never borrow engine().pool() in its place.
+  virtual ThreadPool* pool() = 0;
+
   /// Graph the stream samples over.
   virtual const Graph& graph() const = 0;
 
@@ -74,12 +82,14 @@ class SampleSource {
 /// The standalone implementation: a thin adapter over a borrowed
 /// SamplingEngine, preserving its behaviour exactly (cursor == the
 /// engine's next_index_). Solvers running without a serving context wrap
-/// their private engine in one of these.
+/// their private engine in one of these, which is why it lends the
+/// engine's pool: the engine must not be shared.
 class EngineSampleSource final : public SampleSource {
  public:
   explicit EngineSampleSource(SamplingEngine& engine) : engine_(engine) {}
 
   SamplingEngine& engine() override { return engine_; }
+  ThreadPool* pool() override { return engine_.pool(); }
   const Graph& graph() const override { return engine_.graph(); }
   uint64_t position() const override { return engine_.sets_sampled(); }
   void Seek(uint64_t index) override { engine_.SkipTo(index); }

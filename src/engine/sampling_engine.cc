@@ -28,6 +28,18 @@ constexpr uint64_t kSetsPerVisitBatch = 1024;
 // same thread, large enough that the claim and per-chunk merge overheads
 // stay invisible next to the traversals.
 constexpr uint64_t kFillChunkSets = 64;
+static_assert(kSetsPerBatch % kFillChunkSets == 0,
+              "a batch must be a run of whole fill chunks");
+constexpr uint64_t kChunksPerBatch = kSetsPerBatch / kFillChunkSets;
+// SampleInto's fill windows: one fork-join samples the fewest whole
+// batches whose expected traversal cost (edges examined + nodes appended)
+// reaches kWindowCost, at most kMaxWindowBatches. A batch of LT sets (~6
+// units a set) is too little work to amortize a pool wake-up and gets the
+// full window; sparse and dense IC batches (~80 and ~870 units a set) pass
+// the target alone and keep one batch per fork-join, and with it their
+// shard buffers' size.
+constexpr uint64_t kWindowCost = uint64_t{1} << 19;
+constexpr uint64_t kMaxWindowBatches = 8;
 
 }  // namespace
 
@@ -100,7 +112,11 @@ void SamplingEngine::Fill(uint64_t base, uint64_t count,
   const unsigned nw = static_cast<unsigned>(shards_.size());
   if (nw == 1 || count < 2 * nw) {
     SampleRange(0, base, base + count, filter);
-    chunks_.push_back({0, 0, shards_[0]->sets.num_sets()});
+    const size_t sets = shards_[0]->sets.num_sets();
+    for (size_t begin = 0; begin < sets; begin += kFillChunkSets) {
+      chunks_.push_back(
+          {0, begin, std::min<size_t>(sets, begin + kFillChunkSets)});
+    }
     return;
   }
   // Dynamic split: threads claim fixed-size index chunks off an atomic
@@ -158,10 +174,24 @@ void SamplingEngine::AppendDirect(uint64_t base, uint64_t count,
   }
 }
 
+uint64_t SamplingEngine::WindowBatches() const {
+  if (window_sets_ == 0) return 1;  // the engine's first window
+  if (window_cost_ == 0) return kMaxWindowBatches;
+  // ceil(kWindowCost / expected batch cost), in exact integers: the
+  // window sequence is a pure function of the stream's counters.
+  const uint64_t batch_cost = window_cost_ * kSetsPerBatch;
+  const uint64_t batches =
+      (kWindowCost * window_sets_ + batch_cost - 1) / batch_cost;
+  return std::clamp<uint64_t>(batches, 1, kMaxWindowBatches);
+}
+
 SampleBatch SamplingEngine::SampleInto(RRCollection* out, uint64_t count,
                                        std::vector<uint64_t>* per_set_edges) {
   SampleBatch total;
   uint64_t remaining = count;
+  // First chunk of the current window not merged yet; a call starts with
+  // no window (chunks_ may hold another primitive's fill).
+  size_t next_chunk = chunks_.size();
   while (remaining > 0) {
     if (out->OverMemoryBudget()) {
       total.hit_memory_budget = true;
@@ -171,15 +201,27 @@ SampleBatch SamplingEngine::SampleInto(RRCollection* out, uint64_t count,
     if (shards_.size() == 1) {
       AppendDirect(next_index_, batch, out, &total, per_set_edges);
     } else {
-      Fill(next_index_, batch, nullptr);
+      if (next_chunk == chunks_.size()) {
+        Fill(next_index_,
+             std::min(remaining, WindowBatches() * kSetsPerBatch), nullptr);
+        next_chunk = 0;
+        window_sets_ = 0;
+        window_cost_ = 0;
+      }
+      // The window's next batch: a run of whole chunks, merged in index
+      // order exactly as a one-batch fill would be.
+      const size_t end_chunk =
+          std::min<size_t>(chunks_.size(), next_chunk + kChunksPerBatch);
       uint64_t batch_nodes = 0;
-      for (const Chunk& chunk : chunks_) {
+      for (size_t c = next_chunk; c < end_chunk; ++c) {
+        const Chunk& chunk = chunks_[c];
         const RRCollection& sets = shards_[chunk.shard]->sets;
         batch_nodes += sets.Offset(chunk.end) - sets.Offset(chunk.begin);
       }
       out->Reserve(batch, batch_nodes);
       uint64_t batch_edges = 0;
-      for (const Chunk& chunk : chunks_) {
+      for (size_t c = next_chunk; c < end_chunk; ++c) {
+        const Chunk& chunk = chunks_[c];
         const Shard& shard = *shards_[chunk.shard];
         out->AppendRange(shard.sets, chunk.begin, chunk.end - chunk.begin);
         for (size_t j = chunk.begin; j < chunk.end; ++j) {
@@ -189,8 +231,11 @@ SampleBatch SamplingEngine::SampleInto(RRCollection* out, uint64_t count,
           }
         }
       }
+      next_chunk = end_chunk;
       total.edges_examined += batch_edges;
       total.traversal_cost += batch_edges + batch_nodes;
+      window_sets_ += batch;
+      window_cost_ += batch_edges + batch_nodes;
     }
     total.sets_added += batch;
     next_index_ += batch;

@@ -19,7 +19,10 @@
 // collection is byte-identical for every value of config.num_threads
 // (including 1). Batch boundaries (kSetsPerBatch / kSetsPerCostBatch) are
 // fixed constants so early-stop checks (memory budget, cost threshold)
-// fire at the same set index regardless of parallelism.
+// fire at the same set index regardless of parallelism. SampleInto fills
+// several batches per fork-join (a window, sized from exact traversal
+// counters) but merges and budget-checks them one batch at a time, so a
+// window changes when sets are sampled, never which sets are kept.
 //
 // Error model: fills cannot fail. A batch call stops short only at the
 // output's memory budget or a cost threshold, and its SampleBatch says so.
@@ -138,12 +141,18 @@ class SamplingEngine {
   uint64_t sets_sampled() const { return next_index_; }
 
   /// Appends `count` fresh random RR sets to `*out`. Stops early only if
-  /// `out` goes over its memory budget (checked at fixed batch
-  /// boundaries). Returns accounting
-  /// for the appended sets. `per_set_edges` (optional) receives each
-  /// appended set's edges_examined in set order — consumers that replay
-  /// subranges later (the serving layer's shared prefix cache) need the
-  /// per-set split the aggregate SampleBatch cannot give back.
+  /// `out` goes over its memory budget, checked at every 8192-set batch
+  /// boundary; the sets of a stop's window past it are dropped and the
+  /// stream cursor stays at the stop. One fork-join fills a window of up
+  /// to eight batches: the fewest whose expected traversal cost, at the
+  /// previous window's cost per set, reaches a fixed target (the engine's
+  /// first window is one batch). Cheap sets (LT) get wide windows and
+  /// expensive ones (dense IC) one batch per window; the window sequence
+  /// is a pure function of exact counters and never changes the output.
+  /// Returns accounting for the appended sets. `per_set_edges` (optional)
+  /// receives each appended set's edges_examined in set order — consumers
+  /// that replay subranges later (the serving layer's shared prefix cache)
+  /// need the per-set split the aggregate SampleBatch cannot give back.
   SampleBatch SampleInto(RRCollection* out, uint64_t count,
                          std::vector<uint64_t>* per_set_edges = nullptr);
 
@@ -191,6 +200,12 @@ class SamplingEngine {
   /// the budget setting, not just across thread counts.
   void SkipTo(uint64_t index);
 
+  /// The engine's worker pool (nullptr at one thread), idle between batch
+  /// calls. Only the engine's owner may borrow it (EngineSampleSource's
+  /// pool()); an engine shared across requests must not lend it, because
+  /// ThreadPool::ParallelRun admits one caller at a time.
+  ThreadPool* pool() const { return pool_.get(); }
+
  private:
   /// Per-thread state: a private sampler plus shard buffers refilled each
   /// fill. Samplers persist across fills so traversal scratch
@@ -208,8 +223,12 @@ class SamplingEngine {
 
   /// Produces the RR sets of global indices [base, base + count) into the
   /// shards, skipping indices `filter` (optional) rejects, and rebuilds
-  /// chunks_. Results stay valid until the next Fill.
+  /// chunks_: kFillChunkSets produced sets per chunk (the last may be
+  /// short), in index order. Results stay valid until the next Fill.
   void Fill(uint64_t base, uint64_t count, const SampleFilter* filter);
+
+  /// Batches SampleInto's next window holds (see SampleInto).
+  uint64_t WindowBatches() const;
 
   /// Samples global indices [begin, end) into shard `w`'s buffers,
   /// skipping indices rejected by `filter` (may be null).
@@ -227,6 +246,10 @@ class SamplingEngine {
   std::vector<Chunk> chunks_;         // rebuilt by every Fill
   std::unique_ptr<ThreadPool> pool_;  // nullptr when num_threads == 1
   uint64_t next_index_ = 0;
+  // Sets SampleInto merged from its latest window, and their traversal
+  // cost: the basis of the next window's size.
+  uint64_t window_sets_ = 0;
+  uint64_t window_cost_ = 0;
 };
 
 }  // namespace timpp

@@ -1,6 +1,9 @@
 #include "rrset/rr_collection.h"
 
 #include <algorithm>
+#include <functional>
+
+#include "util/thread_pool.h"
 
 namespace timpp {
 
@@ -92,21 +95,53 @@ void RRCollection::ShrinkToFit() {
   TrimToSize(&nodes_, &realloc_bytes_copied_);
 }
 
-void RRCollection::BuildIndex() {
-  index_offsets_.assign(num_nodes_ + 1, 0);
-  index_sets_.resize(nodes_.size());
-
-  for (NodeId v : nodes_) ++index_offsets_[v + 1];
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    index_offsets_[v + 1] += index_offsets_[v];
-  }
-  std::vector<EdgeIndex> fill(index_offsets_.begin(), index_offsets_.end() - 1);
+void RRCollection::BuildIndex(ThreadPool* pool) {
   const size_t sets = num_sets();
-  for (size_t id = 0; id < sets; ++id) {
-    for (NodeId v : Set(static_cast<RRSetId>(id))) {
-      index_sets_[fill[v]++] = static_cast<RRSetId>(id);
+  const size_t members = nodes_.size();
+  const size_t n = num_nodes_;
+  size_t tasks = pool != nullptr ? pool->num_workers() + 1 : 1;
+  tasks = std::max<size_t>(1, std::min({tasks, sets, members / (n + 1)}));
+  const auto run = [&](const std::function<void(unsigned)>& task) {
+    if (tasks == 1) {
+      task(0);
+    } else {
+      pool->ParallelRun(static_cast<unsigned>(tasks), task);
+    }
+  };
+  // Task t owns sets [first[t], first[t + 1]), about members / tasks
+  // members, and the cursor row cursor[t · n, (t + 1) · n).
+  std::vector<size_t> first(tasks + 1, sets);
+  for (size_t t = 0; t < tasks; ++t) {
+    first[t] = static_cast<size_t>(
+        std::lower_bound(offsets_.begin(), offsets_.end(),
+                         t * members / tasks) -
+        offsets_.begin());
+  }
+  std::vector<EdgeIndex> cursor(tasks * n, 0);
+  run([&](unsigned t) {
+    EdgeIndex* count = cursor.data() + t * n;
+    for (NodeId v : Members(first[t], first[t + 1])) ++count[v];
+  });
+  index_offsets_.resize(n + 1);
+  EdgeIndex running = 0;
+  for (size_t v = 0; v < n; ++v) {
+    index_offsets_[v] = running;
+    for (size_t t = 0; t < tasks; ++t) {
+      const EdgeIndex count = cursor[t * n + v];
+      cursor[t * n + v] = running;
+      running += count;
     }
   }
+  index_offsets_[n] = running;
+  index_sets_.resize(members);
+  run([&](unsigned t) {
+    EdgeIndex* next = cursor.data() + t * n;
+    for (size_t id = first[t]; id < first[t + 1]; ++id) {
+      for (NodeId v : Set(static_cast<RRSetId>(id))) {
+        index_sets_[next[v]++] = static_cast<RRSetId>(id);
+      }
+    }
+  });
   index_built_ = true;
 }
 

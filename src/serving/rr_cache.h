@@ -191,6 +191,8 @@ class CachedSampleSource final : public SampleSource {
   explicit CachedSampleSource(SharedRRCache* cache) : cache_(cache) {}
 
   SamplingEngine& engine() override { return cache_->engine(); }
+  // The shared engine's pool serves every request's fills: not lendable.
+  ThreadPool* pool() override { return nullptr; }
   const Graph& graph() const override { return cache_->graph(); }
   uint64_t position() const override { return cursor_; }
   void Seek(uint64_t index) override {

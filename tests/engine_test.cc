@@ -4,6 +4,7 @@
 // InfluenceSolver registry round-trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -15,6 +16,9 @@
 #include "core/tim.h"
 #include "engine/sampling_engine.h"
 #include "engine/solver_registry.h"
+#include "gen/generators.h"
+#include "graph/graph_builder.h"
+#include "graph/weight_models.h"
 #include "tests/test_util.h"
 #include "util/thread_pool.h"
 
@@ -329,6 +333,150 @@ TEST(RRCollectionTest, SmallAppendRangeGrowthCopiesStayLinear) {
   EXPECT_LE(rr.realloc_bytes_copied(), 2 * rr.DataBytes());
 }
 
+// ---------------------------------------------------- SampleInto windows --
+
+// A directed scale-free graph with random LT weights, the imm-lt shape:
+// its RR sets cost a few traversal units each, so after the engine's
+// first one-batch window SampleInto fills up to eight 8192-set batches
+// per fork-join, and merges and budget-checks them one batch at a time.
+Graph MakeCheapLtGraph() {
+  GraphBuilder builder;
+  GenDirectedScaleFree(3000, 4.0, 5, &builder);
+  AssignRandomLT(&builder, 6);
+  Graph g;
+  const Status s = builder.Build(&g);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return g;
+}
+
+SamplingConfig LtSampling(uint64_t seed, unsigned num_threads) {
+  SamplingConfig config;
+  config.model = DiffusionModel::kLT;
+  config.seed = seed;
+  config.num_threads = num_threads;
+  return config;
+}
+
+void ExpectSameBatch(const SampleBatch& a, const SampleBatch& b) {
+  EXPECT_EQ(a.sets_added, b.sets_added);
+  EXPECT_EQ(a.edges_examined, b.edges_examined);
+  EXPECT_EQ(a.traversal_cost, b.traversal_cost);
+  EXPECT_EQ(a.hit_set_cap, b.hit_set_cap);
+  EXPECT_EQ(a.hit_memory_budget, b.hit_memory_budget);
+  EXPECT_EQ(a.sets_reused, b.sets_reused);
+}
+
+constexpr uint64_t kBatch = 8192;  // SampleInto's budget-check granularity
+// realloc_bytes_copied() of GrowthCopiesEqualOneBatchPerFill's collection.
+constexpr uint64_t kGrowthCopiesOneThread = 5898260;
+constexpr uint64_t kGrowthCopiesPooled = 5547392;
+
+TEST(SampleIntoWindowTest, WindowedFillsAreThreadCountInvariant) {
+  Graph g = MakeCheapLtGraph();
+  // Two calls on one engine: the window state carries across them, and
+  // each call ends on a part batch.
+  const uint64_t counts[2] = {20 * kBatch + 777, 11 * kBatch + 5};
+  RRCollection reference(g.num_nodes());
+  std::vector<uint64_t> reference_edges;
+  SamplingEngine sequential(g, LtSampling(41, 1));
+  SampleBatch reference_batches[2];
+  for (int call = 0; call < 2; ++call) {
+    reference_batches[call] =
+        sequential.SampleInto(&reference, counts[call], &reference_edges);
+    ASSERT_EQ(reference_batches[call].sets_added, counts[call]);
+  }
+  // Cheap sets: under 64 units a set, so a batch costs under 2^19 units
+  // and windows widen.
+  ASSERT_LT(reference_batches[0].traversal_cost, 64 * counts[0]);
+
+  for (unsigned threads : {2u, 3u, 8u}) {
+    RRCollection rr(g.num_nodes());
+    std::vector<uint64_t> edges;
+    SamplingEngine engine(g, LtSampling(41, threads));
+    for (int call = 0; call < 2; ++call) {
+      const SampleBatch batch = engine.SampleInto(&rr, counts[call], &edges);
+      ExpectSameBatch(reference_batches[call], batch);
+    }
+    EXPECT_EQ(engine.sets_sampled(), sequential.sets_sampled())
+        << "threads=" << threads;
+    EXPECT_EQ(reference_edges, edges) << "threads=" << threads;
+    ExpectSameCollections(reference, rr);
+  }
+}
+
+TEST(SampleIntoWindowTest, GrowthCopiesEqualOneBatchPerFill) {
+  // The merge still reserves and appends one batch at a time, so storing
+  // R copies exactly the bytes a one-batch-per-fill loop copies: one
+  // SampleInto of 20 batches against 20 calls of one batch each (a call
+  // never fills past its own count). The pinned figures are that loop's,
+  // from before fills were windowed: the 1-thread path appends per set,
+  // the others per 64-set chunk.
+  Graph g = MakeCheapLtGraph();
+  const uint64_t count = 20 * kBatch + 777;
+  for (unsigned threads : {1u, 2u, 3u, 8u}) {
+    RRCollection windowed(g.num_nodes());
+    SamplingEngine engine(g, LtSampling(43, threads));
+    engine.SampleInto(&windowed, count);
+
+    RRCollection batched(g.num_nodes());
+    SamplingEngine one_batch(g, LtSampling(43, threads));
+    for (uint64_t done = 0; done < count; done += kBatch) {
+      one_batch.SampleInto(&batched, std::min(kBatch, count - done));
+    }
+    ExpectSameCollections(batched, windowed);
+    EXPECT_EQ(windowed.realloc_bytes_copied(), batched.realloc_bytes_copied())
+        << "threads=" << threads;
+    EXPECT_EQ(windowed.realloc_bytes_copied(),
+              threads == 1 ? kGrowthCopiesOneThread : kGrowthCopiesPooled)
+        << "threads=" << threads;
+  }
+}
+
+TEST(SampleIntoWindowTest, BudgetStopInsideAWindowMatchesOneThread) {
+  // The budget fits 4.5 batches of sets, so the check after batch 5
+  // stops the fill. With threads the first window is batch 1 and the
+  // second batches 2-9: the stop lands inside it, the window's remaining
+  // sets are dropped, and the stream cursor stays at the stop.
+  Graph g = MakeCheapLtGraph();
+  RRCollection full(g.num_nodes());
+  SamplingEngine unbudgeted(g, LtSampling(47, 1));
+  unbudgeted.SampleInto(&full, 20 * kBatch);
+  RRCollection prefix(g.num_nodes());
+  prefix.AppendRange(full, 0, 4 * kBatch + kBatch / 2);
+  const size_t budget = prefix.DataBytes();
+
+  RRCollection reference(g.num_nodes());
+  reference.set_memory_budget(budget);
+  std::vector<uint64_t> reference_edges;
+  SamplingEngine sequential(g, LtSampling(47, 1));
+  const SampleBatch reference_stop =
+      sequential.SampleInto(&reference, 20 * kBatch, &reference_edges);
+  ASSERT_TRUE(reference_stop.hit_memory_budget);
+  ASSERT_EQ(reference_stop.sets_added, 5 * kBatch);
+  ASSERT_EQ(sequential.sets_sampled(), 5 * kBatch);
+  // Lifting the budget, a follow-up call continues the stream at the stop.
+  reference.set_memory_budget(0);
+  const SampleBatch reference_follow =
+      sequential.SampleInto(&reference, 3 * kBatch + 11, &reference_edges);
+
+  for (unsigned threads : {2u, 3u, 8u}) {
+    RRCollection rr(g.num_nodes());
+    rr.set_memory_budget(budget);
+    std::vector<uint64_t> edges;
+    SamplingEngine engine(g, LtSampling(47, threads));
+    ExpectSameBatch(reference_stop,
+                    engine.SampleInto(&rr, 20 * kBatch, &edges));
+    EXPECT_EQ(engine.sets_sampled(), 5 * kBatch) << "threads=" << threads;
+    rr.set_memory_budget(0);
+    ExpectSameBatch(reference_follow,
+                    engine.SampleInto(&rr, 3 * kBatch + 11, &edges));
+    EXPECT_EQ(engine.sets_sampled(), sequential.sets_sampled())
+        << "threads=" << threads;
+    EXPECT_EQ(reference_edges, edges) << "threads=" << threads;
+    ExpectSameCollections(reference, rr);
+  }
+}
+
 // --------------------------------------- solver thread-count determinism --
 
 TEST(SolverDeterminismTest, TimAndTimPlusInvariantAcrossThreads) {
@@ -383,6 +531,36 @@ TEST(SolverDeterminismTest, ImmInvariantAcrossThreads) {
               result.stats.rr_sets_sampling);
     EXPECT_DOUBLE_EQ(reference.stats.estimated_spread,
                      result.stats.estimated_spread);
+  }
+}
+
+TEST(SolverDeterminismTest, ImmLtInvariantAcrossThreads) {
+  // LT IMM on cheap sets: its fills run in wide windows and, with
+  // threads, its index builds run on the engine's pool. θ is about ten
+  // batches, so the final fill holds windows of several batches.
+  Graph g = MakeCheapLtGraph();
+  ImmOptions options;
+  options.k = 5;
+  options.epsilon = 0.2;
+  options.model = DiffusionModel::kLT;
+  options.seed = 53;
+
+  options.num_threads = 1;
+  ImmResult reference;
+  ASSERT_TRUE(RunImm(g, options, &reference).ok());
+  EXPECT_GT(reference.stats.theta, 8 * kBatch);
+
+  for (unsigned threads : {2u, 3u, 8u}) {
+    options.num_threads = threads;
+    ImmResult result;
+    ASSERT_TRUE(RunImm(g, options, &result).ok());
+    EXPECT_EQ(reference.seeds, result.seeds) << "threads=" << threads;
+    EXPECT_EQ(reference.stats.theta, result.stats.theta);
+    EXPECT_EQ(reference.stats.lb, result.stats.lb);
+    EXPECT_EQ(reference.stats.rr_sets_sampling,
+              result.stats.rr_sets_sampling);
+    EXPECT_EQ(reference.stats.estimated_spread,
+              result.stats.estimated_spread);
   }
 }
 

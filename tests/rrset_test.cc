@@ -18,6 +18,7 @@
 #include "rrset/rr_sampler.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace timpp {
 namespace {
@@ -574,6 +575,71 @@ TEST(RRCollectionTest, EmptyCollectionEdgeCases) {
   EXPECT_EQ(rr.num_sets(), 0u);
   EXPECT_DOUBLE_EQ(rr.CoveredFraction(std::vector<NodeId>{0, 1, 2}), 0.0);
   EXPECT_EQ(rr.CoverageCount(0), 0u);
+}
+
+// ------------------------------------------------- parallel index build --
+
+// Builds `rr`'s index serially and on a pool of `tasks` tasks (the pool's
+// workers plus the calling thread) and expects the same arrays: every
+// node's list, hence its offsets too, and the index's byte count.
+void ExpectPoolIndexMatchesSerial(const RRCollection& rr, unsigned tasks) {
+  RRCollection serial = rr;
+  serial.BuildIndex();
+  RRCollection pooled = rr;
+  ThreadPool pool(tasks - 1);
+  // The second build runs over the first one's arrays.
+  for (int build = 0; build < 2; ++build) {
+    pooled.BuildIndex(&pool);
+    ASSERT_TRUE(pooled.index_built());
+    EXPECT_EQ(serial.DataBytes(), pooled.DataBytes()) << "tasks=" << tasks;
+    for (NodeId v = 0; v < rr.num_graph_nodes(); ++v) {
+      const auto a = serial.SetsContaining(v);
+      const auto b = pooled.SetsContaining(v);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "tasks=" << tasks << " node " << v;
+    }
+  }
+}
+
+// `sets` sets of 0-24 distinct random members out of `n` nodes.
+RRCollection RandomCollection(NodeId n, size_t sets, uint64_t seed) {
+  RRCollection rr(n);
+  Rng rng(seed);
+  std::vector<NodeId> nodes(n);
+  for (NodeId v = 0; v < n; ++v) nodes[v] = v;
+  for (size_t id = 0; id < sets; ++id) {
+    const size_t size = rng.NextBounded(25);
+    for (size_t j = 0; j < size; ++j) {
+      std::swap(nodes[j], nodes[j + rng.NextBounded(n - j)]);
+    }
+    rr.Add(std::span<const NodeId>(nodes.data(), size), size);
+  }
+  return rr;
+}
+
+TEST(BuildIndexPoolTest, EmptyCollection) {
+  ExpectPoolIndexMatchesSerial(RRCollection(50), 8);
+}
+
+TEST(BuildIndexPoolTest, FewerSetsThanTasks) {
+  // Three sets on an 8-task pool: the member guard (6 members, 3 words
+  // of cursors a task) leaves two tasks, one of them with a single set.
+  RRCollection rr(2);
+  for (int i = 0; i < 3; ++i) rr.Add(std::vector<NodeId>{1, 0}, 2);
+  ExpectPoolIndexMatchesSerial(rr, 8);
+}
+
+TEST(BuildIndexPoolTest, MemberGuardFallsBackToSerial) {
+  // n far above the member count: per-task cursors would outweigh the
+  // index itself, so the pool goes unused and the build is serial.
+  ExpectPoolIndexMatchesSerial(RandomCollection(100000, 40, 3), 8);
+}
+
+TEST(BuildIndexPoolTest, RandomCollectionsMatchSerial) {
+  for (unsigned tasks : {2u, 3u, 8u}) {
+    ExpectPoolIndexMatchesSerial(RandomCollection(500, 3000, 11 + tasks),
+                                 tasks);
+  }
 }
 
 }  // namespace
