@@ -22,7 +22,7 @@
 // different machines compare honestly.
 //
 // Usage: bench_serving_latency [--scale=0.5] [--threads=1] [--seed=7]
-//        [--repeats=2] [--concurrency=1,2,4,8] [--pin-threads]
+//        [--repeats=2] [--concurrency=1,2,4,8]
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -162,7 +162,6 @@ void Run(int argc, char** argv) {
   const unsigned threads = static_cast<unsigned>(flags.GetInt("threads", 1));
   const uint64_t seed = flags.GetInt("seed", 7);
   const int repeats = static_cast<int>(flags.GetInt("repeats", 2));
-  const bool pin_threads = flags.GetBool("pin-threads", false);
 
   std::vector<unsigned> levels;
   {
@@ -192,17 +191,15 @@ void Run(int argc, char** argv) {
           "results verified seed-identical to the serialized run");
   const unsigned hardware = std::thread::hardware_concurrency();
   std::printf("graph: n=%u m=%llu | %u sampling thread(s)/request | "
-              "hardware_concurrency=%u%s\n\n",
+              "hardware_concurrency=%u\n\n",
               graph.num_nodes(),
               static_cast<unsigned long long>(graph.num_edges()), threads,
-              hardware, pin_threads ? " | pinned" : "");
+              hardware);
   bench::RecordMetric("hardware_concurrency",
                       static_cast<double>(hardware));
-  bench::RecordMetric("pin_threads", pin_threads ? 1.0 : 0.0);
 
   ServingOptions base_options;
   base_options.num_threads = threads;
-  base_options.pin_threads = pin_threads;
 
   for (const bool per_request_seeds : {false, true}) {
     const std::string mix = per_request_seeds ? "multiseed" : "repeat";

@@ -34,7 +34,7 @@ import sys
 LOWER_IS_BETTER = ("p50", "p90", "p99", "latency", "_ms")
 HIGHER_IS_BETTER = ("per_sec", "speedup", "spread", "coverage", "fraction")
 NEUTRAL = (".n", ".m", "num_sets", "total_nodes", "avg_in_run_len",
-           "hardware_concurrency", "pin_threads")
+           "hardware_concurrency")
 
 
 def load_metrics(path):

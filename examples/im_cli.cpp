@@ -40,8 +40,6 @@
 //                     bound; requests past it are rejected with
 //                     Unavailable (0 = unbounded, the CLI default — a
 //                     batch file is finite)
-//   --pin-threads     pin sampling/request workers to CPUs (placement
-//                     only; results are invariant to it)
 //   --memory-budget=0 soft cap (bytes; 0 = unlimited) on resident
 //                     RR-collection bytes. tim/tim+/imm/ris all degrade
 //                     gracefully past it (streaming sample-and-discard
@@ -310,9 +308,9 @@ int main(int argc, char** argv) {
   static const std::set<std::string> kKnownFlags = {
       "algo", "batch", "cache-budget", "celf_r", "concurrency", "ell",
       "eps", "graph-image", "k", "list_algos", "max-pending", "max_hops",
-      "mc", "memory-budget", "memory_budget", "model", "pin-threads",
-      "ris_max_sets", "ris_tau_scale", "sampler", "seed", "spill",
-      "spill-dir", "threads", "undirected", "weights"};
+      "mc", "memory-budget", "memory_budget", "model", "ris_max_sets",
+      "ris_tau_scale", "sampler", "seed", "spill", "spill-dir", "threads",
+      "undirected", "weights"};
   bool unknown = false;
   for (const std::string& name : flags.names()) {
     if (kKnownFlags.count(name) == 0) {
@@ -476,7 +474,6 @@ int main(int argc, char** argv) {
   options.model = model;
   options.max_hops = max_hops;
   options.num_threads = num_threads;
-  options.pin_threads = flags.GetBool("pin-threads", false);
   options.seed = seed;
   options.mc_samples = mc;
   options.ris_tau_scale = ris_tau_scale;
@@ -499,7 +496,6 @@ int main(int argc, char** argv) {
     // admission so --concurrency never sheds requests unless the user
     // asks for a bound.
     serving_options.max_pending_requests = max_pending;
-    serving_options.pin_threads = options.pin_threads;
     serving_options.spill_dir = spill_dir;
     return RunBatch(flags.GetString("batch", ""), std::move(graph), defaults,
                     serving_options, concurrency);

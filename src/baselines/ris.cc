@@ -38,12 +38,6 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
   if (options.max_hops != 0) {
     return Status::InvalidArgument("RIS does not support max_hops");
   }
-  if (context.source != nullptr && options.memory_budget_bytes != 0) {
-    return Status::InvalidArgument(
-        "memory_budget_bytes requires a standalone run (no SolveContext "
-        "source): the budget caps per-request resident bytes, which a "
-        "shared collection does not have");
-  }
 
   Timer timer;
   const double n = static_cast<double>(graph.num_nodes());

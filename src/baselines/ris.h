@@ -64,9 +64,10 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
 /// Context-aware variant: `context.source` (optional) supplies an
 /// externally owned sample stream — the cost loop then consumes (and
 /// reuses) the shared collection's prefix instead of sampling fresh, with
-/// bit-identical seeds. The memory budget requires a standalone run (the
-/// budget contract is per-request resident bytes, meaningless against a
-/// shared collection).
+/// bit-identical seeds. The memory budget requires a standalone run, as
+/// for every RR solver (ValidateRrRun): the budget contract is
+/// per-request resident bytes, meaningless against a shared collection,
+/// so a budget with a context source returns InvalidArgument.
 Status RunRis(const Graph& graph, const RisOptions& options, int k,
               const SolveContext& context, std::vector<NodeId>* seeds,
               RisStats* stats);

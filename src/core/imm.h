@@ -111,7 +111,8 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
 /// binary search across requests. Bit-identical results to the standalone
 /// run for matching options. Node-weighted runs (`node_weights`) require a
 /// standalone context (their root distribution lives in the private
-/// engine).
+/// engine), and so do budgeted ones (`memory_budget_bytes`): with a
+/// context source either returns InvalidArgument before sampling.
 Status RunImm(const Graph& graph, const ImmOptions& options,
               const SolveContext& context, ImmResult* result);
 

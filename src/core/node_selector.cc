@@ -87,7 +87,9 @@ NodeSelection SelectNodes(SampleSource& source, ResidentPrefix* prefix, int k,
   } else {
     // Degrade, don't die: streaming greedy over the resident prefix plus
     // spill replay or per-round regeneration of the rest. Same seeds (the
-    // streaming rule is bit-identical), resident DataBytes <= budget.
+    // streaming rule is bit-identical), resident DataBytes <= budget. It
+    // runs on the source engine's pool, which only a standalone source may
+    // lend: ValidateRrRun refuses a budget with a context source.
     result.hit_memory_budget = true;
     result.rr_memory_bytes = rr.MemoryBytes();
     StreamingCoverResult streamed =
@@ -127,6 +129,12 @@ Status ValidateRrRun(const Graph& graph, int k, double epsilon, double ell,
   if (context.source != nullptr && &context.source->graph() != &graph) {
     return Status::InvalidArgument(
         "SolveContext source is bound to a different graph");
+  }
+  if (context.source != nullptr && options.memory_budget_bytes != 0) {
+    return Status::InvalidArgument(
+        "memory_budget_bytes requires a standalone run (no SolveContext "
+        "source): the budget caps per-request resident bytes, which a "
+        "shared collection does not have");
   }
   return Status::OK();
 }

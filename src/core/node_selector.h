@@ -131,7 +131,10 @@ inline NodeSelection SelectNodes(SamplingEngine& engine, int k,
 
 /// The preconditions every RR solver shares: a non-empty graph, k in
 /// [1, n], ε in (0, 1], ℓ > 0, a custom model for kTriggering, and a
-/// context source (if any) bound to `graph`.
+/// context source (if any) bound to `graph` and not combined with a
+/// memory budget. A budget caps one run's resident bytes, and its
+/// streaming greedy drives the source's engine directly, which a source
+/// shared with concurrent requests must never have done to it.
 Status ValidateRrRun(const Graph& graph, int k, double epsilon, double ell,
                      const RunOptions& options, const SolveContext& context);
 

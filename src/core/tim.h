@@ -103,7 +103,9 @@ class TimSolver {
   /// stored into it. Results are bit-identical to the standalone Run for
   /// matching options — reuse only changes how much fresh sampling the
   /// run performs. The source's stream must be the options' StreamKey and
-  /// its graph must be this solver's graph.
+  /// its graph must be this solver's graph. A memory budget requires a
+  /// standalone run: with a context source the run returns
+  /// InvalidArgument before sampling.
   Status Run(const TimOptions& options, const SolveContext& context,
              TimResult* result) const;
 

@@ -131,9 +131,11 @@ StreamingCoverResult StreamingGreedyMaxCover(SamplingEngine& engine,
   }
   if (pos < end) gaps.push_back({pos, end - pos, false});
 
+  // The passes run on the engine's pool: between them this function
+  // drives the engine's VisitSamples, so it has the engine to itself.
+  ThreadPool* const pool = engine.pool();
   const unsigned num_workers = static_cast<unsigned>(std::clamp<size_t>(
       units.size(), 1, std::max(1u, engine.num_threads())));
-  ThreadPool pool(num_workers - 1, engine.config().pin_threads);
   std::vector<PassWorker> workers(num_workers);
   for (PassWorker& worker : workers) worker.counts.resize(n);
   // Worker 0's counts are the live-coverage counts the rounds pick from;
@@ -202,7 +204,11 @@ StreamingCoverResult StreamingGreedyMaxCover(SamplingEngine& engine,
   std::vector<PassUnit> regenerate;
   for (int round = 0; round < k; ++round) {
     next_unit.store(0, std::memory_order_relaxed);
-    pool.ParallelRun(num_workers, run_pass);
+    if (pool != nullptr) {
+      pool->ParallelRun(num_workers, run_pass);
+    } else {
+      run_pass(0);
+    }
     // Fold the other workers' contributions into the live counts here:
     // one vectorized add per worker costs less than waking the pool a
     // second time.

@@ -10,10 +10,10 @@
 // Borgs et al.'s RR framework and SKIM-style sketching: trade k extra
 // passes for an O(n + θ/8)-byte footprint.
 //
-// Each round's pass runs on the engine's num_threads workers (one pool
-// for all k rounds; at 1 thread it runs inline on the caller). The work
-// units, fixed for the whole run, are 4096-set slices of the resident
-// prefix and whole spill chunks, claimed dynamically. A worker reads,
+// Each round's pass runs on the engine's own pool, num_threads workers
+// in all (at 1 thread it runs inline on the caller). The work units,
+// fixed for the whole run, are 4096-set slices of the resident prefix
+// and whole spill chunks, claimed dynamically. A worker reads,
 // validates and decodes its own chunks (RRSpillStore::VisitChunk, outside
 // the store mutex) and scans each unit as one flat member array into its
 // own uint32_t counts: the first pass adds every member, and each later
@@ -80,8 +80,10 @@ struct StreamingCoverResult {
 /// GreedyMaxCover(full collection, k) either way — the store only
 /// converts traversal passes into disk reads. A chunk whose read fails is
 /// regenerated for that round; the other chunks still replay. Passes run
-/// on engine.num_threads() workers; every result field is independent of
-/// that count.
+/// on engine.pool(), so the caller must have `engine` to itself, as its
+/// VisitSamples regeneration needs anyway (never an engine that
+/// concurrent requests share); every result field is independent of
+/// engine.num_threads().
 StreamingCoverResult StreamingGreedyMaxCover(SamplingEngine& engine,
                                              const RRCollection& cache,
                                              uint64_t first_index,

@@ -1,11 +1,12 @@
 #include "diffusion/spread_estimator.h"
 
-#include <thread>
+#include <algorithm>
 #include <vector>
 
 #include "diffusion/ic_simulator.h"
 #include "diffusion/lt_simulator.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace timpp {
 
@@ -83,7 +84,8 @@ double SpreadEstimator::Estimate(std::span<const NodeId> seeds,
     return EstimateSingleThread(seeds, seed, samples);
   }
 
-  // Split the sample budget; fork one deterministic RNG stream per worker.
+  // Split the sample budget; fork one deterministic RNG stream per
+  // partition.
   Rng master(seed);
   std::vector<uint64_t> worker_seeds(threads);
   for (auto& s : worker_seeds) s = master.Next();
@@ -92,16 +94,13 @@ double SpreadEstimator::Estimate(std::span<const NodeId> seeds,
   std::vector<uint64_t> counts(threads, samples / threads);
   counts[0] += samples % threads;
 
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      partial[t] =
-          EstimateSingleThread(seeds, worker_seeds[t], counts[t]) *
-          static_cast<double>(counts[t]);
-    });
-  }
-  for (auto& w : workers) w.join();
+  // Partition t's sum depends only on t, so which thread runs it does not
+  // matter; the calling thread runs one of them.
+  ThreadPool pool(threads - 1);
+  pool.ParallelRun(threads, [&](unsigned t) {
+    partial[t] = EstimateSingleThread(seeds, worker_seeds[t], counts[t]) *
+                 static_cast<double>(counts[t]);
+  });
 
   double total = 0.0;
   for (double p : partial) total += p;

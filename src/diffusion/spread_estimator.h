@@ -19,8 +19,10 @@ struct SpreadEstimatorOptions {
   /// Number of Monte-Carlo cascades per estimate (the paper's r; Kempe et
   /// al. suggest 10000, the figures use 1e5, Lemma 10 gives the bound).
   uint64_t num_samples = 10000;
-  /// Worker threads; each runs num_samples/num_threads cascades on its own
-  /// forked RNG stream, so results are deterministic in (seed, num_threads).
+  /// Partitions, run in parallel on a ThreadPool that lives for one
+  /// Estimate call (the calling thread runs one of them); each runs
+  /// num_samples/num_threads cascades on its own forked RNG stream, so
+  /// results are deterministic in (seed, num_threads).
   unsigned num_threads = 1;
   /// Diffusion model; kTriggering requires `custom_model`.
   DiffusionModel model = DiffusionModel::kIC;

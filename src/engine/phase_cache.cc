@@ -11,11 +11,4 @@ uint64_t DoubleBits(double value) {
   return bits;
 }
 
-void PhaseCache::Clear() {
-  kpt_.Clear();
-  lb_.Clear();
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace timpp

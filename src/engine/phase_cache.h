@@ -20,19 +20,19 @@
 // run starts (standalone engines are fresh; serving cursors start at 0),
 // and callers must only consult the cache in that situation.
 //
-// Concurrency: the cache is a sharded map (key-hashed shards, each with
-// its own mutex) with PER-KEY ONCE-COMPUTATION. Acquire(key) returns a
-// lease that is either a HIT (the entry is ready — restore and go) or a
-// COMPUTE OBLIGATION: the caller runs the phase and Publishes the entry,
-// while any concurrent request for the same key blocks on the shard's
-// condition variable and wakes as a hit. Unrelated keys proceed in
-// parallel (different slots, usually different shards). A lease destroyed
-// without publishing (the phase failed) wakes the waiters, which retry
-// from scratch — an error never poisons the key.
+// Concurrency: each phase's map sits behind one mutex, with PER-KEY
+// ONCE-COMPUTATION. Acquire(key) returns a lease that is either a HIT (the
+// entry is ready — restore and go) or a COMPUTE OBLIGATION: the caller
+// runs the phase and Publishes the entry, while any concurrent request
+// for the same key blocks on the map's condition variable and wakes as a
+// hit. The mutex is held only for a map lookup or a state change, never
+// while a phase computes or a waiter sleeps, so unrelated keys still
+// compute in parallel. A lease destroyed without publishing (the phase
+// failed) wakes the waiters, which retry from scratch — an error never
+// poisons the key.
 #ifndef TIMPP_ENGINE_PHASE_CACHE_H_
 #define TIMPP_ENGINE_PHASE_CACHE_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -91,44 +91,11 @@ struct LbPhaseEntry {
 /// Bit pattern of a double, for exact-value keying.
 uint64_t DoubleBits(double value);
 
-/// splitmix64-style mix step for shard selection.
-inline uint64_t PhaseHashMix(uint64_t h, uint64_t v) {
-  v += 0x9e3779b97f4a7c15ULL + h;
-  v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  v = (v ^ (v >> 27)) * 0x94d049bb133111ebULL;
-  return v ^ (v >> 31);
-}
-
-/// Folds a stream's identity into hash state `h` — the part both phase
-/// keys share.
-inline uint64_t StreamKeyHash(uint64_t h, const StreamKey& key) {
-  h = PhaseHashMix(h, static_cast<uint64_t>(key.model));
-  h = PhaseHashMix(h, static_cast<uint64_t>(key.sampler_mode));
-  h = PhaseHashMix(h, key.max_hops);
-  h = PhaseHashMix(h, key.seed);
-  return PhaseHashMix(h, reinterpret_cast<uintptr_t>(key.custom_model));
-}
-
-inline uint64_t PhaseKeyHash(const KptPhaseKey& key) {
-  uint64_t h = StreamKeyHash(0, key.stream);
-  h = PhaseHashMix(h, static_cast<uint64_t>(key.k));
-  h = PhaseHashMix(h, key.use_refinement ? 1 : 0);
-  h = PhaseHashMix(h, key.ell_bits);
-  return PhaseHashMix(h, key.eps_prime_bits);
-}
-
-inline uint64_t PhaseKeyHash(const LbPhaseKey& key) {
-  uint64_t h = StreamKeyHash(1, key.stream);
-  h = PhaseHashMix(h, static_cast<uint64_t>(key.k));
-  h = PhaseHashMix(h, key.epsilon_bits);
-  return PhaseHashMix(h, key.ell_bits);
-}
-
-/// Sharded once-map: each key is computed by exactly one caller while
-/// concurrent callers for the same key wait, and callers for other keys
-/// proceed in parallel. All state lives behind per-shard mutexes; entry
-/// pointers handed out stay valid for the lifetime of the lease that
-/// returned them (the lease shares ownership of the slot).
+/// Once-map: each key is computed by exactly one caller while concurrent
+/// callers for the same key wait, and callers for other keys proceed in
+/// parallel. All state lives behind one mutex; entry pointers handed out
+/// stay valid for the lifetime of the lease that returned them (the lease
+/// shares ownership of the slot).
 template <typename Key, typename Entry>
 class PhaseOnceMap {
   enum class SlotState { kComputing, kReady, kAbandoned };
@@ -137,14 +104,6 @@ class PhaseOnceMap {
     SlotState state = SlotState::kComputing;
     Entry entry;
   };
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    std::map<Key, std::shared_ptr<Slot>> map;
-  };
-
-  static constexpr size_t kNumShards = 8;
 
  public:
   /// The outcome of an Acquire: either a hit (entry() non-null) or a
@@ -159,11 +118,11 @@ class PhaseOnceMap {
     Lease& operator=(Lease&& other) noexcept {
       if (this != &other) {
         Abandon();
-        shard_ = other.shard_;
+        map_ = other.map_;
         slot_ = std::move(other.slot_);
         key_ = other.key_;
         hit_ = other.hit_;
-        other.shard_ = nullptr;
+        other.map_ = nullptr;
         other.slot_.reset();
       }
       return *this;
@@ -182,35 +141,36 @@ class PhaseOnceMap {
     /// ready, and wakes every waiter. The lease becomes a hit.
     void Publish(const Entry& entry) {
       if (!must_compute()) return;
-      std::lock_guard<std::mutex> lock(shard_->mu);
+      std::lock_guard<std::mutex> lock(map_->mu_);
       slot_->entry = entry;
       slot_->state = SlotState::kReady;
       hit_ = true;
-      shard_->cv.notify_all();
+      map_->cv_.notify_all();
     }
 
    private:
     friend class PhaseOnceMap;
-    Lease(Shard* shard, std::shared_ptr<Slot> slot, const Key& key, bool hit)
-        : shard_(shard), slot_(std::move(slot)), key_(key), hit_(hit) {}
+    Lease(PhaseOnceMap* map, std::shared_ptr<Slot> slot, const Key& key,
+          bool hit)
+        : map_(map), slot_(std::move(slot)), key_(key), hit_(hit) {}
 
     /// Compute obligation dropped without a result (the phase errored
     /// out): detach the slot so the key can be recomputed, and wake the
     /// waiters so they retry instead of sleeping forever.
     void Abandon() {
       if (!must_compute()) return;
-      std::lock_guard<std::mutex> lock(shard_->mu);
+      std::lock_guard<std::mutex> lock(map_->mu_);
       slot_->state = SlotState::kAbandoned;
-      auto it = shard_->map.find(key_);
-      // Identity check: Clear() may have dropped this slot already and a
-      // newer computation may occupy the key — never erase that one.
-      if (it != shard_->map.end() && it->second == slot_) {
-        shard_->map.erase(it);
+      auto it = map_->slots_.find(key_);
+      // Identity check: erase only this lease's own slot, never one that
+      // a newer computation may hold under the same key.
+      if (it != map_->slots_.end() && it->second == slot_) {
+        map_->slots_.erase(it);
       }
-      shard_->cv.notify_all();
+      map_->cv_.notify_all();
     }
 
-    Shard* shard_ = nullptr;
+    PhaseOnceMap* map_ = nullptr;
     std::shared_ptr<Slot> slot_;
     Key key_{};
     bool hit_ = false;
@@ -221,25 +181,24 @@ class PhaseOnceMap {
   /// (a woken waiter counts as a hit — it was served without computing).
   Lease Acquire(const Key& key, std::atomic<uint64_t>* hits,
                 std::atomic<uint64_t>* misses) {
-    Shard& shard = shards_[PhaseKeyHash(key) % kNumShards];
-    std::unique_lock<std::mutex> lock(shard.mu);
+    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      auto it = shard.map.find(key);
-      if (it == shard.map.end()) {
+      auto it = slots_.find(key);
+      if (it == slots_.end()) {
         auto slot = std::make_shared<Slot>();
-        shard.map.emplace(key, slot);
+        slots_.emplace(key, slot);
         misses->fetch_add(1, std::memory_order_relaxed);
-        return Lease(&shard, std::move(slot), key, /*hit=*/false);
+        return Lease(this, std::move(slot), key, /*hit=*/false);
       }
       std::shared_ptr<Slot> slot = it->second;
       if (slot->state == SlotState::kReady) {
         hits->fetch_add(1, std::memory_order_relaxed);
-        return Lease(&shard, std::move(slot), key, /*hit=*/true);
+        return Lease(this, std::move(slot), key, /*hit=*/true);
       }
-      shard.cv.wait(lock, [&] { return slot->state != SlotState::kComputing; });
+      cv_.wait(lock, [&] { return slot->state != SlotState::kComputing; });
       if (slot->state == SlotState::kReady) {
         hits->fetch_add(1, std::memory_order_relaxed);
-        return Lease(&shard, std::move(slot), key, /*hit=*/true);
+        return Lease(this, std::move(slot), key, /*hit=*/true);
       }
       // Abandoned: the computing request failed and detached the slot —
       // loop and race to become the new computer.
@@ -247,26 +206,14 @@ class PhaseOnceMap {
   }
 
   size_t size() const {
-    size_t total = 0;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      total += shard.map.size();
-    }
-    return total;
-  }
-
-  /// Drops every mapping. In-flight computations keep their (now
-  /// detached) slots alive through their leases and still resolve their
-  /// waiters; they just no longer populate the map.
-  void Clear() {
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.map.clear();
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    return slots_.size();
   }
 
  private:
-  std::array<Shard, kNumShards> shards_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<Key, std::shared_ptr<Slot>> slots_;  // guarded by mu_
 };
 
 /// Exact-key memo of phase results with per-key once-computation.
@@ -289,7 +236,6 @@ class PhaseCache {
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   size_t size() const { return kpt_.size() + lb_.size(); }
-  void Clear();
 
  private:
   PhaseOnceMap<KptPhaseKey, KptPhaseEntry> kpt_;

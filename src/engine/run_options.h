@@ -6,7 +6,8 @@
 // they are allowed to change:
 //
 //   StreamKey       decides set content — equal keys, equal streams.
-//   SamplingConfig  adds how fast sampling runs; never content.
+//   SamplingConfig  adds the thread count, which sizes the solve's one
+//                   worker pool; never content.
 //   RunOptions      adds the memory budget and the spill tier; never
 //                   seeds, θ or LB (only resident bytes and extra passes).
 //
@@ -53,14 +54,12 @@ struct StreamKey {
   auto operator<=>(const StreamKey&) const = default;
 };
 
-/// A stream plus the resources that produce it. Results are bit-identical
-/// across every value of these fields.
+/// A stream plus the threads that sample it. Results are bit-identical at
+/// every thread count.
 struct SamplingConfig : StreamKey {
   /// Total sampling parallelism (calling thread included); 1 =
   /// sequential.
   unsigned num_threads = 1;
-  /// Pin sampling worker threads to CPUs (util/ThreadPool affinity).
-  bool pin_threads = false;
 };
 
 /// Everything an RR-set solve needs beyond its algorithm parameters.
@@ -73,7 +72,10 @@ struct RunOptions : SamplingConfig {
   /// stays within the cap, and the inverted index is built only when it
   /// fits too. TIM budgets node selection (its KPT phases keep small
   /// collections), IMM both phases, RIS its cost loop and selection.
-  /// Solvers without RR collections ignore it.
+  /// Every RR solver refuses a budget together with a SolveContext source
+  /// (InvalidArgument): the budget caps one run's resident bytes, and its
+  /// streaming greedy drives the source's engine alone. Solvers without
+  /// RR collections ignore it.
   size_t memory_budget_bytes = 0;
   /// Parent directory for disk-spilled RR prefixes (empty = no spill
   /// tier). Only consulted when memory_budget_bytes trips: non-resident

@@ -43,7 +43,11 @@ class SampleSource {
   /// source lends its private engine's pool. A source over a stream that
   /// concurrent requests share returns nullptr: its engine() belongs to
   /// the shared cache, and ThreadPool::ParallelRun admits one caller at a
-  /// time, so never borrow engine().pool() in its place.
+  /// time, so never borrow engine().pool() in its place. The one
+  /// exception is StreamingGreedyMaxCover, which runs its passes on the
+  /// engine it is handed: it also drives that engine's VisitSamples, so
+  /// it needs the engine to itself anyway, and the RR solvers reach it
+  /// only without a context source (a budget with one is refused).
   virtual ThreadPool* pool() = 0;
 
   /// Graph the stream samples over.

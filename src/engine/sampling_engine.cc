@@ -76,8 +76,7 @@ SamplingEngine::SamplingEngine(const Graph& graph,
         std::make_unique<Shard>(graph_, config_, root_distribution));
   }
   if (config_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.num_threads - 1,
-                                         config_.pin_threads);
+    pool_ = std::make_unique<ThreadPool>(config_.num_threads - 1);
   }
 }
 

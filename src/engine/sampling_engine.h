@@ -202,7 +202,8 @@ class SamplingEngine {
 
   /// The engine's worker pool (nullptr at one thread), idle between batch
   /// calls. Only the engine's owner may borrow it (EngineSampleSource's
-  /// pool()); an engine shared across requests must not lend it, because
+  /// pool(), and StreamingGreedyMaxCover, which drives the engine alone);
+  /// an engine shared across requests must not lend it, because
   /// ThreadPool::ParallelRun admits one caller at a time.
   ThreadPool* pool() const { return pool_.get(); }
 

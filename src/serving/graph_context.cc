@@ -5,11 +5,9 @@
 
 namespace timpp {
 
-GraphContext::GraphContext(Graph graph, unsigned num_threads,
-                           bool pin_threads)
+GraphContext::GraphContext(Graph graph, unsigned num_threads)
     : graph_(std::move(graph)) {
   sampling_.num_threads = std::max(1u, num_threads);
-  sampling_.pin_threads = pin_threads;
 }
 
 std::shared_ptr<SharedRRCache> GraphContext::AcquireStream(
@@ -63,18 +61,6 @@ std::string GraphContext::spill_dir() const {
   return spill_dir_;
 }
 
-void GraphContext::RetireLocked(const CacheEntry& entry) {
-  // Preserve lifetime accounting before the stream leaves the map; a
-  // re-created stream starts fresh counters, so reuse ratios would
-  // otherwise dip spuriously after every eviction. (An in-flight reader
-  // may still advance the detached cache's counters; those last few are
-  // the price of not blocking eviction on live readers.)
-  retired_sets_sampled_ += entry.cache->total_sets_sampled();
-  retired_sets_served_ += entry.cache->total_sets_served();
-  retired_sets_reused_ += entry.cache->total_sets_reused();
-  retired_sets_spill_loaded_ += entry.cache->total_sets_spill_loaded();
-}
-
 size_t GraphContext::EnforceCacheBudget() {
   std::lock_guard<std::mutex> lock(mu_);
   if (cache_budget_bytes_ == 0) return 0;
@@ -95,8 +81,17 @@ size_t GraphContext::EnforceCacheBudget() {
     // without one) so the next acquisition of this key reloads from disk.
     // Best-effort: a write failure just means a plain eviction — the
     // successor regenerates, results unchanged.
-    (void)victim->second.cache->SpillCommitted();
-    RetireLocked(victim->second);
+    SharedRRCache& cache = *victim->second.cache;
+    (void)cache.SpillCommitted();
+    // Preserve lifetime accounting before the stream leaves the map; a
+    // re-created stream starts fresh counters, so reuse ratios would
+    // otherwise dip spuriously after every eviction. (An in-flight reader
+    // may still advance the detached cache's counters; those last few are
+    // the price of not blocking eviction on live readers.)
+    retired_sets_sampled_ += cache.total_sets_sampled();
+    retired_sets_served_ += cache.total_sets_served();
+    retired_sets_reused_ += cache.total_sets_reused();
+    retired_sets_spill_loaded_ += cache.total_sets_spill_loaded();
     // Dropping the map's shared_ptr is the whole eviction: a live reader
     // holding an AcquireStream handle keeps the chunks alive; otherwise
     // they free here.
@@ -158,15 +153,6 @@ size_t GraphContext::NumStreams() const {
 uint64_t GraphContext::StreamsEvicted() const {
   std::lock_guard<std::mutex> lock(mu_);
   return streams_evicted_;
-}
-
-void GraphContext::ReleaseCaches() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [key, entry] : caches_) RetireLocked(entry);
-    caches_.clear();
-  }
-  phase_cache_.Clear();
 }
 
 }  // namespace timpp

@@ -19,7 +19,6 @@
 // (`set_spill_dir`), eviction first writes the victim's published prefix
 // to a per-key RRSpillStore and the re-created stream preloads it from
 // disk — same bytes, sequential reads instead of graph traversal.
-// ReleaseCaches() remains the drop-everything escape hatch.
 //
 // Concurrency: requests run truly concurrently against one context. The
 // stream map hands out shared_ptr references (AcquireStream), so LRU
@@ -27,11 +26,11 @@
 // stay alive until the last in-flight reader releases its handle
 // (refcount retirement; eviction never frees memory a live reader can
 // reach). The caches themselves are single-writer/multi-reader
-// (serving/rr_cache.h), the PhaseCache is a sharded once-map, and the
-// context's own bookkeeping (map shape, LRU ticks, retired counters) sits
-// behind an internal mutex. Results stay independent of thread count and
-// arrival order — the cache is a monotone stream prefix, so any request
-// order materializes the same bytes.
+// (serving/rr_cache.h), the PhaseCache is a once-map behind one lock,
+// and the context's own bookkeeping (map shape, LRU ticks, retired
+// counters) sits behind an internal mutex. Results stay independent of
+// thread count and arrival order — the cache is a monotone stream
+// prefix, so any request order materializes the same bytes.
 #ifndef TIMPP_SERVING_GRAPH_CONTEXT_H_
 #define TIMPP_SERVING_GRAPH_CONTEXT_H_
 
@@ -57,10 +56,8 @@ class GraphContext {
  public:
   /// Takes ownership of `graph`. `num_threads` is the sampling
   /// parallelism every cache engine of this context is built with
-  /// (responses are identical at any value), and `pin_threads` pins those
-  /// sampling workers to CPUs.
-  explicit GraphContext(Graph graph, unsigned num_threads = 1,
-                        bool pin_threads = false);
+  /// (responses are identical at any value).
+  explicit GraphContext(Graph graph, unsigned num_threads = 1);
 
   GraphContext(const GraphContext&) = delete;
   GraphContext& operator=(const GraphContext&) = delete;
@@ -123,21 +120,11 @@ class GraphContext {
   /// Lifetime count of budget evictions (streams dropped, not bytes).
   uint64_t StreamsEvicted() const;
 
-  /// Releases every shared collection and memoized phase (the graph
-  /// stays). The next request pays full standalone cost again — the
-  /// memory-pressure escape hatch. In-flight readers keep their streams
-  /// alive through their handles.
-  void ReleaseCaches();
-
  private:
   struct CacheEntry {
     std::shared_ptr<SharedRRCache> cache;
     uint64_t last_used = 0;
   };
-
-  /// Folds a dying map entry's lifetime counters into the retired totals.
-  /// Caller holds mu_.
-  void RetireLocked(const CacheEntry& entry);
 
   Graph graph_;
   // Every cache engine's execution knobs; AcquireStream fills in the key.

@@ -11,15 +11,11 @@ RequestScheduler::RequestScheduler(ServingEngine* engine,
       num_workers_(options.num_workers != 0
                        ? options.num_workers
                        : std::max(1u, std::thread::hardware_concurrency())),
-      max_pending_(options.max_pending),
-      pool_(num_workers_ - 1, options.pin_threads) {
-  const bool pin = options.pin_threads;
-  dispatcher_ = std::thread([this, pin] {
-    // ParallelRun's calling thread executes tasks alongside the pool, so
-    // this dispatcher is worker number num_workers_ - 1; pin it like one.
-    if (pin) ThreadPool::PinCurrentThread(num_workers_);
-    pool_.ParallelRun(num_workers_, [this](unsigned) { WorkerLoop(); });
-  });
+      max_pending_(options.max_pending) {
+  workers_.reserve(num_workers_);
+  for (unsigned w = 0; w < num_workers_; ++w) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 RequestScheduler::~RequestScheduler() {
@@ -28,9 +24,9 @@ RequestScheduler::~RequestScheduler() {
     shutdown_ = true;
   }
   // Workers drain what was admitted, then exit; futures already handed
-  // out all resolve before the join returns.
+  // out all resolve before the joins return.
   work_cv_.notify_all();
-  dispatcher_.join();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 std::future<ImResponse> RequestScheduler::Submit(ImRequest request) {

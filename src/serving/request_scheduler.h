@@ -1,8 +1,8 @@
 // RequestScheduler — the ServingEngine's async admission queue + workers.
 //
 // Submit() enqueues a request and returns a future; a fixed crew of
-// worker threads (util/ThreadPool) drains the queue by calling the
-// engine's synchronous Solve, which runs requests truly concurrently
+// plain worker threads, each looping over the queue, drains it by calling
+// the engine's synchronous Solve, which runs requests truly concurrently
 // against the shared per-graph caches. Admission is bounded: once
 // `max_pending` requests are queued, further Submits are rejected
 // immediately with Status::Unavailable — load shedding at the door
@@ -22,9 +22,9 @@
 #include <future>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "serving/serving_engine.h"
-#include "util/thread_pool.h"
 
 namespace timpp {
 
@@ -38,8 +38,6 @@ class RequestScheduler {
     /// Admission bound: queued-but-unstarted requests past this are
     /// rejected with Status::Unavailable (0 = unbounded).
     size_t max_pending = 0;
-    /// Pin the worker threads to CPUs.
-    bool pin_threads = false;
   };
 
   /// `engine` must outlive the scheduler (the engine owns it).
@@ -85,10 +83,8 @@ class RequestScheduler {
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> completed_{0};
 
-  // Workers live in the pool; the dispatcher thread calls ParallelRun
-  // (whose calling thread runs tasks too), so pool size is workers - 1.
-  ThreadPool pool_;
-  std::thread dispatcher_;
+  // Each runs WorkerLoop until shutdown with a drained queue.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace timpp

@@ -1,13 +1,11 @@
 #include "serving/serving_engine.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "engine/solve_context.h"
 #include "engine/solver_registry.h"
 #include "serving/request_scheduler.h"
-#include "util/thread_pool.h"
 
 namespace timpp {
 
@@ -36,8 +34,8 @@ Status ServingEngine::RegisterGraph(const std::string& name, Graph graph) {
   if (contexts_.count(name) != 0) {
     return Status::InvalidArgument("graph already registered: " + name);
   }
-  auto context = std::make_unique<GraphContext>(
-      std::move(graph), options_.num_threads, options_.pin_threads);
+  auto context =
+      std::make_unique<GraphContext>(std::move(graph), options_.num_threads);
   context->set_cache_budget_bytes(options_.shared_cache_budget_bytes);
   context->set_spill_dir(options_.spill_dir);
   contexts_.emplace(name, std::move(context));
@@ -68,7 +66,6 @@ std::future<ImResponse> ServingEngine::Submit(const ImRequest& request) {
     RequestScheduler::Options options;
     options.num_workers = options_.submit_workers;
     options.max_pending = options_.max_pending_requests;
-    options.pin_threads = options_.pin_threads;
     scheduler_ = std::make_unique<RequestScheduler>(this, options);
   });
   return scheduler_->Submit(request);
@@ -86,7 +83,6 @@ ImResponse ServingEngine::SolveOnContext(GraphContext& context,
 
   SolverOptions options = request;
   options.num_threads = options_.num_threads;
-  options.pin_threads = options_.pin_threads;
   // Standalone-path requests (budgeted, non-RR, custom-model) still
   // spill to the engine-wide spill dir.
   options.spill_dir = options_.spill_dir;
@@ -121,38 +117,10 @@ ImResponse ServingEngine::SolveOnContext(GraphContext& context,
 
 std::vector<ImResponse> ServingEngine::SolveBatch(
     std::span<const ImRequest> requests) {
-  std::vector<ImResponse> responses(requests.size());
-
-  // Group request indices by graph: groups are independent (disjoint
-  // contexts) and run concurrently; within a group the input order is
-  // kept, so reuse accounting and results are deterministic.
-  std::map<std::string, std::vector<size_t>> groups;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    groups[requests[i].graph].push_back(i);
-  }
-  std::vector<const std::vector<size_t>*> group_list;
-  group_list.reserve(groups.size());
-  for (const auto& [name, indices] : groups) group_list.push_back(&indices);
-
-  const auto solve_group = [&](const std::vector<size_t>& indices) {
-    for (size_t i : indices) responses[i] = Solve(requests[i]);
-  };
-  if (group_list.size() <= 1) {
-    for (const auto* indices : group_list) solve_group(*indices);
-  } else {
-    // Cap concurrent groups so groups × per-request sampling workers stays
-    // near the hardware, not groups × workers past it (a 50-graph batch at
-    // 8 sampling threads must not spawn ~400 active threads). ParallelRun
-    // queues the surplus groups; results are order-independent anyway.
-    const unsigned hardware =
-        std::max(1u, std::thread::hardware_concurrency());
-    const unsigned concurrent_groups = static_cast<unsigned>(std::min(
-        group_list.size(),
-        static_cast<size_t>(
-            std::max(1u, hardware / options_.num_threads))));
-    ThreadPool pool(concurrent_groups - 1);
-    pool.ParallelRun(static_cast<unsigned>(group_list.size()),
-                     [&](unsigned g) { solve_group(*group_list[g]); });
+  std::vector<ImResponse> responses;
+  responses.reserve(requests.size());
+  for (const ImRequest& request : requests) {
+    responses.push_back(Solve(request));
   }
   return responses;
 }

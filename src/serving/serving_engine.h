@@ -69,18 +69,15 @@ struct ServingOptions {
   /// Admission bound for Submit(): queued-but-unstarted requests past
   /// this are rejected with Status::Unavailable (0 = unbounded).
   size_t max_pending_requests = 1024;
-  /// Pin worker threads (request workers and each request's sampling
-  /// workers) to CPUs. Placement only — results are invariant to it.
-  bool pin_threads = false;
 };
 
 /// One influence-maximization request: SolverOptions plus routing.
 ///
-/// The run knobs num_threads, pin_threads and spill_dir are engine-wide:
-/// ServingEngine overwrites them from ServingOptions, so setting them
-/// here has no effect. A request with a memory budget runs
-/// standalone (no shared-collection reuse): the budget caps THIS request's
-/// resident bytes, which a shared collection would make meaningless. So
+/// The run knobs num_threads and spill_dir are engine-wide: ServingEngine
+/// overwrites them from ServingOptions, so setting them here has no
+/// effect. A request with a memory budget runs standalone (no
+/// shared-collection reuse): the budget caps THIS request's resident
+/// bytes, which a shared collection would make meaningless. So
 /// does one with a custom_model (borrowed; must outlive the request), so
 /// that the shared caches never retain the caller's pointer past it. Seeds
 /// match the equivalent standalone run either way.
@@ -137,10 +134,10 @@ class ServingEngine {
   /// the first Submit.
   std::future<ImResponse> Submit(const ImRequest& request);
 
-  /// Solves a batch, returning responses in request order. Requests are
-  /// grouped by graph; groups run concurrently, requests within a group
-  /// sequentially (which keeps per-response reuse accounting
-  /// deterministic; use Submit for intra-graph concurrency).
+  /// Solves a batch one request at a time, in request order, on the
+  /// calling thread, which keeps per-response reuse accounting
+  /// deterministic. Use Submit (or concurrent Solve calls) to run
+  /// requests concurrently.
   std::vector<ImResponse> SolveBatch(std::span<const ImRequest> requests);
 
   /// The scheduler behind Submit (accounting: rejected/completed).

@@ -18,14 +18,8 @@ const char* CodeName(Status::Code code) {
       return "Corruption";
     case Status::Code::kOutOfRange:
       return "OutOfRange";
-    case Status::Code::kUnimplemented:
-      return "Unimplemented";
     case Status::Code::kUnavailable:
       return "Unavailable";
-    case Status::Code::kDataLoss:
-      return "DataLoss";
-    case Status::Code::kDeadlineExceeded:
-      return "DeadlineExceeded";
   }
   return "Unknown";
 }

@@ -19,10 +19,7 @@ class Status {
     kIOError,
     kCorruption,
     kOutOfRange,
-    kUnimplemented,
     kUnavailable,
-    kDataLoss,
-    kDeadlineExceeded,
   };
 
   /// Default-constructed Status is OK.
@@ -44,17 +41,8 @@ class Status {
   static Status OutOfRange(std::string msg) {
     return Status(Code::kOutOfRange, std::move(msg));
   }
-  static Status Unimplemented(std::string msg) {
-    return Status(Code::kUnimplemented, std::move(msg));
-  }
   static Status Unavailable(std::string msg) {
     return Status(Code::kUnavailable, std::move(msg));
-  }
-  static Status DataLoss(std::string msg) {
-    return Status(Code::kDataLoss, std::move(msg));
-  }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(Code::kDeadlineExceeded, std::move(msg));
   }
 
   bool ok() const { return code_ == Code::kOk; }
@@ -66,10 +54,7 @@ class Status {
   bool IsIOError() const { return code_ == Code::kIOError; }
   bool IsCorruption() const { return code_ == Code::kCorruption; }
   bool IsOutOfRange() const { return code_ == Code::kOutOfRange; }
-  bool IsUnimplemented() const { return code_ == Code::kUnimplemented; }
   bool IsUnavailable() const { return code_ == Code::kUnavailable; }
-  bool IsDataLoss() const { return code_ == Code::kDataLoss; }
-  bool IsDeadlineExceeded() const { return code_ == Code::kDeadlineExceeded; }
 
   /// Human-readable representation, e.g. "InvalidArgument: k must be >= 1".
   std::string ToString() const;

@@ -1,36 +1,11 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace timpp {
 
-bool ThreadPool::PinCurrentThread(unsigned cpu) {
-#if defined(__linux__)
-  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu % hardware, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
-}
-
-ThreadPool::ThreadPool(unsigned num_workers, bool pin_threads) {
+ThreadPool::ThreadPool(unsigned num_workers) {
   threads_.reserve(num_workers);
   for (unsigned i = 0; i < num_workers; ++i) {
-    threads_.emplace_back([this, i, pin_threads] {
-      // Worker i takes CPU i+1: the calling thread (which also runs tasks
-      // during ParallelRun) keeps CPU 0 to itself under a pinned setup.
-      if (pin_threads) PinCurrentThread(i + 1);
-      WorkerLoop();
-    });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 

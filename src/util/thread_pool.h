@@ -1,14 +1,16 @@
-// Persistent worker-thread pool for fork-join parallelism.
+// Persistent worker-thread pool: the library's one fork-join primitive.
 //
 // The pool keeps its threads alive between rounds so hot loops (RR-set
-// batch sampling, Monte-Carlo spread estimation) pay thread-start cost
-// once per run instead of once per batch. Work is dispatched as an
-// indexed task set: ParallelRun(t, fn) invokes fn(0), ..., fn(t-1)
-// exactly once each, spread over the workers plus the calling thread,
-// and returns when all invocations have finished. Task claiming is
-// dynamic (atomic counter), so callers that need deterministic output
-// must make each task's result depend only on its index — the sampling
-// engine's per-index RNG derivation is the canonical example.
+// batch sampling, the index build, the streaming greedy's passes) pay
+// thread-start cost once per run instead of once per batch; a solve runs
+// all of them on its engine's pool, and a Monte-Carlo estimate runs on a
+// pool of its own for the one call. Work is dispatched as an indexed task
+// set: ParallelRun(t, fn) invokes fn(0), ..., fn(t-1) exactly once each,
+// spread over the workers plus the calling thread, and returns when all
+// invocations have finished. Task claiming is dynamic (atomic counter),
+// so callers that need deterministic output must make each task's result
+// depend only on its index — the sampling engine's per-index RNG
+// derivation is the canonical example.
 #ifndef TIMPP_UTIL_THREAD_POOL_H_
 #define TIMPP_UTIL_THREAD_POOL_H_
 
@@ -28,18 +30,9 @@ namespace timpp {
 class ThreadPool {
  public:
   /// Spawns `num_workers` background threads. 0 is valid: ParallelRun then
-  /// executes every task inline on the calling thread. With `pin_threads`
-  /// each worker is pinned to one CPU (round-robin over the hardware set,
-  /// CPU 1 onward so the calling thread's usual home at CPU 0 stays
-  /// uncontended) — the affinity half of the NUMA roadmap item. Pinning is
-  /// Linux-only and best-effort: a failed or unsupported set-affinity call
-  /// leaves the worker unpinned, never fails construction.
-  explicit ThreadPool(unsigned num_workers, bool pin_threads = false);
+  /// executes every task inline on the calling thread.
+  explicit ThreadPool(unsigned num_workers);
   ~ThreadPool();
-
-  /// Pins the calling thread to `cpu` (mod the hardware count). Returns
-  /// false when unsupported on this platform or refused by the kernel.
-  static bool PinCurrentThread(unsigned cpu);
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;

@@ -192,6 +192,54 @@ TEST(EdgeCaseTest, SampleSizesPastTheRRSetIdSpaceFailBeforeSampling) {
   EXPECT_TRUE(ris_stats.hit_set_cap);
 }
 
+// A memory budget caps one run's resident bytes, and its streaming greedy
+// drives the source's engine alone; a context source may be shared by
+// concurrent requests. Every RR solver must refuse the two together with
+// InvalidArgument before sampling a single set.
+TEST(EdgeCaseTest, BudgetWithAContextSourceIsRefusedBeforeSampling) {
+  Graph g = testing::MakeTwoCommunities(0.35f);
+  constexpr size_t kBudget = 16 * 1024;
+  const auto expect_refused = [&](const char* algo, const auto& run) {
+    SamplingEngine engine(g, testing::IcSampling(5));
+    EngineSampleSource source(engine);
+    SolveContext context;
+    context.source = &source;
+    const Status status = run(context);
+    EXPECT_TRUE(status.IsInvalidArgument()) << algo << ": "
+                                            << status.ToString();
+    EXPECT_EQ(engine.sets_sampled(), 0u) << algo;
+  };
+
+  for (const bool refine : {false, true}) {
+    TimOptions options;
+    options.k = 2;
+    options.epsilon = 0.4;
+    options.use_refinement = refine;
+    options.memory_budget_bytes = kBudget;
+    TimSolver solver(g);
+    TimResult result;
+    expect_refused(refine ? "tim+" : "tim", [&](const SolveContext& c) {
+      return solver.Run(options, c, &result);
+    });
+  }
+  ImmOptions imm;
+  imm.k = 2;
+  imm.epsilon = 0.4;
+  imm.memory_budget_bytes = kBudget;
+  ImmResult imm_result;
+  expect_refused("imm", [&](const SolveContext& c) {
+    return RunImm(g, imm, c, &imm_result);
+  });
+  RisOptions ris;
+  ris.epsilon = 0.4;
+  ris.memory_budget_bytes = kBudget;
+  std::vector<NodeId> seeds;
+  RisStats ris_stats;
+  expect_refused("ris", [&](const SolveContext& c) {
+    return RunRis(g, ris, 2, c, &seeds, &ris_stats);
+  });
+}
+
 TEST(EdgeCaseTest, ZeroProbabilityEdgesNeverTraversed) {
   Graph g = MakeChain(6, 0.0f);
   RRSampler sampler(g, DiffusionModel::kIC);

@@ -2,7 +2,8 @@
 // GraphContext must return bit-identical results to the serialized PR-4
 // batch path at every concurrency level — including while the cache
 // budget evicts streams under live readers — the admission queue must
-// shed overload as Unavailable without corrupting admitted requests, the
+// shed overload as Unavailable without corrupting admitted requests,
+// destroying the engine must still serve every admitted request, the
 // PhaseCache must compute each key exactly once no matter how many
 // requests race for it, and concurrent SharedRRCache readers must see
 // byte-identical sets while a writer grows the stream. Run under TSan in
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -267,6 +269,44 @@ TEST(ConcurrentServingTest, AdmissionQueueShedsOverloadAsUnavailable) {
     std::this_thread::yield();
   }
   EXPECT_EQ(accepted, engine.scheduler()->completed());
+}
+
+// ------------------------------------ shutdown --------------------------
+
+TEST(ConcurrentServingTest, DestroyingTheEngineDrainsEveryAdmittedRequest) {
+  // The scheduler's lifecycle contract: destruction stops admission, then
+  // serves every request already admitted, so a future handed out by
+  // Submit always resolves with the real response. The engine is
+  // destroyed straight after the last Submit, with the queue still full.
+  Graph g = MakeWcPowerLaw(250, 4, 77);
+  const std::vector<ImRequest> requests = ConcurrencyBatch("g");
+  const std::vector<ImResponse> reference =
+      SerialReference(g, requests, /*num_threads=*/2);
+
+  for (unsigned workers : {1u, 3u}) {
+    SCOPED_TRACE(workers);
+    std::vector<std::future<ImResponse>> futures;
+    {
+      ServingOptions options;
+      options.num_threads = 2;
+      options.submit_workers = workers;
+      options.max_pending_requests = 0;
+      ServingEngine engine(options);
+      ASSERT_TRUE(engine.RegisterGraph("g", g).ok());
+      for (const ImRequest& request : requests) {
+        futures.push_back(engine.Submit(request));
+      }
+    }
+    std::vector<ImResponse> responses;
+    for (auto& future : futures) {
+      ASSERT_TRUE(future.valid());
+      ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready)
+          << "a future outlived the engine unresolved";
+      responses.push_back(future.get());
+    }
+    ExpectSameResults(reference, responses);
+  }
 }
 
 // ------------------------------------ phase cache -----------------------

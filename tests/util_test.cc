@@ -41,7 +41,6 @@ TEST(StatusTest, EachCodePredicateMatchesOnlyItsCode) {
   EXPECT_TRUE(Status::IOError("x").IsIOError());
   EXPECT_TRUE(Status::Corruption("x").IsCorruption());
   EXPECT_TRUE(Status::OutOfRange("x").IsOutOfRange());
-  EXPECT_TRUE(Status::Unimplemented("x").IsUnimplemented());
   EXPECT_FALSE(Status::NotFound("x").IsIOError());
   EXPECT_FALSE(Status::OK().IsInvalidArgument());
 }
