@@ -16,8 +16,8 @@
 //
 //  3. Cold chunk replay — with the page cache dropped from the store's
 //     spill file (posix_fadvise DONTNEED), how fast does a sequential
-//     replay (the serving preload's synchronous read path) stream sets
-//     back?
+//     replay (VisitRange: one VisitChunk read per chunk, in index order)
+//     stream sets back?
 //     The replay checksum is asserted identical to the in-memory truth
 //     (fatal) before any timing is reported.
 //

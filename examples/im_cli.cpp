@@ -57,8 +57,8 @@
 //                     file under DIR and replay them each greedy round
 //                     instead of regenerating (identical seeds,
 //                     regeneration_passes=0 while the store is healthy).
-//                     Batch mode also spills LRU-evicted shared streams
-//                     there and preloads them on re-acquisition
+//                     In batch mode only budgeted requests spill; an
+//                     evicted shared stream is resampled on demand
 //   --spill           shorthand for --spill-dir=<system temp>/im_spill
 //   --ris_tau_scale / --ris_max_sets
 //                     RIS cost-threshold and out-of-memory knobs
@@ -383,7 +383,10 @@ int main(int argc, char** argv) {
       flags.positional().empty() ? std::string() : flags.positional()[0];
   const std::string algo = flags.GetString("algo", "tim+");
   const std::string model_name = flags.GetString("model", "ic");
-
+  if (model_name != "ic" && model_name != "lt") {
+    std::fprintf(stderr, "unknown --model=%s (ic|lt)\n", model_name.c_str());
+    bad_value = true;
+  }
   const timpp::DiffusionModel model = model_name == "lt"
                                           ? timpp::DiffusionModel::kLT
                                           : timpp::DiffusionModel::kIC;

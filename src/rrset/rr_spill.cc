@@ -165,17 +165,8 @@ size_t RRSpillStore::FindChunkLocked(uint64_t index) const {
   return chunks_.size();
 }
 
-bool RRSpillStore::Covers(uint64_t first, uint64_t count) const {
-  return CoveredEnd(first, count) == first + count;
-}
-
 uint64_t RRSpillStore::CoveredEnd(uint64_t first, uint64_t limit) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return CoveredEndLocked(first, limit);
-}
-
-uint64_t RRSpillStore::CoveredEndLocked(uint64_t first,
-                                        uint64_t limit) const {
   uint64_t pos = first;
   const uint64_t end = first + limit;
   size_t ci = FindChunkLocked(pos);
@@ -225,47 +216,6 @@ Status RRSpillStore::ReadChunk(const Chunk& chunk,
   return Status::OK();
 }
 
-Status RRSpillStore::LoadCachedLocked(size_t chunk_index) {
-  if (cached_chunk_ == chunk_index) {
-    stats_.chunk_hits += 1;
-    return Status::OK();
-  }
-  cached_chunk_ = kNoChunk;
-  TIMPP_RETURN_NOT_OK(ReadChunk(chunks_[chunk_index], &cached_));
-  cached_chunk_ = chunk_index;
-  stats_.chunk_loads += 1;
-  return Status::OK();
-}
-
-Status RRSpillStore::VisitRange(uint64_t first, uint64_t count,
-                                const Filter& filter, const Visitor& visit,
-                                uint64_t* stopped_at, uint64_t* sets_visited) {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t pos = first;
-  const uint64_t end = first + count;
-  uint64_t visited = 0;
-  Status status = Status::OK();
-  while (pos < end) {
-    const size_t ci = FindChunkLocked(pos);
-    if (ci >= chunks_.size() || chunks_[ci].first > pos) break;  // gap
-    status = LoadCachedLocked(ci);
-    if (!status.ok()) break;  // caller regenerates from *stopped_at
-    const Chunk& chunk = chunks_[ci];
-    const uint64_t stop = std::min(end, chunk.first + chunk.count);
-    for (uint64_t index = pos; index < stop; ++index) {
-      if (filter && !filter(index)) continue;
-      visit(index,
-            cached_.sets_.Set(static_cast<RRSetId>(index - chunk.first)));
-      ++visited;
-    }
-    pos = stop;
-  }
-  stats_.sets_read += visited;
-  *stopped_at = pos;
-  if (sets_visited != nullptr) *sets_visited = visited;
-  return status;
-}
-
 std::vector<RRSpillStore::ChunkRange> RRSpillStore::ChunksOverlapping(
     uint64_t first, uint64_t count) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -304,39 +254,36 @@ Status RRSpillStore::VisitChunk(uint64_t first, uint64_t count,
   return Status::OK();
 }
 
-Status RRSpillStore::ReadRange(uint64_t first, uint64_t count,
-                               RRCollection* out,
-                               std::vector<uint64_t>* edges) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Validate coverage up front: on any failure nothing is appended.
-  if (CoveredEndLocked(first, count) != first + count) {
-    return Status::NotFound("rr spill: range " + RangeText(first, count) +
-                            " not fully spilled");
-  }
-
-  // Stage into locals so a mid-range I/O failure appends nothing.
-  RRCollection staged(num_graph_nodes_);
-  std::vector<uint64_t> staged_edges;
-  uint64_t pos = first;
+Status RRSpillStore::VisitRange(uint64_t first, uint64_t count,
+                                const Filter& filter, const Visitor& visit,
+                                uint64_t* stopped_at, uint64_t* sets_visited) {
   const uint64_t end = first + count;
-  while (pos < end) {
-    const size_t ci = FindChunkLocked(pos);
-    TIMPP_RETURN_NOT_OK(LoadCachedLocked(ci));
-    const Chunk& chunk = chunks_[ci];
+  uint64_t pos = first;
+  uint64_t visited = 0;
+  Status status = Status::OK();
+  ChunkScratch scratch;
+  for (const ChunkRange& chunk : ChunksOverlapping(first, count)) {
+    if (pos == end || chunk.first > pos) break;  // done, or a gap
     const uint64_t stop = std::min(end, chunk.first + chunk.count);
-    const size_t local = static_cast<size_t>(pos - chunk.first);
-    const size_t n = static_cast<size_t>(stop - pos);
-    staged.AppendRange(cached_.sets_, local, n);
-    staged_edges.insert(staged_edges.end(), cached_.edges_.begin() + local,
-                        cached_.edges_.begin() + local + n);
-    stats_.sets_read += stop - pos;
+    status = VisitChunk(
+        pos, stop - pos,
+        [&](uint64_t chunk_first, const RRCollection& sets) {
+          uint64_t read = 0;
+          for (uint64_t index = pos; index < stop; ++index) {
+            if (filter && !filter(index)) continue;
+            visit(index, sets.Set(static_cast<RRSetId>(index - chunk_first)));
+            ++read;
+          }
+          visited += read;
+          return read;
+        },
+        &scratch);
+    if (!status.ok()) break;  // caller regenerates from *stopped_at
     pos = stop;
   }
-  out->AppendRange(staged, 0, staged.num_sets());
-  if (edges != nullptr) {
-    edges->insert(edges->end(), staged_edges.begin(), staged_edges.end());
-  }
-  return Status::OK();
+  *stopped_at = pos;
+  if (sets_visited != nullptr) *sets_visited = visited;
+  return status;
 }
 
 RRSpillStats RRSpillStore::stats() const {

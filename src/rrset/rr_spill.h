@@ -21,20 +21,17 @@
 // opened once and kept open until destruction. A spill appends each
 // chunk with positional writes at the file's end; every read is one
 // positional read of the chunk's byte range, then the shard decoder's
-// full validation. The parallel greedy replay
-// (coverage/streaming_cover.h) lists the chunks of its range once with
-// ChunksOverlapping and hands whole chunks to its workers, each of which
-// reads and decodes its own chunk through VisitChunk outside the store
-// mutex. The sequential paths (VisitRange, and ReadRange — the serving
-// preload) keep the last chunk they decoded: their only traffic is
-// forward, a growing stream that may resume inside the chunk it read
-// last, so one cached chunk serves every re-touch.
+// full validation. VisitChunk is the one read primitive: the parallel
+// greedy replay (coverage/streaming_cover.h) lists the chunks of its
+// range once with ChunksOverlapping and hands whole chunks to its
+// workers, each of which reads and decodes its own chunk through
+// VisitChunk into its own ChunkScratch. VisitRange is a sequential loop
+// over the same two calls.
 //
-// Thread-safe: a single mutex guards the chunk manifest, the cached chunk
-// and the counters, and serializes spills, sequential visits and reads.
-// VisitChunk holds it only to copy one manifest entry and to add its
-// counters; positional reads need no shared file offset, so concurrent
-// VisitChunk callers read and decode in parallel.
+// Thread-safe: a single mutex guards the chunk manifest and the
+// counters, and serializes spills. A read holds it only to copy manifest
+// entries and to add its counters; positional reads need no shared file
+// offset, so concurrent VisitChunk callers read and decode in parallel.
 //
 // The file lives in a per-store unique subdirectory of `options.dir`,
 // which the destructor deletes.
@@ -59,8 +56,8 @@ struct RRSpillOptions {
   /// Parent directory for this store's spill file (created if missing).
   std::string dir;
   /// Sets per chunk. Chunk size bounds both the spill write batches and
-  /// the unit of every read: one decoded chunk is what a VisitChunk
-  /// caller's scratch and the sequential paths' cached chunk hold.
+  /// the unit of every read: one decoded chunk is what a ChunkScratch
+  /// holds.
   uint64_t sets_per_chunk = 4096;
 };
 
@@ -69,12 +66,10 @@ struct RRSpillStats {
   uint64_t chunks_written = 0;
   uint64_t sets_written = 0;
   uint64_t bytes_written = 0;
-  /// Chunk reads from the file, and sequential re-touches served by the
-  /// cached chunk.
+  /// Chunk reads from the file.
   uint64_t chunk_loads = 0;
-  uint64_t chunk_hits = 0;
-  /// Sets streamed back to visitors/readers (a filter-rejected set is not
-  /// read; VisitChunk counts what its visitor reports reading).
+  /// Sets streamed back to visitors (a filter-rejected set is not read;
+  /// VisitChunk counts what its visitor reports reading).
   uint64_t sets_read = 0;
   /// Always 0: no read is prefetched. Kept until the end-to-end
   /// benchmark stops reading them (ROADMAP item 6).
@@ -118,9 +113,6 @@ class RRSpillStore {
                     std::span<const uint64_t> per_set_edges,
                     size_t local_first, size_t count, uint64_t global_first);
 
-  /// Whether every index of [first, first + count) is in some chunk.
-  bool Covers(uint64_t first, uint64_t count) const;
-
   /// Largest e <= first + limit with [first, e) fully chunk-covered
   /// (== first when the store has nothing at `first`).
   uint64_t CoveredEnd(uint64_t first, uint64_t limit) const;
@@ -135,7 +127,8 @@ class RRSpillStore {
   /// coverage gap, or the failed chunk's start on an I/O/corruption error
   /// (in which case the error Status is returned and the caller
   /// regenerates from `*stopped_at`). `sets_visited` (optional) counts
-  /// sets actually delivered to `visit`. No library code calls it;
+  /// sets actually delivered to `visit`. Every chunk it touches is one
+  /// VisitChunk call, and so one chunk load. No library code calls it;
   /// bench_outofcore's cold replay and the end-to-end benchmark's probe
   /// do (ROADMAP item 6).
   Status VisitRange(uint64_t first, uint64_t count, const Filter& filter,
@@ -155,7 +148,7 @@ class RRSpillStore {
                                             uint64_t count) const;
 
   /// Decode buffers of one chunk: one per VisitChunk caller, reused
-  /// across its calls (the store keeps one more as its cached chunk).
+  /// across its calls.
   class ChunkScratch {
    private:
     friend class RRSpillStore;
@@ -167,19 +160,11 @@ class RRSpillStore {
   /// Reads, validates and decodes the chunk holding [first, first + count)
   /// into `scratch` and hands it to `visit` once; the caller scans the
   /// sets it needs. Safe to call from many threads at once: the read and
-  /// decode run outside the store mutex, bypassing the cached chunk. On a
-  /// read or decode error `visit` is not called and the error is
-  /// returned; NotFound when no single chunk holds the range.
+  /// decode run outside the store mutex. On a read or decode error
+  /// `visit` is not called and the error is returned; NotFound when no
+  /// single chunk holds the range.
   Status VisitChunk(uint64_t first, uint64_t count, const ChunkVisitor& visit,
                     ChunkScratch* scratch);
-
-  /// Appends the stored sets of [first, first + count) to `*out` (and
-  /// their edge counts to `*edges`, if non-null) in index order. Fails
-  /// with NotFound if the range is not fully covered; on any failure
-  /// nothing is appended. Serving uses this to preload an evicted shared
-  /// prefix back into cache chunks.
-  Status ReadRange(uint64_t first, uint64_t count, RRCollection* out,
-                   std::vector<uint64_t>* edges);
 
   RRSpillStats stats() const;
 
@@ -200,7 +185,6 @@ class RRSpillStore {
     uint64_t offset = 0;
     uint64_t bytes = 0;
   };
-  static constexpr size_t kNoChunk = static_cast<size_t>(-1);
 
   /// Creates the unique subdirectory and opens the spill file on first
   /// use.
@@ -209,13 +193,6 @@ class RRSpillStore {
   /// Returns the manifest position of the chunk containing `index`, or
   /// chunks_.size() when uncovered.
   size_t FindChunkLocked(uint64_t index) const;
-
-  /// CoveredEnd under the held mutex.
-  uint64_t CoveredEndLocked(uint64_t first, uint64_t limit) const;
-
-  /// Makes manifest chunk `chunk_index` the cached chunk, reading it
-  /// unless it already is (a hit). On failure nothing is cached.
-  Status LoadCachedLocked(size_t chunk_index);
 
   /// Reads, validates and decodes `chunk` into `*scratch`. Touches no
   /// mutable shared state: `file_` and `path_` are set once, under the
@@ -231,8 +208,6 @@ class RRSpillStore {
   ScopedFd file_;               // open from the first spill on
   uint64_t end_offset_ = 0;     // file bytes the manifest accounts for
   std::vector<Chunk> chunks_;   // sorted by first, non-overlapping
-  ChunkScratch cached_;         // the last chunk VisitRange/ReadRange read
-  size_t cached_chunk_ = kNoChunk;
   RRSpillStats stats_;
 };
 

@@ -17,24 +17,8 @@ std::shared_ptr<SharedRRCache> GraphContext::AcquireStream(
   if (it == caches_.end()) {
     SamplingConfig config = sampling_;
     static_cast<StreamKey&>(config) = key;
-    std::shared_ptr<RRSpillStore> spill;
-    if (!spill_dir_.empty()) {
-      // The store persists across cache generations under this key: the
-      // eviction hook filled it, this (re-)creation reads it back.
-      auto store = spill_stores_.find(key);
-      if (store == spill_stores_.end()) {
-        RRSpillOptions spill_options;
-        spill_options.dir = spill_dir_;
-        store = spill_stores_
-                    .emplace(key, std::make_shared<RRSpillStore>(
-                                      graph_.num_nodes(), spill_options))
-                    .first;
-      }
-      spill = store->second;
-    }
     CacheEntry entry;
-    entry.cache =
-        std::make_shared<SharedRRCache>(graph_, config, std::move(spill));
+    entry.cache = std::make_shared<SharedRRCache>(graph_, config);
     it = caches_.emplace(key, std::move(entry)).first;
   }
   it->second.last_used = ++use_tick_;
@@ -49,16 +33,6 @@ void GraphContext::set_cache_budget_bytes(size_t bytes) {
 size_t GraphContext::cache_budget_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cache_budget_bytes_;
-}
-
-void GraphContext::set_spill_dir(std::string dir) {
-  std::lock_guard<std::mutex> lock(mu_);
-  spill_dir_ = std::move(dir);
-}
-
-std::string GraphContext::spill_dir() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spill_dir_;
 }
 
 size_t GraphContext::EnforceCacheBudget() {
@@ -77,21 +51,15 @@ size_t GraphContext::EnforceCacheBudget() {
     for (auto it = caches_.begin(); it != caches_.end(); ++it) {
       if (it->second.last_used < victim->second.last_used) victim = it;
     }
-    // Write the victim's published prefix to its spill store first (no-op
-    // without one) so the next acquisition of this key reloads from disk.
-    // Best-effort: a write failure just means a plain eviction — the
-    // successor regenerates, results unchanged.
-    SharedRRCache& cache = *victim->second.cache;
-    (void)cache.SpillCommitted();
     // Preserve lifetime accounting before the stream leaves the map; a
     // re-created stream starts fresh counters, so reuse ratios would
     // otherwise dip spuriously after every eviction. (An in-flight reader
     // may still advance the detached cache's counters; those last few are
     // the price of not blocking eviction on live readers.)
+    const SharedRRCache& cache = *victim->second.cache;
     retired_sets_sampled_ += cache.total_sets_sampled();
     retired_sets_served_ += cache.total_sets_served();
     retired_sets_reused_ += cache.total_sets_reused();
-    retired_sets_spill_loaded_ += cache.total_sets_spill_loaded();
     // Dropping the map's shared_ptr is the whole eviction: a live reader
     // holding an AcquireStream handle keeps the chunks alive; otherwise
     // they free here.
@@ -132,15 +100,6 @@ uint64_t GraphContext::TotalSetsReused() const {
   uint64_t total = retired_sets_reused_;
   for (const auto& [key, entry] : caches_) {
     total += entry.cache->total_sets_reused();
-  }
-  return total;
-}
-
-uint64_t GraphContext::TotalSetsSpillLoaded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = retired_sets_spill_loaded_;
-  for (const auto& [key, entry] : caches_) {
-    total += entry.cache->total_sets_spill_loaded();
   }
   return total;
 }

@@ -15,10 +15,7 @@
 // Past the cap, whole stream caches are evicted least-recently-used —
 // re-deriving an evicted stream later costs resampling but never changes
 // results (the stream is a pure function of its key), so a capped context
-// still serves bit-identical responses. With a spill dir configured
-// (`set_spill_dir`), eviction first writes the victim's published prefix
-// to a per-key RRSpillStore and the re-created stream preloads it from
-// disk — same bytes, sequential reads instead of graph traversal.
+// still serves bit-identical responses.
 //
 // Concurrency: requests run truly concurrently against one context. The
 // stream map hands out shared_ptr references (AcquireStream), so LRU
@@ -38,12 +35,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "engine/phase_cache.h"
 #include "engine/run_options.h"
 #include "graph/graph.h"
-#include "rrset/rr_spill.h"
 #include "serving/rr_cache.h"
 #include "util/types.h"
 
@@ -86,17 +81,6 @@ class GraphContext {
   void set_cache_budget_bytes(size_t bytes);
   size_t cache_budget_bytes() const;
 
-  /// Parent directory of the context's spill tier (empty = no spill).
-  /// With a spill dir set, each stream key gets one RRSpillStore shared by
-  /// every cache generation under that key: EnforceCacheBudget writes a
-  /// victim's published prefix to disk before dropping it, and the
-  /// re-created cache preloads those bytes instead of resampling — an
-  /// evicted-and-reacquired stream costs sequential disk reads, not graph
-  /// traversal. Set before the first AcquireStream; streams created
-  /// earlier stay spill-less.
-  void set_spill_dir(std::string dir);
-  std::string spill_dir() const;
-
   /// Evicts least-recently-used stream caches until SharedMemoryBytes()
   /// fits the budget (possibly evicting every stream when even one
   /// exceeds it — re-created on next use, identical by the per-index RNG
@@ -113,9 +97,6 @@ class GraphContext {
   uint64_t TotalSetsSampled() const;
   uint64_t TotalSetsServed() const;
   uint64_t TotalSetsReused() const;
-  /// Sets whose bytes came back from the spill tier instead of sampling
-  /// (0 without a spill dir).
-  uint64_t TotalSetsSpillLoaded() const;
   size_t NumStreams() const;
   /// Lifetime count of budget evictions (streams dropped, not bytes).
   uint64_t StreamsEvicted() const;
@@ -132,10 +113,6 @@ class GraphContext {
   PhaseCache phase_cache_;
   mutable std::mutex mu_;  // guards everything below
   std::map<StreamKey, CacheEntry> caches_;
-  // One disk store per stream key, outliving cache generations: the
-  // eviction hook writes into it, the successor cache preloads from it.
-  std::map<StreamKey, std::shared_ptr<RRSpillStore>> spill_stores_;
-  std::string spill_dir_;
   size_t cache_budget_bytes_ = 0;
   uint64_t use_tick_ = 0;
   uint64_t streams_evicted_ = 0;
@@ -143,7 +120,6 @@ class GraphContext {
   uint64_t retired_sets_sampled_ = 0;
   uint64_t retired_sets_served_ = 0;
   uint64_t retired_sets_reused_ = 0;
-  uint64_t retired_sets_spill_loaded_ = 0;
 };
 
 }  // namespace timpp

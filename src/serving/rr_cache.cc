@@ -20,9 +20,8 @@ constexpr size_t kInitialDirCapacity = 16;
 
 }  // namespace
 
-SharedRRCache::SharedRRCache(const Graph& graph, const SamplingConfig& config,
-                             std::shared_ptr<RRSpillStore> spill)
-    : engine_(graph, config), spill_(std::move(spill)) {}
+SharedRRCache::SharedRRCache(const Graph& graph, const SamplingConfig& config)
+    : engine_(graph, config) {}
 
 SharedRRCache::~SharedRRCache() = default;
 
@@ -32,78 +31,38 @@ void SharedRRCache::EnsurePrefix(uint64_t count) {
   // Recheck: another writer may have grown past `count` while this one
   // waited on the lock. committed_ only advances under grow_mu_, so a
   // relaxed load is exact here.
-  uint64_t have = committed_.load(std::memory_order_relaxed);
-  while (count > have) {
-    auto chunk = std::make_unique<Chunk>(graph().num_nodes());
-    chunk->first = have;
-    uint64_t added = 0;
-    // Reload from the spill tier first: a predecessor cache evicted under
-    // the byte budget wrote this prefix out, so the bytes come back from
-    // sequential disk reads instead of resampling — identical bytes
-    // either way (the shard format round-trips exactly). SkipTo keeps the
-    // engine's index cursor aligned with the published prefix so a
-    // follow-on sample continues at the right global index.
-    if (spill_ != nullptr) {
-      const uint64_t covered = spill_->CoveredEnd(have, count - have);
-      if (covered > have &&
-          spill_->ReadRange(have, covered - have, &chunk->sets, &chunk->edges)
-              .ok()) {
-        added = covered - have;
-        engine_.SkipTo(covered);
-        total_sets_spill_loaded_.fetch_add(added, std::memory_order_relaxed);
-      }
-    }
-    if (added == 0) {
-      const SampleBatch batch =
-          engine_.SampleInto(&chunk->sets, count - have, &chunk->edges);
-      total_sets_sampled_.fetch_add(batch.sets_added,
-                                    std::memory_order_relaxed);
-      added = batch.sets_added;
-    }
-    // A published chunk never grows again: drop its growth slack so the
-    // context's byte budget, which evicts by MemoryBytes, prices data and
-    // not allocator headroom.
-    chunk->sets.ShrinkToFit();
-    chunk->edges.shrink_to_fit();
+  const uint64_t have = committed_.load(std::memory_order_relaxed);
+  if (count <= have) return;
+  auto chunk = std::make_unique<Chunk>(graph().num_nodes());
+  chunk->first = have;
+  const SampleBatch batch =
+      engine_.SampleInto(&chunk->sets, count - have, &chunk->edges);
+  total_sets_sampled_.fetch_add(batch.sets_added, std::memory_order_relaxed);
+  // A published chunk never grows again: drop its growth slack so the
+  // context's byte budget, which evicts by MemoryBytes, prices data and
+  // not allocator headroom.
+  chunk->sets.ShrinkToFit();
+  chunk->edges.shrink_to_fit();
 
-    // Publish: slot write first, then the counters in release order. A
-    // reader that acquires the new committed_ value is guaranteed to see
-    // the directory state these stores are sequenced after.
-    Directory* dir = dir_.load(std::memory_order_relaxed);
-    const size_t nc = num_chunks_.load(std::memory_order_relaxed);
-    if (dir == nullptr || nc == dir->capacity) {
-      auto fresh = std::make_unique<Directory>(
-          dir == nullptr ? kInitialDirCapacity : dir->capacity * 2);
-      for (size_t i = 0; i < nc; ++i) fresh->slots[i] = dir->slots[i];
-      dir = fresh.get();
-      // The outgrown directory is retired, not freed: a reader between its
-      // dir_ load and its slot reads may still be walking it.
-      owned_dirs_.push_back(std::move(fresh));
-      dir_.store(dir, std::memory_order_release);
-    }
-    dir->slots[nc] = chunk.get();
-    owned_chunks_.push_back(std::move(chunk));
-    num_chunks_.store(nc + 1, std::memory_order_release);
-    committed_.store(have + added, std::memory_order_release);
-    have += added;
+  // Publish: slot write first, then the counters in release order. A
+  // reader that acquires the new committed_ value is guaranteed to see
+  // the directory state these stores are sequenced after.
+  Directory* dir = dir_.load(std::memory_order_relaxed);
+  const size_t nc = num_chunks_.load(std::memory_order_relaxed);
+  if (dir == nullptr || nc == dir->capacity) {
+    auto fresh = std::make_unique<Directory>(
+        dir == nullptr ? kInitialDirCapacity : dir->capacity * 2);
+    for (size_t i = 0; i < nc; ++i) fresh->slots[i] = dir->slots[i];
+    dir = fresh.get();
+    // The outgrown directory is retired, not freed: a reader between its
+    // dir_ load and its slot reads may still be walking it.
+    owned_dirs_.push_back(std::move(fresh));
+    dir_.store(dir, std::memory_order_release);
   }
-}
-
-Status SharedRRCache::SpillCommitted() {
-  if (spill_ == nullptr) return Status::OK();
-  std::lock_guard<std::mutex> lock(grow_mu_);
-  // Chunks are contiguous and sorted; the store is append-only, so only
-  // the part past its end_index() is new. A chunk preloaded FROM the
-  // store is entirely below end_index() and skips for free.
-  for (const auto& chunk : owned_chunks_) {
-    const uint64_t chunk_end = chunk->first + chunk->sets.num_sets();
-    const uint64_t from = std::max(chunk->first, spill_->end_index());
-    if (from >= chunk_end) continue;
-    TIMPP_RETURN_NOT_OK(spill_->SpillRange(
-        chunk->sets, chunk->edges, static_cast<size_t>(from - chunk->first),
-        static_cast<size_t>(chunk_end - from), from));
-  }
-  return Status::OK();
+  dir->slots[nc] = chunk.get();
+  owned_chunks_.push_back(std::move(chunk));
+  num_chunks_.store(nc + 1, std::memory_order_release);
+  committed_.store(have + batch.sets_added, std::memory_order_release);
 }
 
 const SharedRRCache::Chunk* SharedRRCache::FindChunk(uint64_t index) const {

@@ -51,8 +51,6 @@
 #include "engine/sampling_engine.h"
 #include "graph/graph.h"
 #include "rrset/rr_collection.h"
-#include "rrset/rr_spill.h"
-#include "util/status.h"
 
 namespace timpp {
 
@@ -64,13 +62,8 @@ class SharedRRCache {
   /// `graph` is borrowed and must outlive the cache. `config` fixes the
   /// stream (model, sampler mode, seed, hop bound) and the sampling
   /// parallelism; content is thread-count invariant per the engine
-  /// contract. `spill` (optional) is a disk tier keyed by the same stream:
-  /// EnsurePrefix reloads ranges the store covers instead of resampling
-  /// them, and SpillCommitted() writes the published prefix out so an
-  /// evicted cache's successor — constructed with the same store — starts
-  /// from disk rather than regeneration. The store must outlive the cache.
-  SharedRRCache(const Graph& graph, const SamplingConfig& config,
-                std::shared_ptr<RRSpillStore> spill = nullptr);
+  /// contract.
+  SharedRRCache(const Graph& graph, const SamplingConfig& config);
   ~SharedRRCache();
 
   SharedRRCache(const SharedRRCache&) = delete;
@@ -109,13 +102,6 @@ class SharedRRCache {
   SampleBatch ReadUntilCost(uint64_t first, double cost_threshold,
                             uint64_t max_sets, RRCollection* out);
 
-  /// Writes every published set not yet on disk to the spill store (the
-  /// eviction hook: called by a context before it drops its reference so
-  /// the stream's successor reloads instead of resampling). No-op without
-  /// a store; a failure leaves a shorter spilled prefix — the successor
-  /// regenerates the rest, results unchanged.
-  Status SpillCommitted();
-
   /// Lifetime counters across every request served from this cache.
   uint64_t total_sets_sampled() const {
     return total_sets_sampled_.load(std::memory_order_relaxed);
@@ -125,10 +111,6 @@ class SharedRRCache {
   }
   uint64_t total_sets_reused() const {
     return total_sets_reused_.load(std::memory_order_relaxed);
-  }
-  /// Sets whose bytes came back from the spill store instead of sampling.
-  uint64_t total_sets_spill_loaded() const {
-    return total_sets_spill_loaded_.load(std::memory_order_relaxed);
   }
 
   /// Heap bytes of the published chunks plus the per-set edge counts and
@@ -164,7 +146,6 @@ class SharedRRCache {
   const Chunk* FindChunk(uint64_t index) const;
 
   SamplingEngine engine_;  // batch calls guarded by grow_mu_
-  std::shared_ptr<RRSpillStore> spill_;  // optional disk tier (own mutex)
 
   // --- writer state (guarded by grow_mu_) -------------------------------
   std::mutex grow_mu_;
@@ -178,7 +159,6 @@ class SharedRRCache {
   std::atomic<uint64_t> total_sets_sampled_{0};
   std::atomic<uint64_t> total_sets_served_{0};
   std::atomic<uint64_t> total_sets_reused_{0};
-  std::atomic<uint64_t> total_sets_spill_loaded_{0};
 };
 
 /// A request's cursor over a SharedRRCache: the SampleSource the serving

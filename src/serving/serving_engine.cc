@@ -37,7 +37,6 @@ Status ServingEngine::RegisterGraph(const std::string& name, Graph graph) {
   auto context =
       std::make_unique<GraphContext>(std::move(graph), options_.num_threads);
   context->set_cache_budget_bytes(options_.shared_cache_budget_bytes);
-  context->set_spill_dir(options_.spill_dir);
   contexts_.emplace(name, std::move(context));
   return Status::OK();
 }
@@ -83,8 +82,8 @@ ImResponse ServingEngine::SolveOnContext(GraphContext& context,
 
   SolverOptions options = request;
   options.num_threads = options_.num_threads;
-  // Standalone-path requests (budgeted, non-RR, custom-model) still
-  // spill to the engine-wide spill dir.
+  // Budgeted requests, which run standalone below, spill to the
+  // engine-wide spill dir.
   options.spill_dir = options_.spill_dir;
 
   // The shared stream only helps RR-set solvers; a per-request memory

@@ -55,12 +55,10 @@ struct ServingOptions {
   /// at the price of resampling.
   size_t shared_cache_budget_bytes = 0;
   /// Parent directory for the out-of-core spill tier (empty = none).
-  /// Two effects: budget evictions of shared streams write the victim's
-  /// prefix to disk and the re-created stream preloads it instead of
-  /// resampling (GraphContext::set_spill_dir), and budgeted standalone
-  /// requests spill their non-resident RR ranges there instead of
-  /// regenerating per greedy round (SolverOptions::spill_dir). Responses
-  /// stay bit-identical either way.
+  /// Budgeted requests, which run standalone, spill their non-resident
+  /// RR ranges there instead of regenerating them per greedy round
+  /// (SolverOptions::spill_dir); responses stay bit-identical. Shared
+  /// streams never touch it: an evicted stream is resampled on demand.
   std::string spill_dir;
   /// Concurrent request workers behind Submit() (0 = hardware
   /// concurrency). Created lazily on the first Submit; the synchronous

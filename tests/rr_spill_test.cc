@@ -1,20 +1,20 @@
 // Tests of the out-of-core RR spill tier (rrset/rr_spill.h) and its
 // integration everywhere RR prefixes live:
 //   - RRSpillStore unit behaviour: chunk round-trips, append-only index
-//     discipline, coverage gaps, visit/read semantics, the cached chunk
-//     of sequential reads;
+//     discipline, coverage gaps, visit semantics, one chunk load per
+//     chunk a sequential visit touches;
 //   - the one spill file: every chunk of a store lands in it back to
 //     back; a mutated chunk inside it, or a file cut inside its last
-//     chunk, fails cleanly at that chunk on all three read paths (or, for
-//     a mutant, visits exactly its sets);
+//     chunk, fails cleanly at that chunk on both read paths (or, for a
+//     mutant, visits exactly its sets);
 //   - the solver sweep: TIM/TIM+/IMM/RIS at budgets {tiny, mid, ∞} must
 //     produce bit-identical seeds and stats to the unbudgeted run, with
 //     regeneration_passes == 0 (disk replay, not resampling) whenever the
 //     spill tier is on and the budget actually trips;
 //   - the metric contract: every RR solver's metric names and order,
 //     plain, budgeted and spilled;
-//   - serving: a budget-evicted shared stream spills its prefix and the
-//     re-created stream preloads it from disk instead of resampling.
+//   - serving: the engine's spill dir serves budgeted requests only; an
+//     evicted shared stream is resampled and never written to disk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,19 +62,6 @@ void Sample(const Graph& graph, uint64_t seed, uint64_t count,
   ASSERT_EQ(rr->num_sets(), count);
 }
 
-void ExpectEqualSets(const RRCollection& a, const RRCollection& b,
-                     size_t a_first, size_t b_first, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    const auto sa = a.Set(static_cast<RRSetId>(a_first + i));
-    const auto sb = b.Set(static_cast<RRSetId>(b_first + i));
-    ASSERT_EQ(sa.size(), sb.size()) << "set " << i;
-    EXPECT_TRUE(std::equal(sa.begin(), sa.end(), sb.begin())) << "set " << i;
-    EXPECT_EQ(a.Width(static_cast<RRSetId>(a_first + i)),
-              b.Width(static_cast<RRSetId>(b_first + i)))
-        << "set " << i;
-  }
-}
-
 /// Full VisitRange pass asserting every delivered set is bit-identical to
 /// the in-memory original (the spill tier's core contract).
 void ExpectReplayMatches(RRSpillStore* store, const RRCollection& rr,
@@ -96,7 +83,7 @@ void ExpectReplayMatches(RRSpillStore* store, const RRCollection& rr,
 
 // ---- RRSpillStore unit behaviour --------------------------------------
 
-TEST(RRSpillStoreTest, SpillAndReadRangeRoundTrip) {
+TEST(RRSpillStoreTest, SpillAndVisitRoundTrip) {
   const Graph g = MakeWcPowerLaw(120, 3, 7);
   RRCollection rr(g.num_nodes());
   std::vector<uint64_t> edges;
@@ -105,18 +92,13 @@ TEST(RRSpillStoreTest, SpillAndReadRangeRoundTrip) {
   TempSpillDir dir;
   RRSpillStore store(g.num_nodes(), SpillOpts(dir, 32));
   ASSERT_TRUE(store.SpillRange(rr, edges, 0, 100, 0).ok());
-  EXPECT_TRUE(store.Covers(0, 100));
+  EXPECT_EQ(store.CoveredEnd(0, 100), 100u);
   EXPECT_EQ(store.end_index(), 100u);
   EXPECT_EQ(store.stats().sets_written, 100u);
   EXPECT_GE(store.stats().chunks_written, 4u);  // 100 sets / 32 per chunk
   EXPECT_GT(store.stats().bytes_written, 0u);
 
-  RRCollection loaded(g.num_nodes());
-  std::vector<uint64_t> loaded_edges;
-  ASSERT_TRUE(store.ReadRange(0, 100, &loaded, &loaded_edges).ok());
-  ASSERT_EQ(loaded.num_sets(), 100u);
-  EXPECT_EQ(loaded_edges, edges);
-  ExpectEqualSets(rr, loaded, 0, 0, 100);
+  ExpectReplayMatches(&store, rr, 100);
 }
 
 TEST(RRSpillStoreTest, AppendOnlyIndexDiscipline) {
@@ -148,21 +130,12 @@ TEST(RRSpillStoreTest, CoverageGapsAreReported) {
   ASSERT_TRUE(store.SpillRange(rr, edges, 0, 50, 0).ok());     // [0, 50)
   ASSERT_TRUE(store.SpillRange(rr, edges, 50, 30, 100).ok());  // [100, 130)
 
-  EXPECT_TRUE(store.Covers(0, 50));
-  EXPECT_TRUE(store.Covers(100, 30));
-  EXPECT_FALSE(store.Covers(0, 60));
-  EXPECT_FALSE(store.Covers(90, 20));
+  EXPECT_EQ(store.CoveredEnd(0, 50), 50u);
+  EXPECT_EQ(store.CoveredEnd(0, 60), 50u) << "the gap starts at 50";
+  EXPECT_EQ(store.CoveredEnd(90, 20), 90u) << "nothing stored at 90";
   EXPECT_EQ(store.CoveredEnd(0, 200), 50u);
   EXPECT_EQ(store.CoveredEnd(100, 30), 130u);
   EXPECT_EQ(store.CoveredEnd(60, 100), 60u) << "nothing stored at 60";
-
-  // ReadRange over a gap fails named and appends nothing.
-  RRCollection out(g.num_nodes());
-  std::vector<uint64_t> out_edges;
-  const Status status = store.ReadRange(40, 20, &out, &out_edges);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(out.num_sets(), 0u) << "failed read must not half-append";
-  EXPECT_TRUE(out_edges.empty());
 }
 
 TEST(RRSpillStoreTest, VisitRangeStopsAtGapAndHonorsFilter) {
@@ -238,7 +211,6 @@ TEST(RRSpillStoreTest, ChunksOverlappingAndVisitChunk) {
   RRSpillStats stats = store.stats();
   EXPECT_EQ(stats.chunk_loads, 1u);
   EXPECT_EQ(stats.sets_read, 5u);
-  EXPECT_EQ(stats.chunk_hits, 0u) << "VisitChunk bypasses the cached chunk";
   EXPECT_EQ(stats.prefetch_issued, 0u);
 
   // Ranges that straddle chunks or fall in a gap are refused untouched.
@@ -253,35 +225,6 @@ TEST(RRSpillStoreTest, ChunksOverlappingAndVisitChunk) {
   EXPECT_EQ(stats.sets_read, 5u);
 }
 
-TEST(RRSpillStoreTest, PinnedChunkLruCountsHitsAndLoads) {
-  const Graph g = MakeWcPowerLaw(60, 3, 23);
-  RRCollection rr(g.num_nodes());
-  std::vector<uint64_t> edges;
-  Sample(g, 5, 64, &rr, &edges);
-
-  TempSpillDir dir;
-  RRSpillOptions options = SpillOpts(dir, 16);  // 4 chunks
-  RRSpillStore store(g.num_nodes(), options);
-  ASSERT_TRUE(store.SpillRange(rr, edges, 0, 64, 0).ok());
-
-  uint64_t stopped = 0;
-  // First full pass: every chunk is a load.
-  ASSERT_TRUE(
-      store.VisitRange(0, 64, nullptr,
-                       [](uint64_t, std::span<const NodeId>) {}, &stopped)
-          .ok());
-  const uint64_t loads_after_first = store.stats().chunk_loads;
-  EXPECT_GE(loads_after_first, 4u);
-  // Re-visiting only the last pinned window hits the LRU.
-  ASSERT_TRUE(
-      store.VisitRange(48, 16, nullptr,
-                       [](uint64_t, std::span<const NodeId>) {}, &stopped)
-          .ok());
-  EXPECT_EQ(store.stats().chunk_loads, loads_after_first);
-  EXPECT_GT(store.stats().chunk_hits, 0u);
-  EXPECT_EQ(store.stats().sets_read, 64u + 16u);
-}
-
 TEST(RRSpillStoreTest, SequentialReadsMatchSampledSets) {
   const Graph g = MakeWcPowerLaw(80, 3, 47);
   RRCollection rr(g.num_nodes());
@@ -293,11 +236,9 @@ TEST(RRSpillStoreTest, SequentialReadsMatchSampledSets) {
   ASSERT_TRUE(store.SpillRange(rr, edges, 0, 64, 0).ok());
 
   ExpectReplayMatches(&store, rr, 64);
-  RRCollection loaded(g.num_nodes());
-  std::vector<uint64_t> loaded_edges;
-  ASSERT_TRUE(store.ReadRange(0, 64, &loaded, &loaded_edges).ok());
-  EXPECT_EQ(loaded_edges, edges);
-  ExpectEqualSets(rr, loaded, 0, 0, 64);
+  const RRSpillStats stats = store.stats();
+  EXPECT_EQ(stats.chunk_loads, 8u) << "one read per chunk";
+  EXPECT_EQ(stats.sets_read, 64u);
 }
 
 TEST(RRSpillStoreTest, EmptyEdgeSpanRecordsZeros) {
@@ -310,11 +251,10 @@ TEST(RRSpillStoreTest, EmptyEdgeSpanRecordsZeros) {
   RRSpillStore store(g.num_nodes(), SpillOpts(dir));
   ASSERT_TRUE(store.SpillRange(rr, {}, 0, 10, 0).ok());
 
-  RRCollection out(g.num_nodes());
-  std::vector<uint64_t> out_edges;
-  ASSERT_TRUE(store.ReadRange(0, 10, &out, &out_edges).ok());
-  ExpectEqualSets(rr, out, 0, 0, 10);
-  EXPECT_EQ(out_edges, std::vector<uint64_t>(10, 0));
+  std::string expect;
+  SerializeRRShard(rr, std::vector<uint64_t>(10, 0), 0, 10, &expect);
+  EXPECT_TRUE(ReadFile(SpillFile(store)) == expect);
+  ExpectReplayMatches(&store, rr, 10);
 }
 
 // ---- the one spill file ------------------------------------------------
@@ -350,10 +290,20 @@ TEST(RRSpillStoreTest, EveryChunkGoesToOneFile) {
     }
     EXPECT_TRUE(ReadFile(file) == expect);
 
-    RRCollection loaded(g.num_nodes());
-    std::vector<uint64_t> loaded_edges;
-    ASSERT_TRUE(store.ReadRange(100, 28, &loaded, &loaded_edges).ok());
-    ExpectEqualSets(rr, loaded, 32, 0, 28);
+    // The range past the gap reads back from its place in the file.
+    uint64_t stopped = 0, visited = 0;
+    const Status status = store.VisitRange(
+        100, 28, nullptr,
+        [&](uint64_t index, std::span<const NodeId> set) {
+          const auto want = rr.Set(static_cast<RRSetId>(index - 100 + 32));
+          EXPECT_TRUE(
+              std::equal(want.begin(), want.end(), set.begin(), set.end()))
+              << "set " << index;
+        },
+        &stopped, &visited);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(stopped, 128u);
+    EXPECT_EQ(visited, 28u);
   }
   EXPECT_FALSE(std::filesystem::exists(directory))
       << "the destructor removes the store's directory";
@@ -388,8 +338,8 @@ TEST(RRSpillStoreTest, MutatedChunkFileFailsCleanlyOnEveryReadPath) {
       mutant.resize(range.bytes, '\0');
       testing::OverwriteFile(path, range.offset, mutant);
     }
-    // Every pass starts in chunk 0, so the cached chunk never answers
-    // for the mutated one: each path reads the mutant from disk.
+    // Nothing is cached between reads: each path reads the mutant from
+    // disk.
     uint64_t in_chunk = 0, stopped = 0;
     const auto visit = [&](uint64_t index, std::span<const NodeId> set) {
       if (index < kFirst || index >= kFirst + kCount) return;
@@ -404,20 +354,6 @@ TEST(RRSpillStoreTest, MutatedChunkFileFailsCleanlyOnEveryReadPath) {
     } else {
       EXPECT_EQ(stopped, kFirst);
       EXPECT_EQ(in_chunk, 0u);
-    }
-
-    RRCollection read(n);
-    std::vector<uint64_t> read_edges;
-    const Status read_status = store.ReadRange(0, 48, &read, &read_edges);
-    EXPECT_EQ(read_status.ok(), visited.ok()) << read_status.ToString();
-    if (read_status.ok()) {
-      ASSERT_EQ(read.num_sets(), 48u);
-      for (size_t i = kFirst; i < kFirst + kCount; ++i) {
-        for (NodeId v : read.Set(static_cast<RRSetId>(i))) ASSERT_LT(v, n);
-      }
-    } else {
-      EXPECT_EQ(read.num_sets(), 0u) << "failed read must not half-append";
-      EXPECT_TRUE(read_edges.empty());
     }
 
     RRSpillStore::ChunkScratch scratch;
@@ -440,8 +376,8 @@ TEST(RRSpillStoreTest, MutatedChunkFileFailsCleanlyOnEveryReadPath) {
 }
 
 // A file cut inside its last chunk: the earlier chunks still read, the
-// cut one fails on every path with an IOError naming the file and the
-// chunk's index range, and nothing of it is appended or visited.
+// cut one fails on both paths with an IOError naming the file and the
+// chunk's index range, and nothing of it is visited.
 TEST(RRSpillStoreTest, FileCutInsideLastChunkFailsCleanly) {
   const Graph g = MakeWcPowerLaw(80, 3, 67);
   const NodeId n = g.num_nodes();
@@ -470,13 +406,7 @@ TEST(RRSpillStoreTest, FileCutInsideLastChunkFailsCleanly) {
   EXPECT_EQ(visited, 32u);
   EXPECT_EQ(in_last, 0u);
 
-  RRCollection read(n);
-  std::vector<uint64_t> read_edges;
-  EXPECT_TRUE(store.ReadRange(0, 48, &read, &read_edges).IsIOError());
-  EXPECT_EQ(read.num_sets(), 0u) << "failed read must not half-append";
-  EXPECT_TRUE(read_edges.empty());
-  ASSERT_TRUE(store.ReadRange(0, 32, &read, &read_edges).ok());
-  ExpectEqualSets(rr, read, 0, 0, 32);
+  ExpectReplayMatches(&store, rr, 32);
 
   RRSpillStore::ChunkScratch scratch;
   const Status chunk_status = store.VisitChunk(
@@ -658,7 +588,6 @@ TEST(SpillCounterGoldenTest, BudgetedStreamingPassCountersArePinned) {
     EXPECT_EQ(stats.sets_written, 19223u);
     EXPECT_EQ(stats.bytes_written, 972424u);
     EXPECT_EQ(stats.chunk_loads, 84u);
-    EXPECT_EQ(stats.chunk_hits, 0u);
     EXPECT_EQ(stats.sets_read, 99902u);
     EXPECT_EQ(selection.rr_sets_spilled, stats.sets_written);
     EXPECT_EQ(selection.sets_spill_read, stats.sets_read);
@@ -779,90 +708,55 @@ TEST(BudgetCounterGoldenTest, RegistryBudgetMetricsArePinned) {
   }
 }
 
-// ---- serving: evict-spill-preload -------------------------------------
+// ---- serving: the spill dir is for budgeted requests ------------------
 
-TEST(ServingSpillTest, EvictedStreamPreloadsFromDiskBitIdentically) {
-  const Graph graph = MakeWcPowerLaw(150, 3, 31);
-  TempSpillDir dir;
-
-  GraphContext context{Graph(graph)};
-  context.set_spill_dir(dir.path());
-  StreamKey key;
-  key.seed = 99;
-
-  // Materialize a prefix, snapshot its bytes, evict it through a budget
-  // far below its footprint (spilling on the way out).
-  RRCollection first_read(graph.num_nodes());
-  {
-    std::shared_ptr<SharedRRCache> cache = context.AcquireStream(key);
-    cache->Read(0, 600, &first_read);
-    EXPECT_EQ(cache->total_sets_spill_loaded(), 0u);
-    context.set_cache_budget_bytes(1);
-    EXPECT_EQ(context.EnforceCacheBudget(), 1u);
-  }
-  EXPECT_EQ(context.NumStreams(), 0u);
-
-  // Reacquiring the key rebuilds the stream FROM DISK: the preload
-  // counter moves and the bytes match the first materialization.
-  std::shared_ptr<SharedRRCache> reborn = context.AcquireStream(key);
-  RRCollection second_read(graph.num_nodes());
-  reborn->Read(0, 600, &second_read);
-  EXPECT_EQ(reborn->total_sets_spill_loaded(), 600u)
-      << "the evicted prefix should come back from the spill store";
-  EXPECT_EQ(reborn->total_sets_sampled(), 0u);
-  EXPECT_EQ(context.TotalSetsSpillLoaded(), 600u);
-  ASSERT_EQ(second_read.num_sets(), first_read.num_sets());
-  ExpectEqualSets(first_read, second_read, 0, 0, 600);
-
-  // And growth past the spilled prefix continues seamlessly: fresh
-  // samples start exactly where the disk image ends.
-  RRCollection longer(graph.num_nodes());
-  reborn->Read(0, 700, &longer);
-  SamplingEngine reference(graph, testing::IcSampling(99));
-  RRCollection expect(graph.num_nodes());
-  reference.SampleInto(&expect, 700);
-  ExpectEqualSets(expect, longer, 0, 0, 700);
-}
-
-TEST(ServingSpillTest, EngineWithSpillServesIdenticalResponses) {
-  const Graph graph = MakeWcPowerLaw(150, 3, 37);
+TEST(ServingSpillTest, SpillDirServesBudgetedRequestsOnly) {
+  const Graph graph = MakeWcPowerLaw(250, 3, 17);
 
   ImRequest request;
   request.graph = "g";
   request.algo = "tim+";
   request.k = 4;
   request.epsilon = 0.3;
-  request.seed = 7;
+  request.seed = 1234;
+  const SolverResult standalone = RunRegistry(graph, "tim+", 0, "");
 
-  // Reference: unconstrained engine, no spill.
-  ServingOptions plain;
-  ServingEngine reference(plain);
-  ASSERT_TRUE(reference.RegisterGraph("g", Graph(graph)).ok());
-  const ImResponse expected = reference.Solve(request);
-  ASSERT_TRUE(expected.status.ok()) << expected.status.ToString();
-
-  // Spill engine: a cache budget of one byte evicts (and spills) the
-  // stream after every request, so the second request preloads from disk.
+  // A cache budget of one byte evicts the shared stream after every
+  // request, so the second request re-creates and resamples it.
   TempSpillDir dir;
   ServingOptions options;
   options.shared_cache_budget_bytes = 1;
   options.spill_dir = dir.path();
   ServingEngine serving(options);
   ASSERT_TRUE(serving.RegisterGraph("g", Graph(graph)).ok());
+  const auto spill_dir_is_empty = [&] {
+    return !std::filesystem::exists(dir.path()) ||
+           std::filesystem::is_empty(dir.path());
+  };
 
-  const ImResponse cold = serving.Solve(request);
-  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
-  EXPECT_EQ(cold.result.seeds, expected.result.seeds);
-
-  const ImResponse warm = serving.Solve(request);
-  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
-  EXPECT_EQ(warm.result.seeds, expected.result.seeds);
-  EXPECT_EQ(warm.result.estimated_spread, expected.result.estimated_spread);
-
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    const ImResponse response = serving.Solve(request);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.result.seeds, standalone.seeds);
+    EXPECT_EQ(response.result.estimated_spread, standalone.estimated_spread);
+    EXPECT_EQ(response.result.Metric("theta"), standalone.Metric("theta"));
+    EXPECT_GT(response.rr_sets_sampled, 0u) << "evicted, so resampled";
+  }
   GraphContext* context = serving.Context("g");
   ASSERT_NE(context, nullptr);
-  EXPECT_GT(context->TotalSetsSpillLoaded(), 0u)
-      << "the warm request should restore the stream from disk";
+  EXPECT_EQ(context->StreamsEvicted(), 2u);
+  EXPECT_TRUE(spill_dir_is_empty()) << "an evicted stream writes nothing";
+
+  // A budgeted request runs standalone and spills to the engine's dir.
+  request.memory_budget_bytes = 1024;
+  const ImResponse budgeted = serving.Solve(request);
+  ASSERT_TRUE(budgeted.status.ok()) << budgeted.status.ToString();
+  EXPECT_EQ(budgeted.result.seeds, standalone.seeds);
+  EXPECT_EQ(budgeted.result.Metric("hit_memory_budget"), 1.0);
+  EXPECT_GT(budgeted.result.Metric("rr_sets_spilled"), 0.0);
+  EXPECT_EQ(budgeted.result.Metric("regeneration_passes", -1.0), 0.0);
+  EXPECT_TRUE(spill_dir_is_empty()) << "the store deletes its file";
 }
 
 }  // namespace
