@@ -14,24 +14,24 @@ namespace {
 // copies fewer than 2·S elements however small the appends are. The
 // reallocation stays out of line so an append that fits (nearly every
 // per-set Add) costs one inlined capacity compare per array.
-template <typename T>
-[[gnu::noinline]] void Regrow(std::vector<T>* v, size_t want,
+template <typename Vector>
+[[gnu::noinline]] void Regrow(Vector* v, size_t want,
                               uint64_t* bytes_copied) {
-  *bytes_copied += v->size() * sizeof(T);
+  *bytes_copied += v->size() * sizeof(typename Vector::value_type);
   v->reserve(std::max(want, 2 * v->capacity()));
 }
 
-template <typename T>
-void GrowFor(std::vector<T>* v, size_t want, uint64_t* bytes_copied) {
+template <typename Vector>
+void GrowFor(Vector* v, size_t want, uint64_t* bytes_copied) {
   if (want > v->capacity()) [[unlikely]] {
     Regrow(v, want, bytes_copied);
   }
 }
 
-template <typename T>
-void TrimToSize(std::vector<T>* v, uint64_t* bytes_copied) {
+template <typename Vector>
+void TrimToSize(Vector* v, uint64_t* bytes_copied) {
   if (v->capacity() == v->size()) return;
-  *bytes_copied += v->size() * sizeof(T);
+  *bytes_copied += v->size() * sizeof(typename Vector::value_type);
   v->shrink_to_fit();
 }
 
@@ -122,6 +122,9 @@ void RRCollection::BuildIndex(ThreadPool* pool) {
     EdgeIndex* count = cursor.data() + t * n;
     for (NodeId v : Members(first[t], first[t + 1])) ++count[v];
   });
+  // Both resizes leave new slots unwritten (HugePageAllocator
+  // default-initializes): the loop below writes every offset, and the
+  // scatter every index slot, each exactly once.
   index_offsets_.resize(n + 1);
   EdgeIndex running = 0;
   for (size_t v = 0; v < n; ++v) {

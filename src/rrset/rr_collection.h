@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "util/huge_page_allocator.h"
 #include "util/types.h"
 
 namespace timpp {
@@ -20,7 +21,9 @@ class ThreadPool;
 /// (CSR layout). After all sets are added, BuildIndex() materializes the
 /// inverted node -> set-ids index used by coverage computations. Adding
 /// after BuildIndex() invalidates the index (checked in debug builds via
-/// index_built()).
+/// index_built()). The five arrays (offsets, members, widths, index
+/// offsets, index sets) allocate through HugePageAllocator: each one of
+/// 2 MiB or more lives in its own huge-page-advised mapping.
 class RRCollection {
  public:
   explicit RRCollection(NodeId num_nodes) : num_nodes_(num_nodes) {
@@ -133,12 +136,16 @@ class RRCollection {
   /// paper's F_R(S). O(Σ |sets containing seeds|) via the index.
   double CoveredFraction(std::span<const NodeId> seeds) const;
 
-  /// Heap bytes of set storage plus index (Figure 12's memory metric).
+  /// Bytes of set storage plus index (Figure 12's memory metric).
   /// Capacity-based: counts what the allocator holds, including growth
-  /// slack, so it can read up to 2× DataBytes (see Reserve).
+  /// slack, so it can read up to 2× DataBytes (see Reserve). An array of
+  /// 2 MiB or more sits in its own mapping (util/huge_page_allocator.h),
+  /// counted by capacity too, though the kernel makes it resident only as
+  /// it is touched, one huge-page extent (2 MiB) at a time; the mapping's
+  /// page-rounded tail is not counted.
   size_t MemoryBytes() const;
 
-  /// Heap bytes actually filled with data (capacities excluded). This is
+  /// Bytes actually filled with data (capacities excluded). This is
   /// the basis of OverMemoryBudget: unlike MemoryBytes it is a pure
   /// function of the stored sets, never of the allocation pattern, so
   /// budget stops land at the same set regardless of how the collection
@@ -170,17 +177,20 @@ class RRCollection {
   void Clear();
 
  private:
+  template <typename T>
+  using Array = std::vector<T, HugePageAllocator<T>>;
+
   NodeId num_nodes_;
   size_t memory_budget_ = 0;
-  std::vector<EdgeIndex> offsets_;   // per-set start into nodes_
-  std::vector<NodeId> nodes_;        // concatenated set members
-  std::vector<uint64_t> widths_;     // per-set w(R)
+  Array<EdgeIndex> offsets_;   // per-set start into nodes_
+  Array<NodeId> nodes_;        // concatenated set members
+  Array<uint64_t> widths_;     // per-set w(R)
   uint64_t total_width_ = 0;
   uint64_t realloc_bytes_copied_ = 0;
 
   bool index_built_ = false;
-  std::vector<EdgeIndex> index_offsets_;  // per-node start into index_sets_
-  std::vector<RRSetId> index_sets_;
+  Array<EdgeIndex> index_offsets_;  // per-node start into index_sets_
+  Array<RRSetId> index_sets_;
 };
 
 }  // namespace timpp

@@ -170,8 +170,9 @@ TEST_P(DiffusionPropertyTest, Equation7Sandwich) {
 }
 
 TEST_P(DiffusionPropertyTest, RrSolversMeetApproximationGuarantee) {
-  // spread(S) >= (1 - 1/e - ε)·OPT for TIM+, IMM and RIS (Borgs et al.'s
-  // algorithm is IC-only) at k = 1, 2, 3 and ε = 0.1, 0.3, 0.5, with OPT
+  // spread(S) >= (1 - 1/e - ε)·OPT for TIM+, plain TIM (no KPT
+  // refinement), IMM and RIS (Borgs et al.'s algorithm is IC-only) at
+  // k = 1, 2, 3 and ε = 0.1, 0.3, 0.5, with OPT
   // from the brute-force oracle and spread(S) exact. Brute force on the
   // 15-arc TwoCommunities IC graph walks C(10, k)·2^15 worlds, about 2.5 s
   // at k = 3, so that case stops at k = 2.
@@ -208,6 +209,13 @@ TEST_P(DiffusionPropertyTest, RrSolversMeetApproximationGuarantee) {
       TimResult tim_result;
       ASSERT_TRUE(TimSolver(graph_).Run(tim, &tim_result).ok());
       EXPECT_GE(spread_of(tim_result.seeds), floor) << "TIM+ " << where;
+
+      TimOptions plain_tim = tim;
+      plain_tim.use_refinement = false;
+      plain_tim.seed = 4245;
+      TimResult plain_tim_result;
+      ASSERT_TRUE(TimSolver(graph_).Run(plain_tim, &plain_tim_result).ok());
+      EXPECT_GE(spread_of(plain_tim_result.seeds), floor) << "TIM " << where;
 
       ImmOptions imm;
       imm.k = k;

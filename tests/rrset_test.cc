@@ -6,7 +6,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "diffusion/exact_spread.h"
 #include "diffusion/spread_estimator.h"
@@ -17,6 +22,7 @@
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "tests/test_util.h"
+#include "util/huge_page_allocator.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -639,6 +645,314 @@ TEST(BuildIndexPoolTest, RandomCollectionsMatchSerial) {
   for (unsigned tasks : {2u, 3u, 8u}) {
     ExpectPoolIndexMatchesSerial(RandomCollection(500, 3000, 11 + tasks),
                                  tasks);
+  }
+}
+
+// ------------------------------------------------------- storage paths --
+
+// RRCollection's storage policy replayed on plain std::vectors: the same
+// growth rule (an array that must grow gets capacity max(want,
+// 2 · capacity)), the same resizes and clears, the same count of copied
+// bytes, and a serial counting-sort index. Whatever allocator the
+// collection's arrays use, it must match this in every set, width, index
+// list, byte count and realloc_bytes_copied().
+struct VectorCollection {
+  explicit VectorCollection(NodeId n) : num_nodes(n), offsets{0} {}
+
+  template <typename T>
+  void Grow(std::vector<T>* v, size_t want) {
+    if (want <= v->capacity()) return;
+    copied += v->size() * sizeof(T);
+    v->reserve(std::max(want, 2 * v->capacity()));
+  }
+  template <typename T>
+  void Trim(std::vector<T>* v) {
+    if (v->capacity() == v->size()) return;
+    copied += v->size() * sizeof(T);
+    v->shrink_to_fit();
+  }
+
+  void Reserve(size_t sets, size_t members) {
+    Grow(&offsets, offsets.size() + sets);
+    Grow(&widths, widths.size() + sets);
+    Grow(&nodes, nodes.size() + members);
+  }
+  // Add, AppendRange and AppendPacked all reserve, then append.
+  void Append(std::span<const NodeId> members,
+              std::span<const uint64_t> sizes,
+              std::span<const uint64_t> set_widths) {
+    Reserve(sizes.size(), members.size());
+    nodes.insert(nodes.end(), members.begin(), members.end());
+    for (uint64_t size : sizes) offsets.push_back(offsets.back() + size);
+    widths.insert(widths.end(), set_widths.begin(), set_widths.end());
+  }
+  void ShrinkToFit() {
+    Trim(&offsets);
+    Trim(&widths);
+    Trim(&nodes);
+  }
+  void TruncateTo(size_t sets) {
+    if (sets + 1 >= offsets.size()) return;
+    offsets.resize(sets + 1);
+    nodes.resize(offsets.back());
+    widths.resize(sets);
+    index_offsets.clear();
+    index_sets.clear();
+  }
+  void Clear() {
+    offsets.assign(1, 0);
+    nodes.clear();
+    widths.clear();
+    index_offsets.clear();
+    index_sets.clear();
+  }
+  void BuildIndex() {
+    index_offsets.resize(num_nodes + 1);
+    std::fill(index_offsets.begin(), index_offsets.end(), 0);
+    for (NodeId v : nodes) ++index_offsets[v + 1];
+    std::partial_sum(index_offsets.begin(), index_offsets.end(),
+                     index_offsets.begin());
+    index_sets.resize(nodes.size());
+    std::vector<EdgeIndex> next(index_offsets.begin(),
+                                index_offsets.end() - 1);
+    for (size_t id = 0; id + 1 < offsets.size(); ++id) {
+      for (EdgeIndex j = offsets[id]; j < offsets[id + 1]; ++j) {
+        index_sets[next[nodes[j]]++] = static_cast<RRSetId>(id);
+      }
+    }
+  }
+
+  size_t MemoryBytes() const {
+    return offsets.capacity() * sizeof(EdgeIndex) +
+           nodes.capacity() * sizeof(NodeId) +
+           widths.capacity() * sizeof(uint64_t) +
+           index_offsets.capacity() * sizeof(EdgeIndex) +
+           index_sets.capacity() * sizeof(RRSetId);
+  }
+  size_t DataBytes() const {
+    return offsets.size() * sizeof(EdgeIndex) + nodes.size() * sizeof(NodeId) +
+           widths.size() * sizeof(uint64_t) +
+           index_offsets.size() * sizeof(EdgeIndex) +
+           index_sets.size() * sizeof(RRSetId);
+  }
+
+  NodeId num_nodes;
+  std::vector<EdgeIndex> offsets;
+  std::vector<NodeId> nodes;
+  std::vector<uint64_t> widths;
+  std::vector<EdgeIndex> index_offsets;
+  std::vector<RRSetId> index_sets;
+  uint64_t copied = 0;
+};
+
+bool OnHugePageBoundary(const void* p) {
+  return reinterpret_cast<uintptr_t>(p) % kHugePageBytes == 0;
+}
+
+// Expects `rr` to hold exactly what `ref` holds (its index too, when
+// built) and, where the arrays get their own mappings, the member and
+// index-set arrays of at least kHugePageBytes to start on a huge-page
+// boundary.
+void ExpectSameStorage(const RRCollection& rr, const VectorCollection& ref,
+                       const std::string& where) {
+  ASSERT_EQ(rr.num_sets() + 1, ref.offsets.size()) << where;
+  ASSERT_EQ(rr.total_nodes(), ref.nodes.size()) << where;
+  const auto members = rr.Members(0, rr.num_sets());
+  EXPECT_TRUE(std::equal(members.begin(), members.end(), ref.nodes.begin(),
+                         ref.nodes.end()))
+      << where;
+  uint64_t total_width = 0;
+  for (size_t id = 0; id < rr.num_sets(); ++id) {
+    ASSERT_EQ(rr.Offset(id + 1), ref.offsets[id + 1]) << where << " set " << id;
+    ASSERT_EQ(rr.Width(static_cast<RRSetId>(id)), ref.widths[id])
+        << where << " set " << id;
+    total_width += ref.widths[id];
+  }
+  EXPECT_EQ(rr.TotalWidth(), total_width) << where;
+  EXPECT_EQ(rr.realloc_bytes_copied(), ref.copied) << where;
+  EXPECT_EQ(rr.DataBytes(), ref.DataBytes()) << where;
+  EXPECT_EQ(rr.MemoryBytes(), ref.MemoryBytes()) << where;
+  if (rr.index_built()) {
+    for (NodeId v = 0; v < ref.num_nodes; ++v) {
+      const auto sets = rr.SetsContaining(v);
+      ASSERT_TRUE(std::equal(sets.begin(), sets.end(),
+                             ref.index_sets.begin() + ref.index_offsets[v],
+                             ref.index_sets.begin() + ref.index_offsets[v + 1]))
+          << where << " node " << v;
+    }
+  }
+  if (!kLargeArraysMapped) return;
+  if (ref.nodes.capacity() * sizeof(NodeId) >= kHugePageBytes) {
+    EXPECT_TRUE(OnHugePageBoundary(members.data())) << where;
+  }
+  if (rr.index_built() &&
+      ref.index_sets.capacity() * sizeof(RRSetId) >= kHugePageBytes) {
+    EXPECT_TRUE(OnHugePageBoundary(rr.SetsContaining(0).data())) << where;
+  }
+}
+
+// Packed batch of `sets` random sets of 0-6 members of [0, n), the
+// arguments of AppendPacked.
+struct PackedSets {
+  std::vector<NodeId> members;
+  std::vector<uint64_t> sizes;
+  std::vector<uint64_t> widths;
+};
+
+PackedSets RandomPacked(NodeId n, size_t sets, Rng* rng) {
+  PackedSets packed;
+  for (size_t id = 0; id < sets; ++id) {
+    const size_t size = rng->NextBounded(7);
+    for (size_t j = 0; j < size; ++j) packed.members.push_back(rng->NextNode(n));
+    packed.sizes.push_back(size);
+    packed.widths.push_back(rng->NextBounded(1000));
+  }
+  return packed;
+}
+
+// Add()s `sets` random sets to both.
+void AddRandom(size_t sets, Rng* rng, RRCollection* rr,
+               VectorCollection* ref) {
+  for (size_t id = 0; id < sets; ++id) {
+    const PackedSets one = RandomPacked(rr->num_graph_nodes(), 1, rng);
+    rr->Add(one.members, one.widths[0]);
+    ref->Append(one.members, one.sizes, one.widths);
+  }
+}
+
+// 300,000 nodes: the index offsets take 2.4 MB, and 262,144 sets fill
+// 2 MiB of offsets (and of widths), 524,288 members 2 MiB of members.
+constexpr NodeId kStorageNodes = 300000;
+
+TEST(RRCollectionStorageTest, AppendPathsMatchPlainVectors) {
+  Rng rng(71);
+  RRCollection rr(kStorageNodes);
+  VectorCollection ref(kStorageNodes);
+  // Add: members cross 2 MiB.
+  for (int step = 1; step <= 4; ++step) {
+    AddRandom(50000, &rng, &rr, &ref);
+    ExpectSameStorage(rr, ref, "Add step " + std::to_string(step));
+  }
+  // AppendRange: offsets and widths cross 2 MiB, in uneven slices of a
+  // source that is itself past 2 MiB of members.
+  RRCollection source(kStorageNodes);
+  VectorCollection unused(kStorageNodes);
+  AddRandom(180000, &rng, &source, &unused);
+  for (size_t first = 0; first < source.num_sets(); first += 37000) {
+    rr.AppendRange(source, first, 37000);
+    const size_t last = std::min(source.num_sets(), first + 37000);
+    std::vector<uint64_t> sizes, widths;
+    for (size_t id = first; id < last; ++id) {
+      sizes.push_back(source.Set(static_cast<RRSetId>(id)).size());
+      widths.push_back(source.Width(static_cast<RRSetId>(id)));
+    }
+    ref.Append(source.Members(first, last), sizes, widths);
+    ExpectSameStorage(rr, ref, "AppendRange from " + std::to_string(first));
+  }
+  // AppendPacked, then an explicit Reserve past the current capacities,
+  // then ShrinkToFit.
+  for (int step = 1; step <= 3; ++step) {
+    const PackedSets packed = RandomPacked(kStorageNodes, 90000, &rng);
+    rr.AppendPacked(packed.members, packed.sizes, packed.widths);
+    ref.Append(packed.members, packed.sizes, packed.widths);
+    ExpectSameStorage(rr, ref, "AppendPacked step " + std::to_string(step));
+  }
+  rr.Reserve(1500000, 5000000);
+  ref.Reserve(1500000, 5000000);
+  ExpectSameStorage(rr, ref, "Reserve");
+  AddRandom(1000, &rng, &rr, &ref);
+  ExpectSameStorage(rr, ref, "Add after Reserve");
+  rr.ShrinkToFit();
+  ref.ShrinkToFit();
+  ExpectSameStorage(rr, ref, "ShrinkToFit");
+}
+
+TEST(RRCollectionStorageTest, IndexTruncateAndClearMatchPlainVectors) {
+  Rng rng(72);
+  RRCollection rr(kStorageNodes);
+  VectorCollection ref(kStorageNodes);
+  AddRandom(400000, &rng, &rr, &ref);
+  rr.BuildIndex();
+  ref.BuildIndex();
+  ExpectSameStorage(rr, ref, "serial index");
+  // Adding keeps the stale index arrays; the pooled rebuild grows them.
+  AddRandom(60000, &rng, &rr, &ref);
+  ExpectSameStorage(rr, ref, "Add after index");
+  ThreadPool pool(3);
+  rr.BuildIndex(&pool);
+  ref.BuildIndex();
+  ExpectSameStorage(rr, ref, "pooled index");
+  rr.TruncateTo(270000);
+  ref.TruncateTo(270000);
+  ExpectSameStorage(rr, ref, "TruncateTo");
+  rr.BuildIndex(&pool);
+  ref.BuildIndex();
+  ExpectSameStorage(rr, ref, "index after TruncateTo");
+  rr.DropIndex();
+  ref.index_offsets.clear();
+  ref.index_sets.clear();
+  ExpectSameStorage(rr, ref, "DropIndex");
+  rr.Clear();
+  ref.Clear();
+  ExpectSameStorage(rr, ref, "Clear");
+  // The capacities survive Clear: refilling copies nothing more.
+  AddRandom(300000, &rng, &rr, &ref);
+  rr.BuildIndex(&pool);
+  ref.BuildIndex();
+  ExpectSameStorage(rr, ref, "refilled after Clear");
+}
+
+TEST(RRCollectionStorageTest, CopyAndMoveMatchPlainVectors) {
+  Rng rng(73);
+  RRCollection rr(kStorageNodes);
+  VectorCollection ref(kStorageNodes);
+  AddRandom(330000, &rng, &rr, &ref);
+  rr.BuildIndex();
+  ref.BuildIndex();
+  // A copy's arrays are exactly as long as the data; a move keeps them.
+  RRCollection copy = rr;
+  const VectorCollection ref_copy = ref;
+  ExpectSameStorage(copy, ref_copy, "copy");
+  ExpectSameStorage(rr, ref, "copy source");
+  RRCollection moved = std::move(copy);
+  ExpectSameStorage(moved, ref_copy, "move");
+  RRCollection assigned(kStorageNodes);
+  assigned = std::move(rr);
+  ExpectSameStorage(assigned, ref, "move assignment");
+  RRCollection copy_assigned(kStorageNodes);
+  copy_assigned = moved;
+  ExpectSameStorage(copy_assigned, ref_copy, "copy assignment");
+}
+
+TEST(RRCollectionStorageTest, LargeArraysStartOnHugePageBoundaries) {
+  if (!kLargeArraysMapped) {
+    GTEST_SKIP() << "AddressSanitizer build: every array is on the heap";
+  }
+  // Member and index-set arrays a little over 2 MiB, between two huge
+  // pages and over 4 MiB, none a whole number of huge pages, each filled
+  // to exactly the capacity reserved up front.
+  for (size_t members : {524289u, 786433u, 1048577u + 4099u}) {
+    RRCollection rr(kStorageNodes);
+    VectorCollection ref(kStorageNodes);
+    rr.Reserve(members / 3, members);
+    ref.Reserve(members / 3, members);
+    Rng rng(members);
+    while (ref.nodes.size() + 6 <= members) AddRandom(1, &rng, &rr, &ref);
+    std::vector<NodeId> last(members - ref.nodes.size(), 1);
+    const uint64_t last_size = last.size();
+    const uint64_t last_width = 0;
+    rr.Add(last, last_width);
+    ref.Append(last, {&last_size, 1}, {&last_width, 1});
+    rr.BuildIndex();
+    ref.BuildIndex();
+    const std::string where = "members=" + std::to_string(members);
+    ASSERT_GE(ref.nodes.capacity() * sizeof(NodeId), kHugePageBytes) << where;
+    ASSERT_GE(ref.index_sets.capacity() * sizeof(RRSetId), kHugePageBytes)
+        << where;
+    EXPECT_TRUE(OnHugePageBoundary(rr.Members(0, rr.num_sets()).data()))
+        << where;
+    EXPECT_TRUE(OnHugePageBoundary(rr.SetsContaining(0).data())) << where;
+    ExpectSameStorage(rr, ref, where);
   }
 }
 
